@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import (
     DivisibilityError,
@@ -33,16 +33,10 @@ from .errors import (
     ResourceLimitError,
     UnrealizableError,
 )
+from .graph import _bits
 from .hypergraph import Hypergraph
 
 COMB_GUARD = 2**62  # refuse ground sets whose subset family cannot be materialized
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:

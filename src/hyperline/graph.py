@@ -1,8 +1,11 @@
 """Simple undirected graphs and the structural queries the recognizer needs.
 
-Adjacency is stored as one bitmask per vertex, which keeps the hot
-operations (common neighborhoods, clique tests, claw search) cheap on
-the small graphs this package targets.
+Adjacency is stored as one bitmask per vertex, and the hot kernels work
+on those masks directly: a claw's leaves are grown by recursing over a
+candidate mask, each step keeping only the candidates outside the chosen
+leaf's neighborhood, and maximal cliques come from pivoted Bron-Kerbosch
+run on an explicit stack of (clique, candidates, excluded) masks, so the
+interpreter's recursion limit puts no bound on clique size.
 """
 
 from __future__ import annotations
@@ -20,6 +23,16 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _first_bits(mask: int, count: int) -> tuple[int, ...]:
+    """The lowest `count` set bit positions of mask, in increasing order."""
+    out = []
+    while mask and len(out) < count:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -151,69 +164,77 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, listed lexicographically.
 
-    Pivoted Bron-Kerbosch on bitmasks; isolated vertices show up as
-    singleton cliques.
+    Pivoted Bron-Kerbosch on bitmasks (Tomita-Tanaka-Takahashi pivot: the
+    vertex of P|X with the most neighbors in P, lowest index on ties),
+    driven by an explicit stack so a clique of any size is found without
+    recursion.  Isolated vertices show up as singleton cliques.
     """
     adj = g._adj
+    if not g.n:
+        return []
     found: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
+    # Each frame is (r, p, x, todo): the clique so far, its candidates,
+    # its excluded vertices, and the branch vertices not yet expanded.
+    full = (1 << g.n) - 1
+    stack = [(0, full, 0, full & ~adj[_pivot(adj, full, 0)])]
+    while stack:
+        r, p, x, todo = stack.pop()
+        if not todo:
+            continue
+        low = todo & -todo
+        v = low.bit_length() - 1
+        stack.append((r, p & ~low, x | low, todo ^ low))
+        nv = adj[v]
+        r, p, x = r | low, p & nv, x & nv
+        if p:
+            stack.append((r, p, x, p & ~adj[_pivot(adj, p, x)]))
+        elif not x:
             found.append(r)
-            return
-        # pivot: vertex of p|x with the most neighbors in p, lowest index on ties
-        pivot = -1
-        best = -1
-        for u in _bits(p | x):
-            cnt = (adj[u] & p).bit_count()
-            if cnt > best:
-                best = cnt
-                pivot = u
-        for v in _bits(p & ~adj[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & adj[v], x & adj[v])
-            p &= ~bit
-            x |= bit
-
-    if g.n:
-        expand(0, (1 << g.n) - 1, 0)
     return sorted(tuple(_bits(m)) for m in found)
+
+
+def _pivot(adj: tuple[int, ...], p: int, x: int) -> int:
+    """Vertex of p|x with the most neighbors in p, lowest index on ties."""
+    pivot = -1
+    best = -1
+    for u in _bits(p | x):
+        cnt = (adj[u] & p).bit_count()
+        if cnt > best:
+            best = cnt
+            pivot = u
+    return pivot
 
 
 def find_claw(g: Graph, r: int) -> Claw | None:
     """First claw with exactly r leaves: lowest center, then lexicographically
-    least leaf set.  None if the graph has no such induced star."""
+    least leaf set.  None if the graph has no such induced star.
+
+    For each center the leaves are grown from its neighborhood mask: take
+    the lowest candidate, recurse on the candidates above it outside its
+    neighborhood, and give up on a branch once fewer candidates remain
+    than leaves still needed.
+    """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
+    adj = g._adj
     for center in range(g.n):
-        nbrs = g.neighbors(center)
-        if len(nbrs) < r:
-            continue
-        leaves = _independent_subset(g, nbrs, r)
+        leaves = _least_independent(adj, adj[center], r)
         if leaves is not None:
             return Claw(center, leaves)
     return None
 
 
-def _independent_subset(g: Graph, pool: tuple[int, ...], r: int) -> tuple[int, ...] | None:
-    """Lexicographically least r-subset of pool that is pairwise non-adjacent."""
-    chosen: list[int] = []
-    forbidden = [0]  # union of adjacency masks of chosen vertices
-
-    def grow(start: int) -> bool:
-        if len(chosen) == r:
-            return True
-        remaining = r - len(chosen)
-        for idx in range(start, len(pool) - remaining + 1):
-            v = pool[idx]
-            if forbidden[-1] >> v & 1:
-                continue
-            chosen.append(v)
-            forbidden.append(forbidden[-1] | g.adjacency_mask(v))
-            if grow(idx + 1):
-                return True
-            chosen.pop()
-            forbidden.pop()
-        return False
-
-    return tuple(chosen) if grow(0) else None
+def _least_independent(adj: tuple[int, ...], cand: int, need: int) -> tuple[int, ...] | None:
+    """Lexicographically least `need` pairwise non-adjacent vertices of cand."""
+    while cand.bit_count() >= need:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        if need == 1:
+            return (v,)
+        rest = cand & ~adj[v]
+        if rest.bit_count() >= need - 1:
+            leaves = _least_independent(adj, rest, need - 1)
+            if leaves is not None:
+                return (v, *leaves)
+    return None

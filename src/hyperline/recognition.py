@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
-from .graph import Claw, Graph, find_claw, maximal_cliques, min_edge_degree
-from .reconstruction import CliqueCover, krausz_cover
+from .graph import Claw, Graph, _bits, _first_bits, find_claw, min_edge_degree
+from .reconstruction import CliqueCover, _big_cliques, _certified_cover
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,6 @@ class Inconclusive:
 Verdict = Union[Member, NonMember, Inconclusive]
 
 
-def _first_bits(mask: int, count: int) -> tuple[int, ...]:
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def check_claw(g: Graph, k: int) -> ClawWitness | None:
     """A claw with k+1 leaves, if any."""
     if k < 2:
@@ -124,13 +115,23 @@ def check_claw(g: Graph, k: int) -> ClawWitness | None:
 
 
 def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
-    """First non-adjacent pair with more than p*k^2 common neighbors."""
+    """First non-adjacent pair with more than p*k^2 common neighbors.
+
+    Only a vertex of degree at least p*k^2 + 1 can head such a pair, and
+    its partner must lie at distance exactly two, so each `a` scans just
+    the `b > a` of its distance-2 mask, in increasing order.
+    """
     needed = t.p * t.k**2 + 1
+    adj = [g.adjacency_mask(v) for v in range(g.n)]
     for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                continue
-            common = g.adjacency_mask(a) & g.adjacency_mask(b)
+        na = adj[a]
+        if na.bit_count() < needed:
+            continue
+        reach = 0
+        for w in _bits(na):
+            reach |= adj[w]
+        for b in _bits((reach & ~na) >> (a + 1) << (a + 1)):
+            common = na & adj[b]
             if common.bit_count() >= needed:
                 return F1Witness(a, b, _first_bits(common, needed))
     return None
@@ -139,12 +140,12 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
 def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
     """First outside vertex attached to more than p*k vertices of a big
     maximal clique."""
-    if t.clique_size_bound > g.n:
-        return None
+    return _check_f2(g, t, _big_cliques(g, t))
+
+
+def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
     needed = t.p * t.k + 1
-    for clique in maximal_cliques(g):
-        if len(clique) < t.clique_size_bound:
-            continue
+    for clique in big:
         cmask = 0
         for u in clique:
             cmask |= 1 << u
@@ -159,10 +160,11 @@ def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
 
 def check_f3(g: Graph, t: Thresholds) -> F3Witness | None:
     """First pair of big maximal cliques sharing more than p vertices."""
-    if t.clique_size_bound > g.n:
-        return None
+    return _check_f3(t, _big_cliques(g, t))
+
+
+def _check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
     needed = t.p + 1
-    big = [c for c in maximal_cliques(g) if len(c) >= t.clique_size_bound]
     masks = []
     for clique in big:
         m = 0
@@ -186,7 +188,9 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     Inconclusive: nothing is asserted below the bound.
 
     Checks run in the fixed order F1, claw, F2, F3, so the returned
-    witness is deterministic when several structures are present.
+    witness is deterministic when several structures are present.  The
+    big maximal cliques are enumerated once, after F1 and the claw check
+    pass, and shared by F2, F3 and the certifying cover.
     """
     t = thresholds(k, p)
     if g.edge_count == 0:
@@ -195,14 +199,17 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     witness: Witness | None = check_f1(g, t)
     if witness is None:
         witness = check_claw(g, k)
+    if witness is not None:
+        return NonMember(witness)
+
+    big = _big_cliques(g, t)
+    witness = _check_f2(g, t, big)
     if witness is None:
-        witness = check_f2(g, t)
-    if witness is None:
-        witness = check_f3(g, t)
+        witness = _check_f3(t, big)
     if witness is not None:
         return NonMember(witness)
 
     degree = min_edge_degree(g)
     if degree >= t.edge_degree_bound:
-        return Member(krausz_cover(g, t))
+        return Member(_certified_cover(g, t, big))
     return Inconclusive(min_edge_degree=degree, required=t.edge_degree_bound)

@@ -74,25 +74,27 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
     if cover.n != g.n:
         raise InputError(f"cover is over {cover.n} vertices, graph has {g.n}")
 
+    adj = [g.adjacency_mask(u) for u in range(g.n)]
     masks = []
+    covered = [0] * g.n  # covered[u]: union of the entries containing u
+    load = [0] * g.n
     for pos, entry in enumerate(cover.cliques):
         m = 0
         for u in entry:
             m |= 1 << u
         for u in entry:
-            if m & ~g.adjacency_mask(u) & ~(1 << u):
+            if m & ~adj[u] & ~(1 << u):
                 raise InputError(f"cover entry {pos} {entry} is not a clique")
+            covered[u] |= m
+            load[u] += 1
         masks.append(m)
 
-    for u, v in g.edges():
-        need = (1 << u) | (1 << v)
-        if not any(m & need == need for m in masks):
+    for u in range(g.n):
+        missed = (adj[u] & ~covered[u]) >> (u + 1)
+        if missed:
+            v = u + (missed & -missed).bit_length()
             return CoverDiagnostics(False, f"edge ({u}, {v}) is not covered by any clique")
 
-    load = [0] * g.n
-    for entry in cover.cliques:
-        for u in entry:
-            load[u] += 1
     for v in range(g.n):
         if load[v] > k:
             return CoverDiagnostics(False, f"vertex {v} lies in {load[v]} cliques, limit {k}")
@@ -117,7 +119,20 @@ def krausz_cover(g: Graph, t: "Thresholds") -> CliqueCover:
     family is a valid cover, and any validation failure here means the
     caller broke the precondition.
     """
-    big = [c for c in maximal_cliques(g) if len(c) >= t.clique_size_bound]
+    return _certified_cover(g, t, _big_cliques(g, t))
+
+
+def _big_cliques(g: Graph, t: "Thresholds") -> list[tuple[int, ...]]:
+    """Maximal cliques of size at least the big-clique bound, in
+    lexicographic order; none can exist when the bound exceeds n, and
+    then nothing is enumerated."""
+    if t.clique_size_bound > g.n:
+        return []
+    return [c for c in maximal_cliques(g) if len(c) >= t.clique_size_bound]
+
+
+def _certified_cover(g: Graph, t: "Thresholds", big: list[tuple[int, ...]]) -> CliqueCover:
+    """`krausz_cover` from an already enumerated big-clique family."""
     cover = CliqueCover(g.n, big)
     diag = validate_cover(g, cover, t.k, t.p)
     if not diag:

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 
+import hyperline
 from hyperline import Graph, Hypergraph
+
+
+def module_env() -> dict[str, str]:
+    """Environment for `python -m hyperline` subprocesses: PYTHONPATH names
+    the absolute directory holding the imported package, so the child finds
+    the same code whatever its working directory."""
+    return dict(os.environ, PYTHONPATH=str(Path(hyperline.__file__).resolve().parent.parent))
 
 
 def complete_graph(n: int) -> Graph:
@@ -27,6 +37,17 @@ def graph_from_mask(n: int, mask: int) -> Graph:
         if mask >> i & 1:
             edges.append(pair)
     return Graph(n, edges)
+
+
+def random_graph(rng: random.Random, n: int, density: float) -> Graph:
+    """Graph on n vertices keeping each vertex pair with the given probability."""
+    return Graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < density])
+
+
+# Edge densities for seeded random graphs, each with the largest vertex
+# count at which brute-force references over neighborhood subsets and
+# maximal cliques stay cheap.
+DENSITY_CAPS = ((0.05, 40), (0.15, 40), (0.3, 40), (0.5, 28), (0.7, 18), (0.9, 14))
 
 
 def all_graphs(n: int):

@@ -37,6 +37,7 @@ from conftest import (
     all_graphs,
     complete_bipartite,
     complete_graph,
+    module_env,
     random_bounded_hypergraph,
 )
 
@@ -254,6 +255,7 @@ def _cli(args, cwd):
         [sys.executable, "-m", "hyperline", *args],
         capture_output=True,
         cwd=cwd,
+        env=module_env(),
     )
 
 

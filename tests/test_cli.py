@@ -9,7 +9,7 @@ from hyperline.cli import run_cli
 from hyperline.fileio import read_hypergraph, read_partition, write_graph, write_hypergraph
 from hyperline import Graph, Hypergraph, line_graph
 
-from conftest import complete_bipartite, complete_graph, cycle_graph
+from conftest import complete_bipartite, complete_graph, cycle_graph, module_env
 
 
 def run(args, tmp_path=None):
@@ -269,6 +269,7 @@ def test_module_invocation_matches_api(tmp_path):
         [sys.executable, "-m", "hyperline", "recognize", "--in", str(path), "-k", "2", "-p", "1"],
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == "NONMEMBER claw center=0 leaves=1,2,3"

@@ -1,9 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hyperline import (
+    Claw,
     Graph,
     Hypergraph,
     InputError,
@@ -15,7 +17,15 @@ from hyperline import (
     min_edge_degree,
 )
 
-from conftest import all_graphs, complete_bipartite, complete_graph, cycle_graph, graph_from_mask
+from conftest import (
+    DENSITY_CAPS,
+    all_graphs,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    graph_from_mask,
+    random_graph,
+)
 
 
 def test_graph_rejects_bad_edges():
@@ -133,6 +143,25 @@ def test_find_claw_matches_exhaustive_oracle_random(n, rng):
             )
 
 
+def _first_claw_reference(g: Graph, r: int) -> Claw | None:
+    """First center, then the first pairwise non-adjacent r-combination of
+    its sorted neighbors."""
+    for center in range(g.n):
+        for leaves in combinations(sorted(g.neighbors(center)), r):
+            if all(not g.has_edge(a, b) for a, b in combinations(leaves, 2)):
+                return Claw(center, leaves)
+    return None
+
+
+def test_find_claw_matches_first_claw_reference():
+    rng = random.Random(3141)
+    for density, cap in DENSITY_CAPS:
+        for _ in range(8):
+            g = random_graph(rng, rng.randint(1, cap), density)
+            for r in range(1, 6):
+                assert find_claw(g, r) == _first_claw_reference(g, r), (g, r)
+
+
 @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))
 def test_maximal_cliques_properties(n, rng):
     pairs = n * (n - 1) // 2
@@ -148,6 +177,10 @@ def test_maximal_cliques_properties(n, rng):
     for c in cliques:
         covered.update(c)
     assert covered == set(range(n))
+    for size in range(1, n + 1):
+        for vs in combinations(range(n), size):
+            if all(g.has_edge(a, b) for a, b in combinations(vs, 2)):
+                assert any(set(vs) <= set(c) for c in cliques)
 
 
 @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))

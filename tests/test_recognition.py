@@ -5,6 +5,7 @@ import pytest
 
 from hyperline import (
     ClawWitness,
+    CliqueCover,
     F1Witness,
     F2Witness,
     F3Witness,
@@ -25,10 +26,12 @@ from hyperline import (
 )
 
 from conftest import (
+    DENSITY_CAPS,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     random_bounded_hypergraph,
+    random_graph,
 )
 
 
@@ -113,6 +116,12 @@ def test_recognize_member_k7():
     assert isinstance(verdict, Member)
     assert verdict.cover.cliques == ((0, 1, 2, 3, 4, 5, 6),)
     assert validate_cover(complete_graph(7), verdict.cover, 2, 1)
+
+
+def test_recognize_deep_clique_is_member():
+    verdict = recognize(complete_graph(1100), 2, 1)
+    assert isinstance(verdict, Member)
+    assert verdict.cover.cliques == (tuple(range(1100)),)
 
 
 def test_recognize_claw_nonmember():
@@ -211,3 +220,46 @@ def test_f1_monotone_in_p():
     assert isinstance(verdict, NonMember) and isinstance(verdict.witness, F1Witness)
     weaker = recognize(g, 2, 1)
     assert isinstance(weaker, NonMember)
+
+
+def _f1_reference(g: Graph, t) -> F1Witness | None:
+    """Plain scan of all pairs a < b in order."""
+    needed = t.p * t.k**2 + 1
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if g.has_edge(a, b):
+                continue
+            common = sorted(set(g.neighbors(a)) & set(g.neighbors(b)))
+            if len(common) >= needed:
+                return F1Witness(a, b, tuple(common[:needed]))
+    return None
+
+
+def test_check_f1_matches_all_pairs_reference():
+    rng = random.Random(2718)
+    for density, _ in DENSITY_CAPS:
+        for _trial in range(8):
+            g = random_graph(rng, rng.randint(1, 40), density)
+            for k, p in [(2, 1), (2, 2), (3, 1)]:
+                t = thresholds(k, p)
+                assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
+
+
+def _first_uncovered_reference(g: Graph, cliques) -> str | None:
+    for u, v in g.edges():
+        if not any(u in c and v in c for c in cliques):
+            return f"edge ({u}, {v}) is not covered by any clique"
+    return None
+
+
+def test_validate_cover_reports_first_uncovered_edge():
+    rng = random.Random(1618)
+    for density, cap in DENSITY_CAPS:
+        for _ in range(6):
+            g = random_graph(rng, rng.randint(2, cap), density)
+            cliques = maximal_cliques(g)
+            for drop in sorted(rng.sample(range(len(cliques)), min(3, len(cliques)))):
+                kept = cliques[:drop] + cliques[drop + 1 :]
+                diag = validate_cover(g, CliqueCover(g.n, kept), len(cliques), g.n)
+                assert diag.failure == _first_uncovered_reference(g, kept), (g, drop)
+                assert diag.ok == (diag.failure is None)
