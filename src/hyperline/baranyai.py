@@ -6,10 +6,13 @@ With L = lcm(N, k) and M = k*C(N,k)/L, the M classes each end up with
 L/k subsets, and each element of the ground set occurs exactly L/N times
 per class.  During the induction the classes hold partial sets drawn
 from the first `level` elements; introducing element level+1 means
-choosing, per class, which partial sets grow.  Feasible choices are
-exactly the integral flows of a bipartite network (classes on one side,
-distinct partial sets on the other) in which every source and sink arc
-is saturated; the saturating value is C(N-1, k-1) at every step.
+choosing, per class, how many copies of each partial set grow.
+Feasible choices are exactly the integral flows of a bipartite network
+(classes on one side, distinct partial sets on the other, one arc per
+partial set of a class with its multiplicity as capacity) in which
+every source and sink arc is saturated; the flow on a class-to-set arc
+is the number of that set's copies that receive the new element, and
+the saturating value is C(N-1, k-1) at every step (Baranyai 1975).
 
 The class count times L/k equals C(N,k), so the final classes partition
 the full family of k-subsets.  Taking the first d*N/L classes as edges
@@ -19,7 +22,6 @@ if and only if k divides d*N.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -86,75 +88,89 @@ def max_flow(net: FlowNetwork) -> Flow:
     """Deterministic integral maximum flow (Dinic).
 
     Residual arcs are scanned in insertion order at every node, so the
-    per-arc flow values are a pure function of the network.
+    per-arc flow values are a pure function of the network.  Each phase
+    labels nodes breadth-first up to the sink's layer, then repeatedly
+    augments along the first admissible path a depth-first cursor walk
+    finds; a node the walk backs out of is dead for the rest of the phase.
     """
     n = net.node_count
+    arcs = net.arcs
     # residual structure: arc i -> slots 2i (forward) and 2i+1 (reverse)
-    to: list[int] = []
-    residual: list[int] = []
+    to = [0] * (2 * len(arcs))
+    residual = [0] * (2 * len(arcs))
     out_arcs: list[list[int]] = [[] for _ in range(n)]
-    for i, (tail, head, capacity) in enumerate(net.arcs):
-        out_arcs[tail].append(2 * i)
-        to.append(head)
-        residual.append(capacity)
-        out_arcs[head].append(2 * i + 1)
-        to.append(tail)
-        residual.append(0)
+    slot = 0
+    for tail, head, capacity in arcs:
+        out_arcs[tail].append(slot)
+        to[slot] = head
+        residual[slot] = capacity
+        out_arcs[head].append(slot + 1)
+        to[slot + 1] = tail
+        slot += 2
 
     source, sink = net.source, net.sink
     total = 0
-    level = [-1] * n
-
-    def build_levels() -> bool:
-        for v in range(n):
-            level[v] = -1
+    while True:
+        # Nodes beyond the sink's layer cannot lie on an admissible path,
+        # so the search stops once that layer is complete.
+        level = [-1] * n
         level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for slot in out_arcs[u]:
-                v = to[slot]
-                if residual[slot] > 0 and level[v] == -1:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level[sink] != -1
+        frontier = [source]
+        depth = 0
+        while frontier and level[sink] < 0:
+            depth += 1
+            layer = []
+            for u in frontier:
+                for slot in out_arcs[u]:
+                    if residual[slot]:
+                        v = to[slot]
+                        if level[v] < 0:
+                            level[v] = depth
+                            layer.append(v)
+            frontier = layer
+        if level[sink] < 0:
+            break
 
-    while build_levels():
         cursor = [0] * n
         path: list[int] = []
         u = source
         while True:
             if u == sink:
-                push = min(residual[slot] for slot in path)
+                push = residual[path[0]]
+                for slot in path:
+                    if residual[slot] < push:
+                        push = residual[slot]
                 total += push
                 retreat = -1
                 for idx, slot in enumerate(path):
                     residual[slot] -= push
                     residual[slot ^ 1] += push
-                    if residual[slot] == 0 and retreat == -1:
+                    if retreat < 0 and not residual[slot]:
                         retreat = idx
                 u = to[path[retreat] ^ 1]  # tail of the first saturated arc
                 del path[retreat:]
                 continue
-            advanced = False
-            while cursor[u] < len(out_arcs[u]):
-                slot = out_arcs[u][cursor[u]]
-                if residual[slot] > 0 and level[to[slot]] == level[u] + 1:
-                    path.append(slot)
-                    u = to[slot]
-                    advanced = True
+            slots = out_arcs[u]
+            end = len(slots)
+            c = cursor[u]
+            want = level[u] + 1
+            while c < end:
+                slot = slots[c]
+                if residual[slot] and level[to[slot]] == want:
                     break
-                cursor[u] += 1
-            if advanced:
+                c += 1
+            cursor[u] = c
+            if c < end:
+                path.append(slot)
+                u = to[slot]
                 continue
             if u == source:
                 break
-            last = path.pop()
-            u = to[last ^ 1]
+            level[u] = -1  # dead end: no admissible arc leaves u this phase
+            u = to[path.pop() ^ 1]
             cursor[u] += 1
 
-    flows = tuple(residual[2 * i + 1] for i in range(len(net.arcs)))
-    return Flow(arc_flows=flows, value=total)
+    return Flow(arc_flows=tuple(residual[1::2]), value=total)
 
 
 @dataclass(frozen=True)
@@ -186,11 +202,12 @@ class PartitionState:
 
 @dataclass(frozen=True)
 class ExtensionNetwork:
-    """Flow network for one induction step plus labels tying each unit arc
-    back to (class index, partial-set mask, copy index)."""
+    """Flow network for one induction step plus labels tying each
+    class-to-set arc back to (class index, partial-set mask); source and
+    sink arcs are labelled None."""
 
     network: FlowNetwork
-    unit_arc_labels: tuple[tuple[int, int, int] | None, ...]
+    arc_labels: tuple[tuple[int, int] | None, ...]
 
 
 def initial_state(ground_size: int, subset_size: int) -> PartitionState:
@@ -212,12 +229,13 @@ def initial_state(ground_size: int, subset_size: int) -> PartitionState:
 
 
 def build_extension_network(state: PartitionState) -> ExtensionNetwork:
-    """Network whose saturating integral flows pick, per class, which
-    partial sets receive element level+1.
+    """Network whose saturating integral flows pick, per class, how many
+    copies of each partial set receive element level+1.
 
-    Source arcs carry L/N to each class; each copy of a partial set T of
-    size < k is a unit arc from its class to T's node; T's node drains
-    into the sink with capacity C(N-1-level, k-|T|-1).
+    Source arcs carry L/N to each class; each partial set T of size < k
+    held by a class gets one arc from the class to T's node, with T's
+    multiplicity in the class as capacity; T's node drains into the sink
+    with capacity C(N-1-level, k-|T|-1).
     """
     big_n = state.ground_size
     k = state.subset_size
@@ -226,26 +244,23 @@ def build_extension_network(state: PartitionState) -> ExtensionNetwork:
         raise InputError(f"all {big_n} elements already distributed")
 
     class_count = state.class_count
-    growable = sorted(
-        {mask for cls in state.classes for mask in cls if mask.bit_count() < k}
-    )
+    growable = sorted(m for m in set().union(*state.classes) if m.bit_count() < k)
     node_of = {mask: 1 + class_count + j for j, mask in enumerate(growable)}
     source = 0
     sink = 1 + class_count + len(growable)
 
     arcs: list[tuple[int, int, int]] = []
-    labels: list[tuple[int, int, int] | None] = []
+    labels: list[tuple[int, int] | None] = []
     per_class = state.element_uses_per_class
     for i in range(class_count):
         arcs.append((source, 1 + i, per_class))
         labels.append(None)
     for i, cls in enumerate(state.classes):
         for mask in sorted(cls):
-            if mask.bit_count() >= k:
-                continue
-            for copy in range(cls[mask]):
-                arcs.append((1 + i, node_of[mask], 1))
-                labels.append((i, mask, copy))
+            node = node_of.get(mask)  # None for sets that already hold k elements
+            if node is not None:
+                arcs.append((1 + i, node, cls[mask]))
+                labels.append((i, mask))
     for mask in growable:
         room = comb(big_n - 1 - ell, k - mask.bit_count() - 1)
         arcs.append((node_of[mask], sink, room))
@@ -254,7 +269,7 @@ def build_extension_network(state: PartitionState) -> ExtensionNetwork:
     network = FlowNetwork(
         node_count=sink + 1, arcs=tuple(arcs), source=source, sink=sink
     )
-    return ExtensionNetwork(network=network, unit_arc_labels=tuple(labels))
+    return ExtensionNetwork(network=network, arc_labels=tuple(labels))
 
 
 def extend(state: PartitionState) -> PartitionState:
@@ -269,16 +284,18 @@ def extend(state: PartitionState) -> PartitionState:
         )
     new_classes = tuple(dict(cls) for cls in state.classes)
     bit = 1 << state.level  # element level+1
-    for arc_index, label in enumerate(ext.unit_arc_labels):
-        if label is None or flow.arc_flows[arc_index] == 0:
+    for label, moved in zip(ext.arc_labels, flow.arc_flows):
+        if label is None or moved == 0:
             continue
-        class_index, mask, _copy = label
+        class_index, mask = label
         cls = new_classes[class_index]
-        cls[mask] -= 1
-        if cls[mask] == 0:
+        left = cls[mask] - moved
+        if left:
+            cls[mask] = left
+        else:
             del cls[mask]
         grown = mask | bit
-        cls[grown] = cls.get(grown, 0) + 1
+        cls[grown] = cls.get(grown, 0) + moved
     return PartitionState(
         ground_size=state.ground_size,
         subset_size=state.subset_size,

@@ -286,11 +286,14 @@ def run_cli(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: resource limit exceeded ({type(exc).__name__})", file=sys.stderr)
         return 3
     except InternalContradictionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

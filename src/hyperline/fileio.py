@@ -4,7 +4,8 @@ Hypergraph (.hg):   header ``H <n> <m>`` then one edge per line as
                     space-separated sorted vertices; edge order in the
                     file is the edge index.
 Graph (.gr):        header ``G <n> <medges>`` then one ``u v`` line per
-                    edge with u < v, in lexicographic order.
+                    edge with u < v, in strictly increasing lexicographic
+                    order; the reader rejects repeated and misordered lines.
 Partition (.bp):    header ``B <N> <k> <M>`` then M blocks, each opened
                     by ``S <i> <count>`` and followed by one k-set per
                     line (1-based elements).
@@ -25,15 +26,15 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) for every non-empty line, comments stripped."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            out.append((lineno, tokens))
     return out
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
 
@@ -67,10 +68,20 @@ def read_hypergraph(text: str) -> Hypergraph:
 
 
 def write_graph(g: Graph) -> str:
-    lines = [f"G {g.n} {g.edge_count}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    n = g.n
+    names = [str(v) for v in range(n)]
+    rows = [f"G {n} {g.edge_count}\n"]
+    for u in range(n):
+        above = g.adjacency_mask(u) >> (u + 1)  # bit j stands for vertex u+1+j
+        if above:
+            heads = []
+            while above:
+                low = above & -above
+                heads.append(names[u + low.bit_length()])
+                above ^= low
+            prefix = names[u] + " "
+            rows.append(prefix + ("\n" + prefix).join(heads) + "\n")
+    return "".join(rows)
 
 
 def read_graph(text: str) -> Graph:
@@ -85,13 +96,22 @@ def read_graph(text: str) -> Graph:
     if len(body) != m:
         raise InputError(f"header promises {m} edges, file has {len(body)}")
     edges = []
+    prev = ()  # every edge tuple compares above the empty tuple
     for lineno, tokens in body:
         if len(tokens) != 2:
             raise InputError(f"line {lineno}: expected 'u v'")
         u, v = _ints(tokens, lineno)
         if u >= v:
             raise InputError(f"line {lineno}: edges must satisfy u < v")
-        edges.append((u, v))
+        edge = (u, v)
+        if edge <= prev:
+            problem = "repeats" if edge == prev else "comes before"
+            raise InputError(
+                f"line {lineno}: edge {u} {v} {problem} the previous edge; "
+                "edges must be distinct and in lexicographic order"
+            )
+        edges.append(edge)
+        prev = edge
     return Graph(n, edges)
 
 

@@ -106,22 +106,23 @@ def line_graph(hg: Hypergraph) -> Graph:
     """Intersection graph of the hyperedges.
 
     Vertex i corresponds to edge i of the hypergraph; two vertices are
-    adjacent iff the edges share at least one vertex.  Identical repeated
-    edges intersect themselves, so their copies are adjacent.
+    adjacent iff the edges share at least one vertex.  Each hypergraph
+    vertex v gets a star mask holding bit i for every edge i through v,
+    and row i is the OR of the stars of edge i's vertices with bit i
+    cleared.  Identical repeated edges intersect, so their copies are
+    adjacent.
     """
-    masks = []
-    for e in hg.edges:
-        m = 0
+    star = [0] * hg.n
+    for i, e in enumerate(hg.edges):
+        bit = 1 << i
         for v in e:
-            m |= 1 << v
-        masks.append(m)
-    count = len(masks)
-    adj = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if masks[i] & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+            star[v] |= bit
+    adj = []
+    for i, e in enumerate(hg.edges):
+        row = 0
+        for v in e:
+            row |= star[v]
+        adj.append(row & ~(1 << i))
     return Graph.from_adjacency_masks(tuple(adj))
 
 

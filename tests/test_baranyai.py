@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb, lcm
 
@@ -18,6 +19,7 @@ from hyperline import (
     regular_hypergraph,
     state_violations,
 )
+from hyperline.fileio import write_partition
 
 
 def test_max_flow_bottleneck():
@@ -101,6 +103,7 @@ def test_max_flow_conservation_and_capacity():
     import random
 
     rng = random.Random(77)
+    results = []
     for _ in range(40):
         n = rng.randint(2, 8)
         arcs = []
@@ -120,6 +123,11 @@ def test_max_flow_conservation_and_capacity():
         for v in range(1, n - 1):
             assert balance[v] == 0
         assert balance[n - 1] == flow.value == -balance[0]
+        results.append((flow.value, flow.arc_flows))
+    # Per-arc flows are a pure function of the network; the digest pins
+    # them, so a change in which augmenting paths Dinic finds shows here.
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "53f22cceee0794ce90e3a86dfbb8b91bcd241cc67f3a6819aaea34d1131a0880"
 
 
 def test_initial_state_shape():
@@ -141,8 +149,9 @@ def test_extension_network_structure_n3_k2():
     # source, 1 class, B-nodes for {} and {1}, sink
     assert net.node_count == 5
     assert net.arcs[0] == (0, 1, 2)  # source capacity L/N = 2
-    unit = [a for a, lab in zip(net.arcs, ext.unit_arc_labels) if lab is not None]
-    assert unit == [(1, 2, 1), (1, 3, 1), (1, 3, 1)]
+    # one arc per partial set, capacity = its multiplicity in the class
+    middle = [a for a, lab in zip(net.arcs, ext.arc_labels) if lab is not None]
+    assert middle == [(1, 2, 1), (1, 3, 2)]
     sink_arcs = [a for a in net.arcs if a[1] == net.sink]
     assert sink_arcs == [(2, 4, 1), (3, 4, 1)]  # C(1,1) for {}, C(1,0) for {1}
 
@@ -154,8 +163,8 @@ def test_extension_network_structure_n4_k2():
     source_arcs = [a for a in net.arcs if a[0] == net.source]
     assert len(source_arcs) == 3  # one per class
     assert all(cap == 1 for _, _, cap in source_arcs)
-    unit_arcs = [lab for lab in ext.unit_arc_labels if lab is not None]
-    assert len(unit_arcs) == 6  # {1} x1 and {} x1 in each of 3 classes
+    labels = [lab for lab in ext.arc_labels if lab is not None]
+    assert labels == [(i, mask) for i in range(3) for mask in (0, 1)]  # {} and {1} per class
     sink_by_mask = {}
     growable = sorted({m for cls in state.classes for m in cls})
     for mask, arc in zip(growable, [a for a in net.arcs if a[1] == net.sink]):
@@ -208,6 +217,17 @@ def test_partition_goldens():
         frozenset({(1, 3), (2, 4)}),
         frozenset({(1, 4), (2, 3)}),
     }
+
+
+def test_partition_bytes_pinned():
+    """Every partition for 2 <= k <= N <= 12, serialized in (N, k) loop
+    order, hashes to a fixed digest: class order and set order are part
+    of the output contract."""
+    digest = hashlib.sha256()
+    for big_n in range(2, 13):
+        for k in range(2, big_n + 1):
+            digest.update(write_partition(baranyai_partition(big_n, k), big_n, k).encode())
+    assert digest.hexdigest() == "52293728ce25537424e9493f57e920a1ba7b97f4dff8ae90cc75f633faa723af"
 
 
 def test_partition_is_deterministic():

@@ -258,6 +258,42 @@ def test_bad_arguments_exit_2(tmp_path):
     assert run(["recognize", "--in", str(tmp_path / "missing.gr"), "-k", "2", "-p", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_input_exits_2_without_traceback(kind, tmp_path):
+    path = tmp_path / "G.gr"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperline", "recognize", "--in", str(path), "-k", "2", "-p", "1"],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_repeated_edge_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "G.gr"
+    path.write_text("G 2 2\n0 1\n0 1\n")
+    assert run(["recognize", "--in", str(path), "-k", "2", "-p", "1"])[0] == 2
+    assert capsys.readouterr().err.startswith("error: line 3:")
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_exhausted_interpreter_resources_exit_3(exc, claw_graph, monkeypatch, capsys):
+    def exhausted(*args):
+        raise exc()
+
+    monkeypatch.setattr("hyperline.cli.recognize", exhausted)
+    assert run(["recognize", "--in", str(claw_graph), "-k", "2", "-p", "1"])[0] == 3
+    assert capsys.readouterr().err == f"error: resource limit exceeded ({exc.__name__})\n"
+
+
 def test_invalid_parameters_exit_2(claw_graph):
     assert run(["recognize", "--in", str(claw_graph), "-k", "1", "-p", "1"])[0] == 2
 

@@ -70,6 +70,18 @@ def test_graph_rejects_malformed():
         read_graph("H 4 0\n")
 
 
+def test_graph_rejects_repeated_edge_line():
+    with pytest.raises(InputError, match="line 3: edge 0 1 repeats the previous edge"):
+        read_graph("G 2 2\n0 1\n0 1\n")
+
+
+def test_graph_rejects_edge_lines_out_of_order():
+    with pytest.raises(InputError, match="line 4: edge 0 3 comes before the previous edge"):
+        read_graph("G 4 3\n0 1\n1 2\n0 3\n")
+    with pytest.raises(InputError, match="line 4: edge 0 1 comes before"):
+        read_graph("# comment lines keep their numbers\nG 4 2\n0 2  # x\n0 1\n")
+
+
 def test_partition_round_trip():
     classes = baranyai_partition(5, 2)
     text = write_partition(classes, 5, 2)

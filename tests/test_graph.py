@@ -16,6 +16,7 @@ from hyperline import (
     maximal_cliques,
     min_edge_degree,
 )
+from hyperline.fileio import write_graph
 
 from conftest import (
     DENSITY_CAPS,
@@ -59,6 +60,44 @@ def test_line_graph_by_hand_intersection_check():
 def test_line_graph_repeated_edges_are_adjacent():
     lg = line_graph(Hypergraph(2, [(0, 1), (0, 1)]))
     assert lg.has_edge(0, 1)
+
+
+def _random_hypergraph(rng: random.Random) -> Hypergraph:
+    """Edges of size 1..5 on up to 30 vertices, some repeated, so that
+    isolated vertices, singleton edges and duplicate edges all occur."""
+    n = rng.randint(0, 30)
+    edges = []
+    for _ in range(rng.randint(0, 60) if n else 0):
+        edge = tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 5)))))
+        edges.append(edge)
+        if rng.random() < 0.2:
+            edges.append(edge)
+    return Hypergraph(n, edges)
+
+
+def test_line_graph_matches_pairwise_reference():
+    rng = random.Random(2024)
+    for _ in range(300):
+        hg = _random_hypergraph(rng)
+        sets = [set(e) for e in hg.edges]
+        expected = [
+            (i, j)
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+            if sets[i] & sets[j]
+        ]
+        assert line_graph(hg) == Graph(hg.m, expected), hg
+
+
+def test_write_graph_matches_per_edge_reference():
+    rng = random.Random(2025)
+    graphs = [Graph(0), Graph(1), Graph(5, [(0, 4)]), complete_graph(9)]
+    graphs += [line_graph(_random_hypergraph(rng)) for _ in range(100)]
+    for density, cap in DENSITY_CAPS:
+        graphs += [random_graph(rng, rng.randint(0, cap), density) for _ in range(10)]
+    for g in graphs:
+        reference = "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert write_graph(g) == f"G {g.n} {g.edge_count}\n" + reference
 
 
 def test_line_graph_vertex_count_is_edge_count():
