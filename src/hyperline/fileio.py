@@ -11,15 +11,19 @@ Partition (.bp):    header ``B <N> <k> <M>`` then M blocks, each opened
                     line (1-based elements).
 
 ``#`` starts a comment anywhere on a line; blank lines are ignored.
+A header vertex count above READ_SIZE_BOUND raises ResourceLimitError
+before anything of that size is allocated.
 Writers emit canonical, comment-free text so identical values always
 serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .graph import Graph
 from .hypergraph import Hypergraph
+
+READ_SIZE_BOUND = 1 << 20
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -39,6 +43,13 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
 
 
+def _check_vertex_count(n: int, lineno: int) -> None:
+    if n > READ_SIZE_BOUND:
+        raise ResourceLimitError(
+            f"line {lineno}: header declares {n} vertices, reader bound is {READ_SIZE_BOUND}"
+        )
+
+
 def write_hypergraph(hg: Hypergraph, notes: tuple[str, ...] = ()) -> str:
     lines = [f"# {note}" for note in notes]
     lines.append(f"H {hg.n} {hg.m}")
@@ -55,6 +66,7 @@ def read_hypergraph(text: str) -> Hypergraph:
     if len(header) != 3 or header[0] != "H":
         raise InputError(f"line {lineno}: expected header 'H <n> <m>'")
     n, m = _ints(header[1:], lineno)
+    _check_vertex_count(n, lineno)
     body = rows[1:]
     if len(body) != m:
         raise InputError(f"header promises {m} edges, file has {len(body)}")
@@ -92,6 +104,7 @@ def read_graph(text: str) -> Graph:
     if len(header) != 3 or header[0] != "G":
         raise InputError(f"line {lineno}: expected header 'G <n> <medges>'")
     n, m = _ints(header[1:], lineno)
+    _check_vertex_count(n, lineno)
     body = rows[1:]
     if len(body) != m:
         raise InputError(f"header promises {m} edges, file has {len(body)}")

@@ -22,20 +22,35 @@ COVER_SIZE_BOUND = 8
 ISO_SIZE_BOUND = 10
 
 
-def _clique_masks(g: Graph) -> list[int]:
-    """Masks of all cliques of g with at least 2 vertices."""
-    out = []
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 2:
-            continue
-        ok = True
-        for v in _bits(mask):
-            if mask & ~g.adjacency_mask(v) & ~(1 << v):
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
+def _clique_masks(g: Graph) -> list[tuple[int, int]]:
+    """(vertex mask, edge bitmap) of every clique with at least 2 vertices,
+    largest first and lexicographic within a size.
+
+    Each clique of size s + 1 extends one of size s, in list order, by a
+    common neighbour above its largest vertex, in increasing order; so
+    every level is lexicographic, starting from the single vertices.
+    Edge (u, v), u < v, is bit u*n + v, which puts the bits in
+    lexicographic edge order; with `spread` the OR of 1 << u*n over the
+    clique's vertices, adding vertex w adds the edges `spread << w`.
+    """
+    n = g.n
+    adj = [g.adjacency_mask(v) for v in range(n)]
+    # (vertex mask, edge bitmap, spread, common neighbours above the last vertex)
+    level = [(1 << u, 0, 1 << u * n, adj[u] >> (u + 1) << (u + 1)) for u in range(n)]
+    levels = []
+    while level:
+        grown = []
+        for mask, bitmap, spread, common in level:
+            while common:
+                low = common & -common
+                common ^= low
+                w = low.bit_length() - 1
+                grown.append(
+                    (mask | low, bitmap | spread << w, spread | 1 << w * n, common & adj[w])
+                )
+        levels.append(grown)
+        level = grown
+    return [(mask, bitmap) for level in reversed(levels) for mask, bitmap, _, _ in level]
 
 
 def cover_search(
@@ -48,10 +63,13 @@ def cover_search(
     """Exhaustive search for a clique cover with vertex load <= k and
     pairwise overlaps <= p; None is a definitive negative.
 
-    Covers each edge in lexicographic order; candidate cliques for an
-    edge are tried largest first, then lexicographically, and the first
-    complete cover wins, so the result is deterministic.  Exceeding the
-    vertex bound or the node budget raises rather than guessing.
+    Covers the first uncovered edge in lexicographic order; the cliques
+    holding it, listed under its bit, are tried in `_clique_masks` order
+    and the first complete cover wins, so the result is deterministic.
+    `loaded[j]` masks the vertices in more than j chosen cliques, so a
+    clique overloads a vertex iff it meets `loaded[k-1]`.  Each search
+    call is one node; exceeding the vertex bound or the node budget
+    raises rather than guessing.
     """
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
@@ -62,70 +80,50 @@ def cover_search(
             f"graph has {g.n} vertices, oracle bound is {max_vertices}"
         )
 
-    edge_list = list(g.edges())
-    if not edge_list:
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    for clique in _clique_masks(g):
+        bitmap = clique[1]
+        while bitmap:
+            low = bitmap & -bitmap
+            bitmap ^= low
+            candidates.setdefault(low, []).append(clique)
+    if not candidates:
         return CliqueCover(g.n, [])
 
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    cliques = _clique_masks(g)
-    covers_of: list[int] = []  # clique mask -> bitmap of covered edge indices
-    for cmask in cliques:
-        bitmap = 0
-        vs = list(_bits(cmask))
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                bitmap |= 1 << edge_index[(vs[a], vs[b])]
-        covers_of.append(bitmap)
-
-    order = sorted(
-        range(len(cliques)),
-        key=lambda i: (-cliques[i].bit_count(), tuple(_bits(cliques[i]))),
-    )
-    candidates: list[list[int]] = [[] for _ in edge_list]
-    for i in order:
-        for e in _bits(covers_of[i]):
-            candidates[e].append(i)
-
-    all_covered = (1 << len(edge_list)) - 1
-    load = [0] * g.n
+    # While an edge is uncovered, fewer cliques than edges are chosen, so
+    # only the first edge-count load masks can ever be nonempty.
+    depth = min(k, len(candidates))
     chosen: list[int] = []
     nodes = 0
 
-    def search(covered: int) -> bool:
+    def search(uncovered: int, loaded: tuple[int, ...]) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError(f"cover search exceeded {budget} nodes")
-        if covered == all_covered:
+        if not uncovered:
             return True
-        uncovered = ~covered & all_covered
-        first = (uncovered & -uncovered).bit_length() - 1
-        for ci in candidates[first]:
-            cmask = cliques[ci]
-            conflict = False
-            for v in _bits(cmask):
-                if load[v] >= k:
-                    conflict = True
-                    break
-            if not conflict:
-                for prev in chosen:
-                    if (cliques[prev] & cmask).bit_count() > p:
-                        conflict = True
-                        break
-            if conflict:
+        full = loaded[-1]
+        for cmask, bitmap in candidates[uncovered & -uncovered]:
+            if cmask & full:
                 continue
-            for v in _bits(cmask):
-                load[v] += 1
-            chosen.append(ci)
-            if search(covered | covers_of[ci]):
-                return True
-            chosen.pop()
-            for v in _bits(cmask):
-                load[v] -= 1
+            for prev in chosen:
+                if (prev & cmask).bit_count() > p:
+                    break
+            else:
+                chosen.append(cmask)
+                below = loaded[0]
+                grown = [below | cmask]
+                for above in loaded[1:]:
+                    grown.append(above | below & cmask)
+                    below = above
+                if search(uncovered & ~bitmap, tuple(grown)):
+                    return True
+                chosen.pop()
         return False
 
-    if search(0):
-        return CliqueCover(g.n, [tuple(_bits(cliques[ci])) for ci in chosen])
+    if search(sum(candidates), (0,) * depth):  # the keys are the edge bits
+        return CliqueCover(g.n, [tuple(_bits(cmask)) for cmask in chosen])
     return None
 
 

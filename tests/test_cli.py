@@ -284,6 +284,20 @@ def test_repeated_edge_line_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 3:")
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["recognize", "-k", "2", "-p", "1"], "G 10000000000 0\n"),
+        (["linegraph"], "H 10000000000 0\n"),
+    ],
+)
+def test_huge_header_exits_3(args, text, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    assert run(args + ["--in", str(path)]) == (3, "")
+    assert capsys.readouterr().err.startswith("error: line 1: header declares 10000000000 vertices")
+
+
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
 def test_exhausted_interpreter_resources_exit_3(exc, claw_graph, monkeypatch, capsys):
     def exhausted(*args):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperline import Graph, Hypergraph, InputError, baranyai_partition
+from hyperline import Graph, Hypergraph, InputError, ResourceLimitError, baranyai_partition
 from hyperline.fileio import (
+    READ_SIZE_BOUND,
     read_graph,
     read_hypergraph,
     read_partition,
@@ -80,6 +81,17 @@ def test_graph_rejects_edge_lines_out_of_order():
         read_graph("G 4 3\n0 1\n1 2\n0 3\n")
     with pytest.raises(InputError, match="line 4: edge 0 1 comes before"):
         read_graph("# comment lines keep their numbers\nG 4 2\n0 2  # x\n0 1\n")
+
+
+def test_header_vertex_count_above_bound_is_refused_before_allocating():
+    # At 10**10 vertices an allocation would need tens of GB; the guard fires first.
+    with pytest.raises(ResourceLimitError, match="line 2: header declares 10000000000 vertices"):
+        read_graph("# huge\nG 10000000000 0\n")
+    with pytest.raises(ResourceLimitError, match="header declares 10000000000 vertices"):
+        read_hypergraph("H 10000000000 0\n")
+    with pytest.raises(ResourceLimitError):
+        read_hypergraph(f"H {READ_SIZE_BOUND + 1} 0\n")
+    assert read_hypergraph(f"H {READ_SIZE_BOUND} 1\n0 1\n").n == READ_SIZE_BOUND
 
 
 def test_partition_round_trip():

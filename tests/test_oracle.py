@@ -1,28 +1,46 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperline import (
     Graph,
     Hypergraph,
     InputError,
+    Member,
+    NonMember,
     ResourceLimitError,
     cover_search,
     graphs_isomorphic,
     is_member_bruteforce,
     line_graph,
+    recognize,
     scan_regular_realizability,
     validate_cover,
 )
 
+from hyperline.oracle import _clique_masks
+
 from conftest import (
+    all_graphs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     random_bounded_hypergraph,
+    random_graph,
 )
+
+ORACLE_COMBOS = ((2, 1), (2, 2), (3, 1), (3, 2))
+
+
+def _digest(results) -> str:
+    """SHA-256 of the covers (None for no cover) as one repr."""
+    return hashlib.sha256(
+        repr([None if c is None else c.cliques for c in results]).encode()
+    ).hexdigest()
 
 
 def test_cover_search_claw_has_no_cover():
@@ -53,6 +71,76 @@ def test_cover_search_resource_guards():
         cover_search(complete_graph(6), 3, 2, budget=1)
     with pytest.raises(InputError):
         cover_search(complete_graph(3), 2, 1, budget=0)
+
+
+def test_clique_masks_match_subset_enumeration():
+    """Every vertex subset that is a clique of size >= 2, ordered largest
+    first then lexicographically, with edge (u, v) as bit u*n + v."""
+    rng = random.Random(31)
+    for n in range(9):
+        for density in (0.3, 0.6, 0.9):
+            g = random_graph(rng, n, density)
+            expected = []
+            for size in range(n, 1, -1):
+                for vs in combinations(range(n), size):
+                    if all(g.has_edge(u, v) for u, v in combinations(vs, 2)):
+                        mask = sum(1 << v for v in vs)
+                        bitmap = sum(1 << u * n + v for u, v in combinations(vs, 2))
+                        expected.append((mask, bitmap))
+            assert _clique_masks(g) == expected
+
+
+def test_cover_search_results_pinned():
+    results = [
+        cover_search(g, k, p)
+        for n in range(1, 6)
+        for g in all_graphs(n)
+        for k, p in ORACLE_COMBOS
+    ]
+    assert len(results) == 4396
+    assert _digest(results) == "0991b8585bfdd70e624589cb8d7cc7066012ad8afd83306a7d19ea1d47978ff5"
+
+
+def test_cover_search_budget_raise_point_pinned():
+    g = Graph(8, [(u, v) for u, v in combinations(range(8), 2) if (u, v) != (1, 2)])
+    with pytest.raises(ResourceLimitError, match="exceeded 3867 nodes"):
+        cover_search(g, 3, 1, budget=3867)
+    assert cover_search(g, 3, 1, budget=3868) is None
+
+
+def test_cover_search_agrees_with_recognizer_on_7_and_8_vertices():
+    rng = random.Random(2024)
+    results = []
+    for n in (7, 8):
+        for density in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(25):
+                g = random_graph(rng, n, density)
+                if g.edge_count == 0:
+                    continue
+                for k, p in ORACLE_COMBOS:
+                    cover = cover_search(g, k, p)
+                    results.append(cover)
+                    verdict = recognize(g, k, p)
+                    if isinstance(verdict, (Member, NonMember)):
+                        assert isinstance(verdict, Member) == (cover is not None), (n, k, p)
+                    if cover is not None:
+                        assert validate_cover(g, cover, k, p)
+    assert len(results) == 800
+    assert _digest(results) == "5a8279d972e2a8e822dc02aca461aa3e1aa4f11dbeab33eff65bec282bc47a04"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelling_keeps_verdict_type_and_cover_existence(data):
+    n = data.draw(st.integers(min_value=2, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    perm = data.draw(st.permutations(range(n)))
+    k, p = data.draw(st.sampled_from(ORACLE_COMBOS))
+    g = Graph(n, edges)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    assert type(recognize(g, k, p)) is type(recognize(h, k, p))
+    assert (cover_search(g, k, p) is None) == (cover_search(h, k, p) is None)
 
 
 def test_is_member_bruteforce():
