@@ -3,9 +3,11 @@
 Adjacency is stored as one bitmask per vertex, and the hot kernels work
 on those masks directly: a claw's leaves are grown by recursing over a
 candidate mask, each step keeping only the candidates outside the chosen
-leaf's neighborhood, and maximal cliques come from pivoted Bron-Kerbosch
-run on an explicit stack of (clique, candidates, excluded) masks, so the
-interpreter's recursion limit puts no bound on clique size.
+leaf's neighborhood and dropping a candidate mask that splits into fewer
+cliques than leaves still needed; maximal cliques come from pivoted
+Bron-Kerbosch run on an explicit stack of (clique, size, candidates,
+excluded) masks, so the interpreter's recursion limit puts no bound on
+clique size, and branches that cannot reach a requested size are cut.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for each given vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def _first_bits(mask: int, count: int) -> tuple[int, ...]:
@@ -134,15 +144,23 @@ def edge_degree(g: Graph, u: int, v: int) -> int:
 
 
 def min_edge_degree(g: Graph) -> int:
-    """Minimum over edges of the triangle count; undefined on edgeless graphs."""
-    best = None
-    for u, v in g.edges():
-        d = (g.adjacency_mask(u) & g.adjacency_mask(v)).bit_count()
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    if best is None:
+    """Minimum over edges of the triangle count; undefined on edgeless graphs.
+
+    Each row is scanned above its own vertex, so every edge is met once.
+    """
+    adj = g._adj
+    best = g.n  # above any triangle count, which is at most n - 2
+    for u, nu in enumerate(adj):
+        higher = nu >> (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            d = (nu & adj[u + low.bit_length()]).bit_count()
+            if d < best:
+                if d == 0:
+                    return 0
+                best = d
+    if best == g.n:
         raise InputError("minimum edge degree is undefined for an edgeless graph")
     return best
 
@@ -162,35 +180,43 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     return frozenset(_bits(mask & ~own))
 
 
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, each sorted, listed lexicographically.
+def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
+    """All inclusion-maximal cliques with at least `min_size` vertices,
+    each sorted, listed lexicographically.
 
     Pivoted Bron-Kerbosch on bitmasks (Tomita-Tanaka-Takahashi pivot: the
     vertex of P|X with the most neighbors in P, lowest index on ties),
     driven by an explicit stack so a clique of any size is found without
-    recursion.  Isolated vertices show up as singleton cliques.
+    recursion.  Isolated vertices show up as singleton cliques.  Every
+    clique a frame can still report lies inside R|P, so a frame whose
+    clique size plus candidate count falls below `min_size` is dropped
+    unexpanded; with the default every maximal clique is listed.
     """
     adj = g._adj
     if not g.n:
         return []
     found: list[int] = []
-    # Each frame is (r, p, x, todo): the clique so far, its candidates,
-    # its excluded vertices, and the branch vertices not yet expanded.
+    # Each frame is (r, size, p, x, todo): the clique so far and its size,
+    # its candidates, its excluded vertices, and the branch vertices not
+    # yet expanded.
     full = (1 << g.n) - 1
-    stack = [(0, full, 0, full & ~adj[_pivot(adj, full, 0)])]
+    stack = [(0, 0, full, 0, full & ~adj[_pivot(adj, full, 0)])]
     while stack:
-        r, p, x, todo = stack.pop()
+        r, size, p, x, todo = stack.pop()
         if not todo:
             continue
         low = todo & -todo
         v = low.bit_length() - 1
-        stack.append((r, p & ~low, x | low, todo ^ low))
+        rest = p & ~low
+        if size + rest.bit_count() >= min_size:
+            stack.append((r, size, rest, x | low, todo ^ low))
         nv = adj[v]
-        r, p, x = r | low, p & nv, x & nv
-        if p:
-            stack.append((r, p, x, p & ~adj[_pivot(adj, p, x)]))
-        elif not x:
-            found.append(r)
+        r, size, p, x = r | low, size + 1, p & nv, x & nv
+        if size + p.bit_count() >= min_size:
+            if p:
+                stack.append((r, size, p, x, p & ~adj[_pivot(adj, p, x)]))
+            elif not x:
+                found.append(r)
     return sorted(tuple(_bits(m)) for m in found)
 
 
@@ -198,7 +224,11 @@ def _pivot(adj: tuple[int, ...], p: int, x: int) -> int:
     """Vertex of p|x with the most neighbors in p, lowest index on ties."""
     pivot = -1
     best = -1
-    for u in _bits(p | x):
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
         cnt = (adj[u] & p).bit_count()
         if cnt > best:
             best = cnt
@@ -213,7 +243,10 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     For each center the leaves are grown from its neighborhood mask: take
     the lowest candidate, recurse on the candidates above it outside its
     neighborhood, and give up on a branch once fewer candidates remain
-    than leaves still needed.
+    than leaves still needed, or once its candidates split into fewer
+    cliques than leaves still needed (see `_least_independent`).  Both
+    cuts drop only branches holding no claw, so the claw found is the
+    same as that of a plain search.
     """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
@@ -226,16 +259,43 @@ def find_claw(g: Graph, r: int) -> Claw | None:
 
 
 def _least_independent(adj: tuple[int, ...], cand: int, need: int) -> tuple[int, ...] | None:
-    """Lexicographically least `need` pairwise non-adjacent vertices of cand."""
+    """Lexicographically least `need` pairwise non-adjacent vertices of cand.
+
+    A clique holds at most one of them, so when cand splits into fewer
+    than `need` cliques there are none (the greedy colouring bound of
+    Tomita and Seki's MCQ, taken on the complement).  The bound is tried
+    at every level, after the cheaper count test.
+    """
+    if cand.bit_count() < need:
+        return None
+    if need == 1:
+        return ((cand & -cand).bit_length() - 1,)
+    if not _clique_partition_reaches(adj, cand, need):
+        return None
     while cand.bit_count() >= need:
         low = cand & -cand
         cand ^= low
         v = low.bit_length() - 1
-        if need == 1:
-            return (v,)
-        rest = cand & ~adj[v]
-        if rest.bit_count() >= need - 1:
-            leaves = _least_independent(adj, rest, need - 1)
-            if leaves is not None:
-                return (v, *leaves)
+        leaves = _least_independent(adj, cand & ~adj[v], need - 1)
+        if leaves is not None:
+            return (v, *leaves)
     return None
+
+
+def _clique_partition_reaches(adj: tuple[int, ...], cand: int, need: int) -> bool:
+    """Whether a greedy partition of cand into cliques has `need` parts or
+    more.  Each part starts at the lowest vertex left and grows by the
+    lowest remaining common neighbor; counting stops at `need`."""
+    parts = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        common = cand & adj[low.bit_length() - 1]
+        while common:
+            low = common & -common
+            cand ^= low
+            common &= adj[low.bit_length() - 1]
+        parts += 1
+        if parts >= need:
+            return True
+    return False

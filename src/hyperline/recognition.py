@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
-from .graph import Claw, Graph, _bits, _first_bits, find_claw, min_edge_degree
+from .graph import Claw, Graph, _first_bits, _mask, find_claw, min_edge_degree
 from .reconstruction import CliqueCover, _big_cliques, _certified_cover
 
 
@@ -117,20 +117,35 @@ def check_claw(g: Graph, k: int) -> ClawWitness | None:
 def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     """First non-adjacent pair with more than p*k^2 common neighbors.
 
-    Only a vertex of degree at least p*k^2 + 1 can head such a pair, and
-    its partner must lie at distance exactly two, so each `a` scans just
-    the `b > a` of its distance-2 mask, in increasing order.
+    Both vertices of such a pair have degree at least p*k^2 + 1, since
+    their common neighbors lie in each neighborhood, and they lie at
+    distance exactly two.  So only such heavy vertices head a pair, and
+    each `a` scans just the heavy `b > a` of its distance-2 mask, in
+    increasing order.
     """
     needed = t.p * t.k**2 + 1
-    adj = [g.adjacency_mask(v) for v in range(g.n)]
-    for a in range(g.n):
+    adj = g._adj
+    heavy = 0
+    for v, nv in enumerate(adj):
+        if nv.bit_count() >= needed:
+            heavy |= 1 << v
+    heads = heavy
+    while heads:
+        low = heads & -heads
+        heads ^= low
+        a = low.bit_length() - 1
         na = adj[a]
-        if na.bit_count() < needed:
-            continue
         reach = 0
-        for w in _bits(na):
-            reach |= adj[w]
-        for b in _bits((reach & ~na) >> (a + 1) << (a + 1)):
+        rest = na
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= adj[low.bit_length() - 1]
+        partners = (reach & ~na & heavy) >> (a + 1)
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            b = a + low.bit_length()
             common = na & adj[b]
             if common.bit_count() >= needed:
                 return F1Witness(a, b, _first_bits(common, needed))
@@ -146,9 +161,7 @@ def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
 def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
     needed = t.p * t.k + 1
     for clique in big:
-        cmask = 0
-        for u in clique:
-            cmask |= 1 << u
+        cmask = _mask(clique)
         for v in range(g.n):
             if cmask >> v & 1:
                 continue
@@ -165,12 +178,7 @@ def check_f3(g: Graph, t: Thresholds) -> F3Witness | None:
 
 def _check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
     needed = t.p + 1
-    masks = []
-    for clique in big:
-        m = 0
-        for u in clique:
-            m |= 1 << u
-        masks.append(m)
+    masks = [_mask(clique) for clique in big]
     for i in range(len(big)):
         for j in range(i + 1, len(big)):
             shared = masks[i] & masks[j]

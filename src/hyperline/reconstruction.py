@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError, InternalContradictionError, NotAMemberError
-from .graph import Graph, maximal_cliques
+from .graph import Graph, _mask, maximal_cliques
 from .hypergraph import Hypergraph
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,9 +79,7 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
     covered = [0] * g.n  # covered[u]: union of the entries containing u
     load = [0] * g.n
     for pos, entry in enumerate(cover.cliques):
-        m = 0
-        for u in entry:
-            m |= 1 << u
+        m = _mask(entry)
         for u in entry:
             if m & ~adj[u] & ~(1 << u):
                 raise InputError(f"cover entry {pos} {entry} is not a clique")
@@ -128,7 +126,7 @@ def _big_cliques(g: Graph, t: "Thresholds") -> list[tuple[int, ...]]:
     then nothing is enumerated."""
     if t.clique_size_bound > g.n:
         return []
-    return [c for c in maximal_cliques(g) if len(c) >= t.clique_size_bound]
+    return maximal_cliques(g, t.clique_size_bound)
 
 
 def _certified_cover(g: Graph, t: "Thresholds", big: list[tuple[int, ...]]) -> CliqueCover:

@@ -8,7 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import hyperline
-from hyperline import Graph, Hypergraph
+from hyperline import Graph, Hypergraph, line_graph
 
 
 def module_env() -> dict[str, str]:
@@ -81,3 +81,38 @@ def random_bounded_hypergraph(
     if not edges:
         edges.append(tuple(range(k)))
     return Hypergraph(n, edges)
+
+
+def line_graph_family() -> list[tuple[int, int, Graph]]:
+    """Seeded (k, p, graph) triples near the line graphs of bounded
+    hypergraphs, where the recognizer's prunes fire.
+
+    The bases are 30 random bounded hypergraphs for each (k, p) in
+    (2, 1), (2, 2), (3, 1), (3, 2), then the complete graphs K6..K12 as
+    2-uniform hypergraphs, once with every edge and once with every edge
+    doubled.  Each base gives its line graph g, then g plus one random
+    non-edge, then g minus one random edge; edgeless graphs are dropped.
+    """
+    rng = random.Random(2025)
+    bases = [
+        (k, p, random_bounded_hypergraph(rng, k, p, max_edges=40))
+        for k, p in ((2, 1), (2, 2), (3, 1), (3, 2))
+        for _ in range(30)
+    ]
+    for m in range(6, 13):
+        pairs = list(combinations(range(m), 2))
+        bases.append((2, 1, Hypergraph(m, pairs)))
+        bases.append((2, 2, Hypergraph(m, pairs + pairs)))
+    family = []
+    for k, p, hg in bases:
+        g = line_graph(hg)
+        edges = list(g.edges())
+        graphs = [g]
+        non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+        if non_edges:
+            graphs.append(Graph(g.n, edges + [rng.choice(non_edges)]))
+        if len(edges) > 1:
+            drop = rng.choice(edges)
+            graphs.append(Graph(g.n, [e for e in edges if e != drop]))
+        family += [(k, p, h) for h in graphs if h.edge_count]
+    return family

@@ -15,6 +15,7 @@ from hyperline import (
     line_graph,
     maximal_cliques,
     min_edge_degree,
+    thresholds,
 )
 from hyperline.fileio import write_graph
 
@@ -25,6 +26,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     graph_from_mask,
+    line_graph_family,
     random_graph,
 )
 
@@ -138,6 +140,15 @@ def test_maximal_cliques_goldens():
     bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert maximal_cliques(bowtie) == [(0, 1, 2), (2, 3, 4)]
     assert maximal_cliques(Graph(3)) == [(0,), (1,), (2,)]
+    assert maximal_cliques(bowtie, 3) == [(0, 1, 2), (2, 3, 4)]
+    assert maximal_cliques(bowtie, 4) == []
+    assert maximal_cliques(complete_graph(4), 4) == [(0, 1, 2, 3)]
+    assert maximal_cliques(complete_graph(4), 5) == []
+    k4_pendant = Graph(5, list(combinations(range(4), 2)) + [(3, 4)])
+    assert maximal_cliques(k4_pendant, 2) == [(0, 1, 2, 3), (3, 4)]
+    assert maximal_cliques(k4_pendant, 3) == [(0, 1, 2, 3)]
+    assert maximal_cliques(cycle_graph(4), 3) == []
+    assert maximal_cliques(Graph(3), 2) == []
 
 
 def test_find_claw_goldens():
@@ -199,6 +210,19 @@ def test_find_claw_matches_first_claw_reference():
             g = random_graph(rng, rng.randint(1, cap), density)
             for r in range(1, 6):
                 assert find_claw(g, r) == _first_claw_reference(g, r), (g, r)
+    for k, _p, g in line_graph_family():
+        if g.n <= 40:
+            assert find_claw(g, k + 1) == _first_claw_reference(g, k + 1), (g, k)
+
+
+def test_maximal_cliques_min_size_matches_filter():
+    """On graphs near line graphs, where the size floor cuts most branches,
+    it keeps exactly the maximal cliques that reach it."""
+    for k, p, g in line_graph_family():
+        cliques = maximal_cliques(g)
+        largest = max(len(c) for c in cliques)
+        for s in (1, 2, thresholds(k, p).clique_size_bound, largest, largest + 1):
+            assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g, s)
 
 
 @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))

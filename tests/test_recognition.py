@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -30,6 +32,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    line_graph_family,
     random_bounded_hypergraph,
     random_graph,
 )
@@ -214,6 +217,19 @@ def test_line_graphs_of_bounded_hypergraphs_are_never_rejected():
             assert not isinstance(verdict, NonMember), (hg, k, p, verdict)
 
 
+def test_verdicts_on_line_graph_family_pinned():
+    """Verdicts and witnesses near line graphs, where the claw bound, the
+    clique floor and the F1 partner filter all fire; the hash is that of
+    the plain searches they replaced."""
+    results = [recognize(g, k, p) for k, p, g in line_graph_family()]
+    kinds = Counter(type(getattr(v, "witness", v)).__name__ for v in results)
+    assert kinds == {
+        "Inconclusive": 213, "F1Witness": 48, "ClawWitness": 30, "Member": 13, "F2Witness": 8
+    }
+    digest = hashlib.sha256(repr([repr(v) for v in results]).encode()).hexdigest()
+    assert digest == "5485cb6b183b8b08e66a954120d6116e32ed3d4b78cadae622df464b21f6e235"
+
+
 def test_f1_monotone_in_p():
     g = complete_bipartite(2, 9)
     verdict = recognize(g, 2, 2)
@@ -243,6 +259,10 @@ def test_check_f1_matches_all_pairs_reference():
             for k, p in [(2, 1), (2, 2), (3, 1)]:
                 t = thresholds(k, p)
                 assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
+    for k, p, g in line_graph_family():
+        if (k, p) != (3, 2):
+            t = thresholds(k, p)
+            assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
 
 
 def _first_uncovered_reference(g: Graph, cliques) -> str | None:
