@@ -366,11 +366,25 @@ def _validate_parameters(ground_size: int, subset_size: int) -> None:
         )
 
 
+def _byte_elements(first: int, width: int) -> list[tuple[int, ...]]:
+    """For each value b of a mask's `width` bits from bit `first` up, the
+    1-based elements those bits stand for, in increasing order; built by
+    prefixing the lowest bit's element to the table entry of the rest."""
+    table: list[tuple[int, ...]] = [()]
+    for b in range(1, 1 << width):
+        table.append(((b & -b).bit_length() + first,) + table[b & (b - 1)])
+    return table
+
+
 @lru_cache(maxsize=None)
 def _baranyai_classes(ground_size: int, subset_size: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     state = initial_state(ground_size, subset_size)
     while state.level < state.ground_size:
         state = extend(state)
+    tables = [
+        _byte_elements(first, min(8, ground_size - first))
+        for first in range(0, ground_size, 8)
+    ]
     out = []
     for cls in state.classes:
         sets = []
@@ -379,7 +393,11 @@ def _baranyai_classes(ground_size: int, subset_size: int) -> tuple[tuple[tuple[i
                 raise InternalContradictionError(
                     "final state holds a partial or repeated set"
                 )
-            sets.append(_mask_to_set(mask))
+            elements = ()
+            for table in tables:
+                elements += table[mask & 255]
+                mask >>= 8
+            sets.append(elements)
         sets.sort()
         out.append(tuple(sets))
     return tuple(out)

@@ -11,13 +11,21 @@ Partition (.bp):    header ``B <N> <k> <M>`` then M blocks, each opened
                     line (1-based elements).
 
 ``#`` starts a comment anywhere on a line; blank lines are ignored.
+Every integer is an ASCII decimal with an optional sign (``[+-]?[0-9]+``);
+other digits, ``_`` separators and the like are input errors.
 A header vertex count above READ_SIZE_BOUND raises ResourceLimitError
 before anything of that size is allocated.
+A graph text is first read in one pass over all its tokens; a text that
+pass does not take, a malformed one among them, is re-read line by line,
+and that reader names the first line at fault.
 Writers emit canonical, comment-free text so identical values always
 serialize to identical bytes.
 """
 
 from __future__ import annotations
+
+import re
+from operator import add, lt
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
@@ -36,11 +44,16 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
-        return list(map(int, tokens))
-    except ValueError:
-        raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
+        if all(map(_INTEGER.fullmatch, tokens)):
+            return list(map(int, tokens))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
 
 
 def _check_vertex_count(n: int, lineno: int) -> None:
@@ -97,6 +110,75 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str) -> Graph:
+    """The graph of a .gr text.  A well-formed text is read in one pass
+    over all its tokens; any other is re-read line by line, which names
+    the first line at fault."""
+    g = _read_graph_bulk(text)
+    return g if g is not None else _read_graph_lines(text)
+
+
+# The line breaks of str.splitlines() in ASCII text, other than "\n".
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+_TO_NEWLINE = str.maketrans(dict.fromkeys(_OTHER_BREAKS, "\n"))
+_COMMENT = re.compile(r"#[^\n]*")
+# A line end with the blank lines and indentation after it.
+_LINE_ENDS = re.compile(r"\n\s*")
+_SEP = "\u00a7"  # stands for a line end among the tokens; not ASCII, so never read
+
+
+def _read_graph_bulk(text: str) -> Graph | None:
+    r"""The graph of a well-formed .gr text, or None for any text the line
+    reader would reject or that this pass does not take.
+
+    Only ASCII text without "_" is taken, so `int` accepts exactly the
+    tokens `_ints` does.  With every line break made "\n", comments cut
+    and each line end turned into a separator token, a well-formed text
+    splits into the header and then `u v` and a separator per edge.  The
+    edges are checked as a whole: 0 <= u < v < n, and u*n + v strictly
+    increasing.
+    """
+    if not text.isascii() or "_" in text:
+        return None
+    if any(brk in text for brk in _OTHER_BREAKS):
+        text = text.translate(_TO_NEWLINE)
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    padded = f"\n{text}" if text.endswith("\n") else f"\n{text}\n"
+    tokens = padded.replace("\n", f" {_SEP} ").split()
+    if 3 * tokens.count(_SEP) != len(tokens) + 1:
+        # Blank lines leave runs of separators; merge each run into one.
+        tokens = _LINE_ENDS.sub(f" {_SEP} ", padded).split()
+    # A well-formed text now reads SEP G n m SEP, then u v SEP per edge.
+    # Only the separators are counted: with one per three tokens, one out
+    # of place stands where `G` or an integer is due and fails below.
+    if tokens[1:2] != ["G"] or 3 * tokens.count(_SEP) != len(tokens) + 1:
+        return None
+    body = tokens[5:]
+    m = len(body) // 3
+    try:
+        n, declared = int(tokens[2]), int(tokens[3])
+        us = list(map(int, body[0::3]))
+        vs = list(map(int, body[1::3]))
+    except ValueError:
+        return None
+    if declared != m or not 0 <= n <= READ_SIZE_BOUND:
+        return None
+    if m:
+        if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
+            return None
+        keys = list(map(add, map(n.__mul__, us), vs))
+        if not all(map(lt, keys, keys[1:])):
+            return None
+    adj = [0] * n
+    for u, v in zip(us, vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph.from_adjacency_masks(tuple(adj))
+
+
+def _read_graph_lines(text: str) -> Graph:
+    """The line-by-line reader: checks each line in file order and raises
+    on the first problem."""
     rows = _content_lines(text)
     if not rows:
         raise InputError("empty graph file")

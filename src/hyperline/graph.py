@@ -7,7 +7,10 @@ leaf's neighborhood and dropping a candidate mask that splits into fewer
 cliques than leaves still needed; maximal cliques come from pivoted
 Bron-Kerbosch run on an explicit stack of (clique, size, candidates,
 excluded) masks, so the interpreter's recursion limit puts no bound on
-clique size, and branches that cannot reach a requested size are cut.
+clique size, and branches that cannot reach a requested size are cut;
+and "which vertices have at least t neighbours among these" is one
+threshold count over the members' rows, kept in bit-sliced counters
+(`_met_at_least`), which the recognizer's F1 and F2 checks share.
 """
 
 from __future__ import annotations
@@ -110,6 +113,43 @@ class Claw:
 
     center: int
     leaves: tuple[int, ...]
+
+
+def _met_at_least(adj: tuple[int, ...], members: int, t: int, scope: int) -> int:
+    """Mask of the vertices of scope adjacent to at least t (>= 1) vertices
+    of members.
+
+    Counts are kept bit-sliced: plane i holds bit i of every vertex's
+    count, so adding a member's row, cut to scope, is one ripple-carry add
+    over whole masks.  The carry out of the top plane marks vertices whose
+    count passed 2**len(planes) - 1 >= t: the count saturates there, and
+    they stay met however many rows follow.  The planes are then compared
+    with t from the top bit down.
+    """
+    planes = [0] * t.bit_length()
+    top = len(planes)
+    over = 0
+    while members:
+        low = members & -members
+        members ^= low
+        carry = adj[low.bit_length() - 1] & scope
+        i = 0
+        while carry:
+            if i == top:
+                over |= carry
+                break
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    above = over  # count > t on the planes read so far
+    equal = -1  # count == t on the planes read so far (-1: every vertex)
+    for i in range(top - 1, -1, -1):
+        if t >> i & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+    return above | equal
 
 
 def line_graph(hg: Hypergraph) -> Graph:

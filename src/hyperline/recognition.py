@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
-from .graph import Claw, Graph, _first_bits, _mask, find_claw, min_edge_degree
+from .graph import Claw, Graph, _first_bits, _mask, _met_at_least, find_claw, min_edge_degree
 from .reconstruction import CliqueCover, _big_cliques, _certified_cover
 
 
@@ -118,10 +118,11 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     """First non-adjacent pair with more than p*k^2 common neighbors.
 
     Both vertices of such a pair have degree at least p*k^2 + 1, since
-    their common neighbors lie in each neighborhood, and they lie at
-    distance exactly two.  So only such heavy vertices head a pair, and
-    each `a` scans just the heavy `b > a` of its distance-2 mask, in
-    increasing order.
+    their common neighbors lie in each neighborhood.  So only such heavy
+    vertices head a pair, and for each head `a`, in increasing order, one
+    threshold count over the rows of N(a) (`_met_at_least`), kept to the
+    heavy non-neighbors above `a`, gives every partner with that many
+    common neighbors; the lowest one completes the first pair.
     """
     needed = t.p * t.k**2 + 1
     adj = g._adj
@@ -135,20 +136,13 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
         heads ^= low
         a = low.bit_length() - 1
         na = adj[a]
-        reach = 0
-        rest = na
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reach |= adj[low.bit_length() - 1]
-        partners = (reach & ~na & heavy) >> (a + 1)
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            b = a + low.bit_length()
-            common = na & adj[b]
-            if common.bit_count() >= needed:
-                return F1Witness(a, b, _first_bits(common, needed))
+        partners = heavy & ~na & ~(low | (low - 1))  # heavy, not adjacent, above a
+        if not partners:
+            continue
+        partners = _met_at_least(adj, na, needed, partners)
+        if partners:
+            b = (partners & -partners).bit_length() - 1
+            return F1Witness(a, b, _first_bits(na & adj[b], needed))
     return None
 
 
@@ -159,15 +153,18 @@ def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
 
 
 def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
+    """For each big clique in order, one threshold count over the rows of
+    its vertices (`_met_at_least`) gives every vertex attached to enough
+    of it; the lowest one outside the clique is the witness."""
     needed = t.p * t.k + 1
+    adj = g._adj
+    full = (1 << g.n) - 1
     for clique in big:
         cmask = _mask(clique)
-        for v in range(g.n):
-            if cmask >> v & 1:
-                continue
-            attached = g.adjacency_mask(v) & cmask
-            if attached.bit_count() >= needed:
-                return F2Witness(clique, v, _first_bits(attached, needed))
+        outside = _met_at_least(adj, cmask, needed, full & ~cmask)
+        if outside:
+            v = (outside & -outside).bit_length() - 1
+            return F2Witness(clique, v, _first_bits(adj[v] & cmask, needed))
     return None
 
 

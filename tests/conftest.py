@@ -8,7 +8,15 @@ from itertools import combinations
 from pathlib import Path
 
 import hyperline
-from hyperline import Graph, Hypergraph, line_graph
+from hyperline import (
+    ClawWitness,
+    F1Witness,
+    F2Witness,
+    Graph,
+    Hypergraph,
+    line_graph,
+    maximal_cliques,
+)
 
 
 def module_env() -> dict[str, str]:
@@ -48,6 +56,40 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
 # count at which brute-force references over neighborhood subsets and
 # maximal cliques stay cheap.
 DENSITY_CAPS = ((0.05, 40), (0.15, 40), (0.3, 40), (0.5, 28), (0.7, 18), (0.9, 14))
+
+
+def verify_witness(g: Graph, witness, k: int, p: int) -> None:
+    """Re-check a witness against the graph by direct counting."""
+    if isinstance(witness, ClawWitness):
+        claw = witness.claw
+        assert len(claw.leaves) == k + 1
+        assert len(set(claw.leaves)) == k + 1 and claw.center not in claw.leaves
+        for leaf in claw.leaves:
+            assert g.has_edge(claw.center, leaf)
+        for a, b in combinations(claw.leaves, 2):
+            assert not g.has_edge(a, b)
+    elif isinstance(witness, F1Witness):
+        assert not g.has_edge(witness.a, witness.b)
+        assert len(witness.common) == p * k * k + 1
+        for c in witness.common:
+            assert g.has_edge(witness.a, c) and g.has_edge(witness.b, c)
+    elif isinstance(witness, F2Witness):
+        s = p * k * k + (p - 2) * k + 2
+        assert witness.clique in maximal_cliques(g)
+        assert len(witness.clique) >= s
+        assert witness.vertex not in witness.clique
+        assert len(witness.attachment) == p * k + 1
+        assert set(witness.attachment) <= set(witness.clique)
+        for u in witness.attachment:
+            assert g.has_edge(witness.vertex, u)
+    else:
+        s = p * k * k + (p - 2) * k + 2
+        big = maximal_cliques(g)
+        assert witness.clique_a in big and witness.clique_b in big
+        assert witness.clique_a != witness.clique_b
+        assert len(witness.clique_a) >= s and len(witness.clique_b) >= s
+        assert len(witness.shared) == p + 1
+        assert set(witness.shared) <= set(witness.clique_a) & set(witness.clique_b)
 
 
 def all_graphs(n: int):

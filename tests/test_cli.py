@@ -287,6 +287,21 @@ def test_repeated_edge_line_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, text",
     [
+        (["recognize", "-k", "2", "-p", "1"], "G 3 1\n0 \u0661\n"),
+        (["recognize", "-k", "2", "-p", "1"], "G 11 1\n0 1_0\n"),
+        (["linegraph"], "H 11 1\n0 1_0\n"),
+    ],
+)
+def test_non_ascii_decimal_integer_token_exits_2(args, text, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    assert run(args + ["--in", str(path)]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: line 2: expected integers, got 0 ")
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
         (["recognize", "-k", "2", "-p", "1"], "G 10000000000 0\n"),
         (["linegraph"], "H 10000000000 0\n"),
     ],

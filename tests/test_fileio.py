@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hyperline import Graph, Hypergraph, InputError, ResourceLimitError, baranyai_partition
 from hyperline.fileio import (
     READ_SIZE_BOUND,
+    _read_graph_bulk,
+    _read_graph_lines,
     read_graph,
     read_hypergraph,
     read_partition,
@@ -12,7 +16,7 @@ from hyperline.fileio import (
     write_partition,
 )
 
-from conftest import graph_from_mask
+from conftest import DENSITY_CAPS, graph_from_mask, random_graph
 
 
 def test_hypergraph_round_trip():
@@ -135,3 +139,139 @@ def test_hypergraph_round_trip_random(rng):
         edges.append(tuple(sorted(rng.sample(range(n), size))))
     hg = Hypergraph(n, edges)
     assert read_hypergraph(write_hypergraph(hg)) == hg
+
+
+def _layouts(text: str) -> list[str]:
+    """The same .gr content in the layouts the format allows."""
+    lines = text.splitlines()
+    return [
+        text,
+        text.rstrip("\n"),
+        "\r\n".join(lines) + "\r\n",
+        "\n".join(line.replace(" ", "\t") for line in lines),
+        "\n".join(f"  {line}  \t" for line in lines) + "\n",
+        "\n\n" + "\n \n".join(lines) + "\n\t\n",
+        "\n".join(line + "\n" * (i % 4) for i, line in enumerate(lines)),
+        "\n\n\n\n".join(lines),
+        "\r".join(lines) + "\x0c\x0b\x1c\x1d\x1e",
+        "# leading comment\n" + "\n".join(f"{line} # note {i}" for i, line in enumerate(lines)),
+        "\n".join(line.replace(" ", "  ") + "\n#" for line in lines),
+    ]
+
+
+def test_bulk_reader_matches_line_reader_on_valid_texts():
+    rng = random.Random(4242)
+    graphs = [Graph(0), Graph(3), Graph(2, [(0, 1)])]
+    graphs += [random_graph(rng, rng.randint(1, cap), density) for density, cap in DENSITY_CAPS]
+    for g in graphs:
+        for text in _layouts(write_graph(g)):
+            bulk = _read_graph_bulk(text)
+            assert bulk is not None, text
+            assert bulk == _read_graph_lines(text) == g, text
+
+
+def test_read_graph_takes_signed_and_padded_integers_line_by_line():
+    text = "G 4 2\n+0 1\n0 003\n"
+    assert read_graph(text) == _read_graph_lines(text) == Graph(4, [(0, 1), (0, 3)])
+
+
+def _failure(reader, text):
+    with pytest.raises((InputError, ResourceLimitError)) as info:
+        reader(text)
+    return type(info.value), str(info.value)
+
+
+MALFORMED_GRAPHS = {
+    "": "empty graph file",
+    "# only a comment\n\n": "empty graph file",
+    "G 3\n": "line 1: expected header 'G <n> <medges>'",
+    "H 3 0\n": "line 1: expected header 'G <n> <medges>'",
+    "G 3 1 0 1\n": "line 1: expected header 'G <n> <medges>'",
+    "G 3 1\n0 1 2\n": "line 2: expected 'u v'",
+    "G 3 2\n0 1 2\n1\n": "line 2: expected 'u v'",
+    "G 3 1\n0\n": "line 2: expected 'u v'",
+    "G 3 1\n0 x\n": "line 2: expected integers, got 0 x",
+    "G 3 x\n": "line 1: expected integers, got 3 x",
+    "G 11 1\n0 1_0\n": "line 2: expected integers, got 0 1_0",
+    "G 3 1\n0 \u0661\n": "line 2: expected integers, got 0 \u0661",
+    "G 3 1\n0 1.0\n": "line 2: expected integers, got 0 1.0",
+    "G 3 2\n0 1\n0 1\n": "line 3: edge 0 1 repeats the previous edge; "
+    "edges must be distinct and in lexicographic order",
+    "G 3 2\n0 2\n0 1\n": "line 3: edge 0 1 comes before the previous edge; "
+    "edges must be distinct and in lexicographic order",
+    "G 3 2\n1 2\r\n0 2\r\n": "line 3: edge 0 2 comes before the previous edge; "
+    "edges must be distinct and in lexicographic order",
+    "G 3 1\n1 1\n": "line 2: edges must satisfy u < v",
+    "G 3 1\n2 1\n": "line 2: edges must satisfy u < v",
+    "G 3 1\n0 3\n": "edge (0, 3) has a vertex outside [0, 3)",
+    "G 3 1\n-1 2\n": "edge (-1, 2) has a vertex outside [0, 3)",
+    "G -1 0\n": "vertex count must be nonnegative, got -1",
+    f"G {READ_SIZE_BOUND + 1} 0\n": f"line 1: header declares {READ_SIZE_BOUND + 1} vertices, "
+    f"reader bound is {READ_SIZE_BOUND}",
+    "G 3 2\n0 1\n": "header promises 2 edges, file has 1",
+    "G 5 2\n0 1 2 3 4\n": "header promises 2 edges, file has 1",
+    "G 3 1\n0 1\n1 2\n": "header promises 1 edges, file has 2",
+    "G 3 1\n0 1\r1 2\n": "header promises 1 edges, file has 2",
+    "G 3 1\n0\x0b1\n": "header promises 1 edges, file has 2",
+    "G 3 1\n0 1 \u00a7\n": "line 2: expected 'u v'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_GRAPHS))
+def test_malformed_graph_texts_fail_alike_on_both_paths(text):
+    """The bulk pass declines every malformed text, and `read_graph`
+    raises exactly what the line reader raises."""
+    assert _read_graph_bulk(text) is None
+    assert _failure(read_graph, text) == _failure(_read_graph_lines, text)
+    assert _failure(read_graph, text)[1] == MALFORMED_GRAPHS[text]
+
+
+def test_integer_beyond_the_conversion_limit_is_an_input_error():
+    huge = "9" * 5000
+    for text, message in [
+        (f"G {huge} 0\n", f"line 1: expected integers, got {huge} 0"),
+        (f"G 2 1\n0 {huge}\n", f"line 2: expected integers, got 0 {huge}"),
+    ]:
+        assert _read_graph_bulk(text) is None
+        assert _failure(read_graph, text) == _failure(_read_graph_lines, text) == (InputError, message)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_hypergraph, "H 3 1\n0 \u0661\n"),
+        (read_hypergraph, "H 11 1\n0 1_0\n"),
+        (read_partition, "B 4 2 1\nS 0 1\n1 \uff12\n"),
+        (read_partition, "B 4 2 1\nS 0 1\n1 +_2\n"),
+    ],
+)
+def test_integer_tokens_are_ascii_decimal(reader, text):
+    with pytest.raises(InputError, match="line [23]: expected integers, got "):
+        reader(text)
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except (InputError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_read_graph_matches_line_reader_on_mutated_texts():
+    """Seeded edits of valid texts: whatever the line reader returns or
+    raises, `read_graph` returns or raises the same."""
+    rng = random.Random(777)
+    alphabet = "0123456789  \t\n\n\r#_+-G\x0b\x1fx"
+    taken = 0
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+        text = rng.choice(_layouts(write_graph(g)))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:at] + text[at + 1 :]
+            else:
+                text = text[:at] + rng.choice(alphabet) + text[at:]
+        assert _outcome(read_graph, text) == _outcome(_read_graph_lines, text), text
+        taken += _read_graph_bulk(text) is not None
+    assert taken >= 500, taken

@@ -18,6 +18,7 @@ from hyperline import (
     thresholds,
 )
 from hyperline.fileio import write_graph
+from hyperline.graph import _met_at_least
 
 from conftest import (
     DENSITY_CAPS,
@@ -223,6 +224,38 @@ def test_maximal_cliques_min_size_matches_filter():
         largest = max(len(c) for c in cliques)
         for s in (1, 2, thresholds(k, p).clique_size_bound, largest, largest + 1):
             assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g, s)
+
+
+def _met_at_least_reference(g: Graph, members: int, t: int, scope: int) -> int:
+    """Per-vertex popcount of the row against the members."""
+    out = 0
+    for v in range(g.n):
+        if scope >> v & 1 and (g.adjacency_mask(v) & members).bit_count() >= t:
+            out |= 1 << v
+    return out
+
+
+def test_met_at_least_matches_per_vertex_count():
+    """The bit-sliced threshold count against a popcount per vertex, for
+    t = 1..12 (below, at and above each plane count), random member and
+    scope masks, and the neighbourhoods F1 counts over."""
+    rng = random.Random(1729)
+    graphs = [
+        random_graph(rng, rng.randint(1, cap), density)
+        for density, cap in DENSITY_CAPS
+        for _ in range(4)
+    ]
+    graphs += [g for _k, _p, g in line_graph_family()]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        adj = tuple(g.adjacency_mask(v) for v in range(g.n))
+        member_masks = [rng.getrandbits(g.n) for _ in range(3)] + [full]
+        member_masks += [adj[v] for v in rng.sample(range(g.n), min(3, g.n))]
+        for members in member_masks:
+            for t in range(1, 13):
+                for scope in (full, rng.getrandbits(g.n)):
+                    expected = _met_at_least_reference(g, members, t, scope)
+                    assert _met_at_least(adj, members, t, scope) == expected, (g, members, t)
 
 
 @given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False))

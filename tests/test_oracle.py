@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperline import (
+    Claw,
+    ClawWitness,
+    F1Witness,
+    F2Witness,
+    F3Witness,
     Graph,
     Hypergraph,
     InputError,
@@ -31,6 +36,7 @@ from conftest import (
     cycle_graph,
     random_bounded_hypergraph,
     random_graph,
+    verify_witness,
 )
 
 ORACLE_COMBOS = ((2, 1), (2, 2), (3, 1), (3, 2))
@@ -132,6 +138,8 @@ def test_cover_search_agrees_with_recognizer_on_7_and_8_vertices():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_relabelling_keeps_verdict_type_and_cover_existence(data):
+    """Relabelling keeps the verdict type and whether a cover exists, and
+    a NonMember witness mapped through the relabelling is still one."""
     n = data.draw(st.integers(min_value=2, max_value=7))
     pairs = list(combinations(range(n), 2))
     edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
@@ -139,8 +147,28 @@ def test_relabelling_keeps_verdict_type_and_cover_existence(data):
     k, p = data.draw(st.sampled_from(ORACLE_COMBOS))
     g = Graph(n, edges)
     h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
-    assert type(recognize(g, k, p)) is type(recognize(h, k, p))
+    verdict, relabelled = recognize(g, k, p), recognize(h, k, p)
+    assert type(verdict) is type(relabelled)
+    if isinstance(verdict, NonMember):
+        verify_witness(h, _relabel_witness(verdict.witness, perm), k, p)
+        verify_witness(h, relabelled.witness, k, p)
     assert (cover_search(g, k, p) is None) == (cover_search(h, k, p) is None)
+
+
+def _relabel_witness(witness, perm):
+    """The same structure with vertex v renamed perm[v]; vertex lists stay sorted."""
+
+    def each(vertices):
+        return tuple(sorted(perm[v] for v in vertices))
+
+    if isinstance(witness, ClawWitness):
+        return ClawWitness(Claw(perm[witness.claw.center], each(witness.claw.leaves)))
+    if isinstance(witness, F1Witness):
+        a, b = sorted((perm[witness.a], perm[witness.b]))
+        return F1Witness(a, b, each(witness.common))
+    if isinstance(witness, F2Witness):
+        return F2Witness(each(witness.clique), perm[witness.vertex], each(witness.attachment))
+    return F3Witness(each(witness.clique_a), each(witness.clique_b), each(witness.shared))
 
 
 def test_is_member_bruteforce():

@@ -35,6 +35,7 @@ from conftest import (
     line_graph_family,
     random_bounded_hypergraph,
     random_graph,
+    verify_witness,
 )
 
 
@@ -154,40 +155,6 @@ def test_recognize_rejects_edgeless_and_bad_parameters():
         recognize(complete_graph(3), 1, 1)
 
 
-def _verify_witness(g: Graph, witness, k: int, p: int) -> None:
-    """Re-check a witness against the graph by direct counting."""
-    if isinstance(witness, ClawWitness):
-        claw = witness.claw
-        assert len(claw.leaves) == k + 1
-        assert len(set(claw.leaves)) == k + 1 and claw.center not in claw.leaves
-        for leaf in claw.leaves:
-            assert g.has_edge(claw.center, leaf)
-        for a, b in combinations(claw.leaves, 2):
-            assert not g.has_edge(a, b)
-    elif isinstance(witness, F1Witness):
-        assert not g.has_edge(witness.a, witness.b)
-        assert len(witness.common) == p * k * k + 1
-        for c in witness.common:
-            assert g.has_edge(witness.a, c) and g.has_edge(witness.b, c)
-    elif isinstance(witness, F2Witness):
-        s = p * k * k + (p - 2) * k + 2
-        assert witness.clique in maximal_cliques(g)
-        assert len(witness.clique) >= s
-        assert witness.vertex not in witness.clique
-        assert len(witness.attachment) == p * k + 1
-        assert set(witness.attachment) <= set(witness.clique)
-        for u in witness.attachment:
-            assert g.has_edge(witness.vertex, u)
-    else:
-        s = p * k * k + (p - 2) * k + 2
-        big = maximal_cliques(g)
-        assert witness.clique_a in big and witness.clique_b in big
-        assert witness.clique_a != witness.clique_b
-        assert len(witness.clique_a) >= s and len(witness.clique_b) >= s
-        assert len(witness.shared) == p + 1
-        assert set(witness.shared) <= set(witness.clique_a) & set(witness.clique_b)
-
-
 def test_nonmember_witnesses_are_sound():
     cases = [
         (Graph(4, [(0, 1), (0, 2), (0, 3)]), 2, 1),
@@ -202,7 +169,7 @@ def test_nonmember_witnesses_are_sound():
     for g, k, p in cases:
         verdict = recognize(g, k, p)
         assert isinstance(verdict, NonMember)
-        _verify_witness(g, verdict.witness, k, p)
+        verify_witness(g, verdict.witness, k, p)
 
 
 def test_line_graphs_of_bounded_hypergraphs_are_never_rejected():
@@ -263,6 +230,47 @@ def test_check_f1_matches_all_pairs_reference():
         if (k, p) != (3, 2):
             t = thresholds(k, p)
             assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
+
+
+def _f2_reference(g: Graph, t) -> F2Witness | None:
+    """Plain scan of every big maximal clique, then every outside vertex."""
+    needed = t.p * t.k + 1
+    for clique in maximal_cliques(g):
+        if len(clique) < t.clique_size_bound:
+            continue
+        for v in range(g.n):
+            if v in clique:
+                continue
+            attached = [u for u in clique if g.has_edge(u, v)]
+            if len(attached) >= needed:
+                return F2Witness(clique, v, tuple(attached[:needed]))
+    return None
+
+
+def test_check_f2_matches_per_vertex_reference():
+    """On random graphs, random graphs with a planted big clique, and the
+    family near line graphs; the planted cliques make F2 fire often."""
+    rng = random.Random(1414)
+    cases = []
+    for density, cap in DENSITY_CAPS:
+        for _ in range(6):
+            g = random_graph(rng, rng.randint(1, cap), density)
+            cases += [(k, p, g) for k, p in [(2, 1), (2, 2), (3, 1)]]
+    for k, p in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        size = thresholds(k, p).clique_size_bound
+        for _ in range(25):
+            n = rng.randint(size, size + 12)
+            base = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5)))
+            planted = rng.sample(range(n), rng.randint(size, min(n, size + 3)))
+            cases.append((k, p, Graph(n, set(base.edges()) | set(combinations(sorted(planted), 2)))))
+    cases += line_graph_family()
+    fired = 0
+    for k, p, g in cases:
+        t = thresholds(k, p)
+        expected = _f2_reference(g, t)
+        assert check_f2(g, t) == expected, (g, k, p)
+        fired += expected is not None
+    assert fired >= 100, fired
 
 
 def _first_uncovered_reference(g: Graph, cliques) -> str | None:
