@@ -15,8 +15,8 @@ Every integer is an ASCII decimal with an optional sign (``[+-]?[0-9]+``);
 other digits, ``_`` separators and the like are input errors.
 A header vertex count above READ_SIZE_BOUND raises ResourceLimitError
 before anything of that size is allocated.
-A graph text is first read in one pass over all its tokens; a text that
-pass does not take, a malformed one among them, is re-read line by line,
+A graph text in the writer's layout is read in one pass over all its
+tokens; any other, a malformed one among them, is re-read line by line,
 and that reader names the first line at fault.
 Writers emit canonical, comment-free text so identical values always
 serialize to identical bytes.
@@ -117,37 +117,29 @@ def read_graph(text: str) -> Graph:
     return g if g is not None else _read_graph_lines(text)
 
 
-# The line breaks of str.splitlines() in ASCII text, other than "\n".
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
-_TO_NEWLINE = str.maketrans(dict.fromkeys(_OTHER_BREAKS, "\n"))
-_COMMENT = re.compile(r"#[^\n]*")
-# A line end with the blank lines and indentation after it.
-_LINE_ENDS = re.compile(r"\n\s*")
+# The digit separator `int` takes and `_ints` refuses, and the line breaks
+# of str.splitlines() in ASCII text other than "\n".
+_NOT_CANONICAL = "_\r\v\f\x1c\x1d\x1e"
 _SEP = "\u00a7"  # stands for a line end among the tokens; not ASCII, so never read
 
 
 def _read_graph_bulk(text: str) -> Graph | None:
-    r"""The graph of a well-formed .gr text, or None for any text the line
-    reader would reject or that this pass does not take.
+    r"""The graph of a well-formed .gr text in the writer's layout, or None
+    for any text the line reader would reject or that this pass does not
+    take.
 
-    Only ASCII text without "_" is taken, so `int` accepts exactly the
-    tokens `_ints` does.  With every line break made "\n", comments cut
-    and each line end turned into a separator token, a well-formed text
-    splits into the header and then `u v` and a separator per edge.  The
-    edges are checked as a whole: 0 <= u < v < n, and u*n + v strictly
-    increasing.
+    Only ASCII text with no "_" and no line break other than "\n" is
+    taken, so `int` accepts exactly the tokens `_ints` does and every
+    line ends at a "\n".  With each line end turned into a separator
+    token, a well-formed text splits into the header and then `u v` and
+    a separator per edge; a blank line, or a comment (whose "#" is no
+    integer), cannot fit that pattern.  The edges are checked as a whole:
+    0 <= u < v < n, and u*n + v strictly increasing.
     """
-    if not text.isascii() or "_" in text:
+    if not text.isascii() or any(c in text for c in _NOT_CANONICAL):
         return None
-    if any(brk in text for brk in _OTHER_BREAKS):
-        text = text.translate(_TO_NEWLINE)
-    if "#" in text:
-        text = _COMMENT.sub("", text)
     padded = f"\n{text}" if text.endswith("\n") else f"\n{text}\n"
     tokens = padded.replace("\n", f" {_SEP} ").split()
-    if 3 * tokens.count(_SEP) != len(tokens) + 1:
-        # Blank lines leave runs of separators; merge each run into one.
-        tokens = _LINE_ENDS.sub(f" {_SEP} ", padded).split()
     # A well-formed text now reads SEP G n m SEP, then u v SEP per edge.
     # Only the separators are counted: with one per three tokens, one out
     # of place stands where `G` or an integer is due and fails below.

@@ -159,20 +159,26 @@ def _layouts(text: str) -> list[str]:
     ]
 
 
-def test_bulk_reader_matches_line_reader_on_valid_texts():
+def test_read_graph_matches_line_reader_on_valid_texts():
+    """Every layout reads as the line reader reads it; the bulk pass takes
+    the writer's canonical layout and gives the same graph on any other
+    layout it takes."""
     rng = random.Random(4242)
     graphs = [Graph(0), Graph(3), Graph(2, [(0, 1)])]
     graphs += [random_graph(rng, rng.randint(1, cap), density) for density, cap in DENSITY_CAPS]
     for g in graphs:
-        for text in _layouts(write_graph(g)):
-            bulk = _read_graph_bulk(text)
-            assert bulk is not None, text
-            assert bulk == _read_graph_lines(text) == g, text
+        canonical = write_graph(g)
+        assert _read_graph_bulk(canonical) == g, canonical
+        for text in _layouts(canonical):
+            assert read_graph(text) == _read_graph_lines(text) == g, text
+            assert _read_graph_bulk(text) in (None, g), text
 
 
-def test_read_graph_takes_signed_and_padded_integers_line_by_line():
+def test_both_readers_agree_on_signed_and_padded_integers():
     text = "G 4 2\n+0 1\n0 003\n"
-    assert read_graph(text) == _read_graph_lines(text) == Graph(4, [(0, 1), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 3)])
+    assert _read_graph_bulk(text) == g
+    assert read_graph(text) == _read_graph_lines(text) == g
 
 
 def _failure(reader, text):
@@ -212,9 +218,12 @@ MALFORMED_GRAPHS = {
     "G 5 2\n0 1 2 3 4\n": "header promises 2 edges, file has 1",
     "G 3 1\n0 1\n1 2\n": "header promises 1 edges, file has 2",
     "G 3 1\n0 1\r1 2\n": "header promises 1 edges, file has 2",
-    "G 3 1\n0\x0b1\n": "header promises 1 edges, file has 2",
     "G 3 1\n0 1 \u00a7\n": "line 2: expected 'u v'",
 }
+# Each ASCII line break other than "\n" ends a line, so "0<break>1" is two lines.
+MALFORMED_GRAPHS.update(
+    {f"G 3 1\n0{brk}1\n": "header promises 1 edges, file has 2" for brk in "\r\v\f\x1c\x1d\x1e"}
+)
 
 
 @pytest.mark.parametrize("text", list(MALFORMED_GRAPHS))
@@ -265,7 +274,9 @@ def test_read_graph_matches_line_reader_on_mutated_texts():
     taken = 0
     for _ in range(3000):
         g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
-        text = rng.choice(_layouts(write_graph(g)))
+        # Half the edits start from the canonical layout, the one the bulk
+        # pass takes, so that many edited texts still reach it.
+        text = write_graph(g) if rng.random() < 0.5 else rng.choice(_layouts(write_graph(g)))
         for _ in range(rng.randint(1, 3)):
             at = rng.randrange(len(text) + 1)
             if rng.random() < 0.5:
@@ -274,4 +285,4 @@ def test_read_graph_matches_line_reader_on_mutated_texts():
                 text = text[:at] + rng.choice(alphabet) + text[at:]
         assert _outcome(read_graph, text) == _outcome(_read_graph_lines, text), text
         taken += _read_graph_bulk(text) is not None
-    assert taken >= 500, taken
+    assert taken >= 150, taken
