@@ -1,20 +1,14 @@
 """Line graphs of k-uniform hypergraphs with bounded pair multiplicity:
 recognition with certificates, witness-hypergraph reconstruction, and
-flow-based realization of constant degree sequences."""
+flow-based realization of constant degree sequences.
 
-from .baranyai import (
-    ExtensionNetwork,
-    Flow,
-    FlowNetwork,
-    PartitionState,
-    baranyai_partition,
-    build_extension_network,
-    extend,
-    initial_state,
-    max_flow,
-    regular_hypergraph,
-    state_violations,
-)
+The package exports what the README's "Library surface" documents; the
+internals (flow networks, thresholds, the single checks, graph queries,
+`krausz_cover`, `hypergraph_to_cover`, the oracle's isomorphism test and
+scan) are imported from their submodules.
+"""
+
+from .baranyai import baranyai_partition, regular_hypergraph
 from .errors import (
     DivisibilityError,
     InputError,
@@ -23,24 +17,9 @@ from .errors import (
     ResourceLimitError,
     UnrealizableError,
 )
-from .graph import (
-    Claw,
-    Graph,
-    common_neighborhood,
-    edge_degree,
-    find_claw,
-    line_graph,
-    maximal_cliques,
-    min_edge_degree,
-)
+from .graph import Claw, Graph, line_graph
 from .hypergraph import Hypergraph
-from .oracle import (
-    ScanReport,
-    cover_search,
-    graphs_isomorphic,
-    is_member_bruteforce,
-    scan_regular_realizability,
-)
+from .oracle import cover_search
 from .recognition import (
     ClawWitness,
     F1Witness,
@@ -49,79 +28,43 @@ from .recognition import (
     Inconclusive,
     Member,
     NonMember,
-    Thresholds,
     Verdict,
     Witness,
-    check_claw,
-    check_f1,
-    check_f2,
-    check_f3,
     recognize,
-    thresholds,
-)
-from .reconstruction import (
-    CliqueCover,
-    CoverDiagnostics,
-    cover_to_hypergraph,
-    hypergraph_to_cover,
-    krausz_cover,
     reconstruct,
-    validate_cover,
 )
+from .reconstruction import CliqueCover, cover_to_hypergraph, validate_cover
 
 __all__ = [
-    "Claw",
+    # entry points
+    "Graph",
+    "Hypergraph",
+    "line_graph",
+    "recognize",
+    "reconstruct",
+    "baranyai_partition",
+    "regular_hypergraph",
+    "cover_search",
+    # result types
+    "Member",
+    "NonMember",
+    "Inconclusive",
+    "Verdict",
+    "Witness",
     "ClawWitness",
-    "CliqueCover",
-    "CoverDiagnostics",
-    "DivisibilityError",
-    "ExtensionNetwork",
     "F1Witness",
     "F2Witness",
     "F3Witness",
-    "Flow",
-    "FlowNetwork",
-    "Graph",
-    "Hypergraph",
-    "Inconclusive",
+    "Claw",
+    "CliqueCover",
+    # certificate checks
+    "validate_cover",
+    "cover_to_hypergraph",
+    # errors
+    "DivisibilityError",
     "InputError",
     "InternalContradictionError",
-    "Member",
-    "NonMember",
     "NotAMemberError",
-    "PartitionState",
     "ResourceLimitError",
-    "ScanReport",
-    "Thresholds",
     "UnrealizableError",
-    "Verdict",
-    "Witness",
-    "baranyai_partition",
-    "build_extension_network",
-    "check_claw",
-    "check_f1",
-    "check_f2",
-    "check_f3",
-    "common_neighborhood",
-    "cover_search",
-    "cover_to_hypergraph",
-    "edge_degree",
-    "extend",
-    "find_claw",
-    "graphs_isomorphic",
-    "hypergraph_to_cover",
-    "initial_state",
-    "is_member_bruteforce",
-    "krausz_cover",
-    "line_graph",
-    "max_flow",
-    "maximal_cliques",
-    "min_edge_degree",
-    "recognize",
-    "reconstruct",
-    "regular_hypergraph",
-    "scan_regular_realizability",
-    "state_violations",
-    "thresholds",
-    "validate_cover",
 ]

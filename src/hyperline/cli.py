@@ -21,7 +21,13 @@ from .errors import (
     UnrealizableError,
 )
 from .graph import line_graph
-from .oracle import COVER_SIZE_BOUND, cover_search, graphs_isomorphic, scan_regular_realizability
+from .oracle import (
+    COVER_SIZE_BOUND,
+    DEFAULT_BUDGET,
+    cover_search,
+    graphs_isomorphic,
+    scan_regular_realizability,
+)
 from .recognition import (
     ClawWitness,
     F1Witness,
@@ -253,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--in", dest="infile", required=True, metavar="G.gr")
     cov.add_argument("-k", type=int, required=True)
     cov.add_argument("-p", type=int, required=True)
-    cov.add_argument("--budget", type=int, default=2_000_000)
+    cov.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     cov.set_defaults(handler=_cmd_oracle_cover)
     iso = orc_sub.add_parser("iso", help="small-graph isomorphism test")
     iso.add_argument("--a", dest="first", required=True, metavar="A.gr")

@@ -221,6 +221,8 @@ def read_partition(text: str) -> tuple[int, int, list[list[tuple[int, ...]]]]:
     if len(header) != 4 or header[0] != "B":
         raise InputError(f"line {lineno}: expected header 'B <N> <k> <M>'")
     ground_size, subset_size, class_count = _ints(header[1:], lineno)
+    if min(ground_size, subset_size, class_count) < 0:
+        raise InputError(f"line {lineno}: header values must be nonnegative")
     classes: list[list[tuple[int, ...]]] = []
     pending = 0
     pos = 1
@@ -232,6 +234,8 @@ def read_partition(text: str) -> tuple[int, int, list[list[tuple[int, ...]]]]:
             if len(tokens) != 3:
                 raise InputError(f"line {lineno}: expected 'S <i> <count>'")
             index, count = _ints(tokens[1:], lineno)
+            if count < 0:
+                raise InputError(f"line {lineno}: class size must be nonnegative")
             if index != len(classes):
                 raise InputError(f"line {lineno}: classes must be numbered in order")
             classes.append([])
@@ -242,6 +246,10 @@ def read_partition(text: str) -> tuple[int, int, list[list[tuple[int, ...]]]]:
             vs = _ints(tokens, lineno)
             if len(vs) != subset_size:
                 raise InputError(f"line {lineno}: expected a {subset_size}-set")
+            if vs != sorted(set(vs)) or vs[0] < 1 or vs[-1] > ground_size:
+                raise InputError(
+                    f"line {lineno}: set must be strictly increasing within [1, {ground_size}]"
+                )
             classes[-1].append(tuple(vs))
             pending -= 1
         pos += 1

@@ -15,27 +15,35 @@ from typing import Iterable
 from .errors import InputError
 
 
+def _sorted_entries(
+    n: int, entries: Iterable[Iterable[int]], noun: str
+) -> tuple[tuple[int, ...], ...]:
+    """Each entry as a sorted tuple of distinct vertices in [0, n); an
+    error names the offending entry as `<noun> <position>`."""
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
+    normalized = []
+    for pos, entry in enumerate(entries):
+        vs = sorted(entry)
+        if not vs:
+            raise InputError(f"{noun} {pos} is empty")
+        for a, b in zip(vs, vs[1:]):
+            if a == b:
+                raise InputError(f"{noun} {pos} repeats vertex {a}")
+        if vs[0] < 0 or vs[-1] >= n:
+            raise InputError(f"{noun} {pos} has a vertex outside [0, {n})")
+        normalized.append(tuple(vs))
+    return tuple(normalized)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
-        normalized = []
-        for pos, edge in enumerate(edges):
-            vs = sorted(edge)
-            if not vs:
-                raise InputError(f"edge {pos} is empty")
-            for a, b in zip(vs, vs[1:]):
-                if a == b:
-                    raise InputError(f"edge {pos} repeats vertex {a}")
-            if vs[0] < 0 or vs[-1] >= n:
-                raise InputError(f"edge {pos} has a vertex outside [0, {n})")
-            normalized.append(tuple(vs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", _sorted_entries(n, edges, "edge"))
 
     @property
     def m(self) -> int:

@@ -34,7 +34,7 @@ def _clique_masks(g: Graph) -> list[tuple[int, int]]:
     clique's vertices, adding vertex w adds the edges `spread << w`.
     """
     n = g.n
-    adj = [g.adjacency_mask(v) for v in range(n)]
+    adj = g._adj
     # (vertex mask, edge bitmap, spread, common neighbours above the last vertex)
     level = [(1 << u, 0, 1 << u * n, adj[u] >> (u + 1) << (u + 1)) for u in range(n)]
     levels = []
@@ -125,13 +125,6 @@ def cover_search(
     if search(sum(candidates), (0,) * depth):  # the keys are the edge bits
         return CliqueCover(g.n, [tuple(_bits(cmask)) for cmask in chosen])
     return None
-
-
-def is_member_bruteforce(
-    g: Graph, k: int, p: int, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """True iff an exhaustive search finds a valid clique cover."""
-    return cover_search(g, k, p, budget=budget) is not None
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:

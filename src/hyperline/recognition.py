@@ -10,6 +10,12 @@ checkable NonMember witness.  If all four pass and the minimum edge
 degree reaches p*k^3 + (p-3)*k + 1, the family of big maximal cliques is
 a valid cover and certifies membership; below that edge-degree bound the
 verdict is Inconclusive.
+
+The big-clique family lives here with the checks that share it:
+`krausz_cover` certifies it as a cover, and `reconstruct` turns a Member
+verdict into a witness hypergraph.  The cover value, its validation and
+the cover-to-hypergraph step are in `reconstruction`, which imports
+nothing from this module.
 """
 
 from __future__ import annotations
@@ -17,9 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import InputError
-from .graph import Claw, Graph, _first_bits, _mask, _met_at_least, find_claw, min_edge_degree
-from .reconstruction import CliqueCover, _big_cliques, _certified_cover
+from .errors import InputError, InternalContradictionError, NotAMemberError
+from .graph import (
+    Claw,
+    Graph,
+    _first_bits,
+    _mask,
+    _met_at_least,
+    find_claw,
+    maximal_cliques,
+    min_edge_degree,
+)
+from .hypergraph import Hypergraph
+from .reconstruction import CliqueCover, cover_to_hypergraph, validate_cover
 
 
 @dataclass(frozen=True)
@@ -104,6 +120,39 @@ class Inconclusive:
 
 
 Verdict = Union[Member, NonMember, Inconclusive]
+
+
+def _big_cliques(g: Graph, t: Thresholds) -> list[tuple[int, ...]]:
+    """Maximal cliques of size at least the big-clique bound, in
+    lexicographic order; none can exist when the bound exceeds n, and
+    then nothing is enumerated."""
+    if t.clique_size_bound > g.n:
+        return []
+    return maximal_cliques(g, t.clique_size_bound)
+
+
+def _certified_cover(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> CliqueCover:
+    """`krausz_cover` from an already enumerated big-clique family."""
+    cover = CliqueCover(g.n, big)
+    diag = validate_cover(g, cover, t.k, t.p)
+    if not diag:
+        raise InternalContradictionError(
+            f"big-clique family is not a valid cover ({diag.failure}); "
+            "the recognition preconditions cannot have held"
+        )
+    return cover
+
+
+def krausz_cover(g: Graph, t: Thresholds) -> CliqueCover:
+    """All maximal cliques of size at least the big-clique bound, in
+    lexicographic order.
+
+    Precondition: g passed the four forbidden-structure checks and its
+    minimum edge degree meets the bound in t; under that hypothesis this
+    family is a valid cover, and any validation failure here means the
+    caller broke the precondition.
+    """
+    return _certified_cover(g, t, _big_cliques(g, t))
 
 
 def check_claw(g: Graph, k: int) -> ClawWitness | None:
@@ -218,3 +267,18 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     if degree >= t.edge_degree_bound:
         return Member(_certified_cover(g, t, big))
     return Inconclusive(min_edge_degree=degree, required=t.edge_degree_bound)
+
+
+def reconstruct(g: Graph, k: int, p: int) -> Hypergraph:
+    """Recognize g and return a k-uniform witness hypergraph whose line
+    graph equals g vertex-for-vertex.
+
+    Raises NotAMemberError (carrying the verdict) unless recognition
+    returns Member.
+    """
+    verdict = recognize(g, k, p)
+    if not isinstance(verdict, Member):
+        raise NotAMemberError(
+            verdict, f"graph was not recognized as a member: {type(verdict).__name__}"
+        )
+    return cover_to_hypergraph(g, verdict.cover, k, p)

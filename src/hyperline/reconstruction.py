@@ -1,4 +1,5 @@
-"""Clique-cover machinery: from a recognized line graph back to a hypergraph.
+"""Clique covers: the certificate value, its validity, and the
+correspondence with hypergraphs.
 
 A valid cover is a family of cliques such that (i) every edge of the graph
 lies in at least one entry, (ii) no vertex lies in more than k entries, and
@@ -6,20 +7,19 @@ lies in at least one entry, (ii) no vertex lies in more than k entries, and
 exactly the vertex-star structure of a k-uniform hypergraph with pair
 multiplicity at most p whose line graph is the given graph, and the two
 directions of that correspondence are `cover_to_hypergraph` and
-`hypergraph_to_cover`.
+`hypergraph_to_cover`.  Finding a cover is the recognizer's job: the
+big-clique family, `krausz_cover` and `reconstruct` live in `recognition`,
+which builds on this module and is never imported by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .errors import InputError, InternalContradictionError, NotAMemberError
-from .graph import Graph, _mask, maximal_cliques
-from .hypergraph import Hypergraph
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .recognition import Thresholds
+from .errors import InputError
+from .graph import Graph, _mask
+from .hypergraph import Hypergraph, _sorted_entries
 
 
 @dataclass(frozen=True)
@@ -34,21 +34,8 @@ class CliqueCover:
     cliques: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, cliques: Iterable[Iterable[int]]):
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
-        normalized = []
-        for pos, entry in enumerate(cliques):
-            vs = sorted(entry)
-            if not vs:
-                raise InputError(f"cover entry {pos} is empty")
-            for a, b in zip(vs, vs[1:]):
-                if a == b:
-                    raise InputError(f"cover entry {pos} repeats vertex {a}")
-            if vs[0] < 0 or vs[-1] >= n:
-                raise InputError(f"cover entry {pos} has a vertex outside [0, {n})")
-            normalized.append(tuple(vs))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cliques", tuple(normalized))
+        object.__setattr__(self, "cliques", _sorted_entries(n, cliques, "cover entry"))
 
     def __len__(self) -> int:
         return len(self.cliques)
@@ -74,7 +61,7 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
     if cover.n != g.n:
         raise InputError(f"cover is over {cover.n} vertices, graph has {g.n}")
 
-    adj = [g.adjacency_mask(u) for u in range(g.n)]
+    adj = g._adj
     masks = []
     covered = [0] * g.n  # covered[u]: union of the entries containing u
     load = [0] * g.n
@@ -108,39 +95,6 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
     return CoverDiagnostics(True)
 
 
-def krausz_cover(g: Graph, t: "Thresholds") -> CliqueCover:
-    """All maximal cliques of size at least the big-clique bound, in
-    lexicographic order.
-
-    Precondition: g passed the four forbidden-structure checks and its
-    minimum edge degree meets the bound in t; under that hypothesis this
-    family is a valid cover, and any validation failure here means the
-    caller broke the precondition.
-    """
-    return _certified_cover(g, t, _big_cliques(g, t))
-
-
-def _big_cliques(g: Graph, t: "Thresholds") -> list[tuple[int, ...]]:
-    """Maximal cliques of size at least the big-clique bound, in
-    lexicographic order; none can exist when the bound exceeds n, and
-    then nothing is enumerated."""
-    if t.clique_size_bound > g.n:
-        return []
-    return maximal_cliques(g, t.clique_size_bound)
-
-
-def _certified_cover(g: Graph, t: "Thresholds", big: list[tuple[int, ...]]) -> CliqueCover:
-    """`krausz_cover` from an already enumerated big-clique family."""
-    cover = CliqueCover(g.n, big)
-    diag = validate_cover(g, cover, t.k, t.p)
-    if not diag:
-        raise InternalContradictionError(
-            f"big-clique family is not a valid cover ({diag.failure}); "
-            "the recognition preconditions cannot have held"
-        )
-    return cover
-
-
 def cover_to_hypergraph(g: Graph, cover: CliqueCover, k: int, p: int) -> Hypergraph:
     """Build a hypergraph whose line graph is exactly g, from a valid cover.
 
@@ -154,18 +108,13 @@ def cover_to_hypergraph(g: Graph, cover: CliqueCover, k: int, p: int) -> Hypergr
     if not diag:
         raise InputError(f"cover is not valid: {diag.failure}")
 
-    load = [0] * g.n
-    for entry in cover.cliques:
-        for u in entry:
-            load[u] += 1
-
     stars: list[list[int]] = [[] for _ in range(g.n)]
     for idx, entry in enumerate(cover.cliques):
         for u in entry:
             stars[u].append(idx)
     next_index = len(cover.cliques)
     for v in range(g.n):
-        for _ in range(k - load[v]):
+        for _ in range(k - len(stars[v])):
             stars[v].append(next_index)
             next_index += 1
     return Hypergraph(next_index, [tuple(star) for star in stars])
@@ -182,20 +131,3 @@ def hypergraph_to_cover(hg: Hypergraph) -> CliqueCover:
         for v in e:
             stars[v].append(idx)
     return CliqueCover(hg.m, [tuple(s) for s in stars if s])
-
-
-def reconstruct(g: Graph, k: int, p: int) -> Hypergraph:
-    """Recognize g and return a k-uniform witness hypergraph whose line
-    graph equals g vertex-for-vertex.
-
-    Raises NotAMemberError (carrying the verdict) unless recognition
-    returns Member.
-    """
-    from .recognition import Member, recognize
-
-    verdict = recognize(g, k, p)
-    if not isinstance(verdict, Member):
-        raise NotAMemberError(
-            verdict, f"graph was not recognized as a member: {type(verdict).__name__}"
-        )
-    return cover_to_hypergraph(g, verdict.cover, k, p)

@@ -15,8 +15,8 @@ from hyperline import (
     Graph,
     Hypergraph,
     line_graph,
-    maximal_cliques,
 )
+from hyperline.graph import maximal_cliques
 
 
 def module_env() -> dict[str, str]:

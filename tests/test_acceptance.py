@@ -19,19 +19,21 @@ from hyperline import (
     Member,
     NonMember,
     baranyai_partition,
-    build_extension_network,
     cover_search,
-    extend,
-    initial_state,
     line_graph,
-    max_flow,
     recognize,
     reconstruct,
-    scan_regular_realizability,
-    state_violations,
-    thresholds,
     validate_cover,
 )
+from hyperline.baranyai import (
+    build_extension_network,
+    extend,
+    initial_state,
+    max_flow,
+    state_violations,
+)
+from hyperline.oracle import scan_regular_realizability
+from hyperline.recognition import thresholds
 
 from conftest import (
     all_graphs,

@@ -6,17 +6,19 @@ import pytest
 
 from hyperline import (
     DivisibilityError,
-    FlowNetwork,
     Hypergraph,
     InputError,
     ResourceLimitError,
     UnrealizableError,
     baranyai_partition,
+    regular_hypergraph,
+)
+from hyperline.baranyai import (
+    FlowNetwork,
     build_extension_network,
     extend,
     initial_state,
     max_flow,
-    regular_hypergraph,
     state_violations,
 )
 from hyperline.fileio import write_partition
@@ -199,7 +201,7 @@ def test_extend_rejects_complete_state():
 
 
 def test_extend_detects_corrupt_state():
-    from hyperline import InternalContradictionError, PartitionState
+    from hyperline.baranyai import InternalContradictionError, PartitionState
 
     # a legitimate (3, 2) class holds {1} twice and {} once; all empties
     # starves the {1}-node and the flow cannot saturate

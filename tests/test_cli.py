@@ -249,7 +249,18 @@ def test_oracle_scan():
 def test_selftest_passes():
     code, text = run(["selftest"])
     assert code == 0
-    assert text.splitlines()[-1] == "SELFTEST PASS checks=10"
+    assert text.splitlines()[-1] == "SELFTEST PASS checks=4"
+
+
+def test_selftest_fails_under_optimize_flag():
+    # `python -O` strips assert statements; a failed expectation must still count
+    code = (
+        "import io, hyperline.selftest as s\n"
+        "s.CHECKS = (('broken', lambda: s._expect(False, 'broken')),)\n"
+        "raise SystemExit(s.run(io.StringIO()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=module_env())
+    assert proc.returncode == 3
 
 
 def test_bad_arguments_exit_2(tmp_path):

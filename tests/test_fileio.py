@@ -123,6 +123,25 @@ def test_partition_rejects_malformed():
         read_partition("B 4 2 1\nS 0 1\n1 2 3\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("B 4 2 1\nS 0 1\n5 5\n", 3),  # repeated element, outside [1, N]
+        ("B 4 2 1\nS 0 1\n2 1\n", 3),  # decreasing
+        ("B 4 2 1\nS 0 1\n0 9\n", 3),  # both ends outside [1, N]
+        ("B 4 2 1\nS 0 1\n1 5\n", 3),  # above N
+        ("B 4 2 1\nS 0 1\n-1 2\n", 3),  # below 1
+        ("B -3 2 1\nS 0 1\n1 2\n", 1),  # negative N
+        ("B 4 -2 1\nS 0 1\n1 2\n", 1),  # negative k
+        ("B 4 2 -1\n", 1),  # negative class count
+        ("B 4 2 1\nS 0 -1\n", 2),  # negative class size
+    ],
+)
+def test_partition_rejects_malformed_sets_and_counts(text, lineno):
+    with pytest.raises(InputError, match=rf"^line {lineno}: "):
+        read_partition(text)
+
+
 @given(st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False))
 def test_graph_round_trip_random(n, rng):
     pairs = n * (n - 1) // 2

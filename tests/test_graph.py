@@ -9,16 +9,18 @@ from hyperline import (
     Graph,
     Hypergraph,
     InputError,
+    line_graph,
+)
+from hyperline.fileio import write_graph
+from hyperline.graph import (
+    _met_at_least,
     common_neighborhood,
     edge_degree,
     find_claw,
-    line_graph,
     maximal_cliques,
     min_edge_degree,
-    thresholds,
 )
-from hyperline.fileio import write_graph
-from hyperline.graph import _met_at_least
+from hyperline.recognition import thresholds
 
 from conftest import (
     DENSITY_CAPS,

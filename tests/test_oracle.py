@@ -19,15 +19,11 @@ from hyperline import (
     NonMember,
     ResourceLimitError,
     cover_search,
-    graphs_isomorphic,
-    is_member_bruteforce,
     line_graph,
     recognize,
-    scan_regular_realizability,
     validate_cover,
 )
-
-from hyperline.oracle import _clique_masks
+from hyperline.oracle import _clique_masks, graphs_isomorphic, scan_regular_realizability
 
 from conftest import (
     all_graphs,
@@ -172,12 +168,12 @@ def _relabel_witness(witness, perm):
 
 
 def test_is_member_bruteforce():
-    assert not is_member_bruteforce(complete_bipartite(2, 5), 2, 1)
-    assert is_member_bruteforce(complete_graph(7), 2, 1)
+    assert cover_search(complete_bipartite(2, 5), 2, 1) is None
+    assert cover_search(complete_graph(7), 2, 1) is not None
     rng = random.Random(99)
     for k, p in [(2, 1), (3, 2)]:
         hg = random_bounded_hypergraph(rng, k, p, max_edges=7)
-        assert is_member_bruteforce(line_graph(hg), k, p)
+        assert cover_search(line_graph(hg), k, p) is not None
 
 
 def test_cover_search_found_covers_are_valid():

@@ -16,16 +16,12 @@ from hyperline import (
     InputError,
     Member,
     NonMember,
-    check_claw,
-    check_f1,
-    check_f2,
-    check_f3,
     line_graph,
-    maximal_cliques,
     recognize,
-    thresholds,
     validate_cover,
 )
+from hyperline.graph import maximal_cliques
+from hyperline.recognition import check_claw, check_f1, check_f2, check_f3, thresholds
 
 from conftest import (
     DENSITY_CAPS,

@@ -10,13 +10,12 @@ from hyperline import (
     InternalContradictionError,
     NotAMemberError,
     cover_to_hypergraph,
-    hypergraph_to_cover,
-    krausz_cover,
     line_graph,
     reconstruct,
-    thresholds,
     validate_cover,
 )
+from hyperline.recognition import krausz_cover, thresholds
+from hyperline.reconstruction import hypergraph_to_cover
 
 from conftest import complete_graph, cycle_graph, random_bounded_hypergraph
 
