@@ -22,11 +22,11 @@ if and only if k divides d*N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -48,32 +48,68 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed network with integer arc capacities; parallel arcs allowed."""
+    """Directed network with integer arc capacities; parallel arcs allowed.
+
+    Construction validates the arcs and, in the same pass, builds the
+    residual form `max_flow` runs on.  Arc i owns slot 2i (forward, to its
+    head) and slot 2i+1 (reverse, back to its tail): `_to` holds each
+    slot's head, `_capacity` each slot's starting residual capacity (the
+    arc's capacity forward, 0 reverse), `_out[u]` the slots leaving u in
+    arc order, and `_into_sink[u]` the forward slots from u to the sink
+    (one shared empty tuple for every node without such a slot).
+    The residual form is derived from the fields, so it stays out of
+    equality, hashing and repr; nothing mutates it after construction.
+    """
 
     node_count: int
     arcs: tuple[tuple[int, int, int], ...]  # (tail, head, capacity)
     source: int
     sink: int
+    _to: list[int] = field(init=False, repr=False, compare=False)
+    _capacity: list[int] = field(init=False, repr=False, compare=False)
+    _out: list[list[int]] = field(init=False, repr=False, compare=False)
+    _into_sink: list[Sequence[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
         if n < 2:
             raise InputError(f"network needs at least 2 nodes, got {n}")
-        if not (0 <= self.source < n and 0 <= self.sink < n):
+        source, sink = self.source, self.sink
+        if not (0 <= source < n and 0 <= sink < n):
             raise InputError("source or sink outside the node range")
-        if self.source == self.sink:
+        if source == sink:
             raise InputError("source and sink must differ")
-        for i, (tail, head, capacity) in enumerate(self.arcs):
+        to = [0] * (2 * len(self.arcs))
+        residual = to.copy()
+        out: list[list[int]] = [[] for _ in range(n)]
+        into_sink: list[Sequence[int]] = [()] * n
+        slot = 0
+        for tail, head, capacity in self.arcs:
             if not (0 <= tail < n and 0 <= head < n):
-                raise InputError(f"arc {i} has an endpoint outside [0, {n})")
+                raise InputError(f"arc {slot // 2} has an endpoint outside [0, {n})")
             if tail == head:
-                raise InputError(f"arc {i} is a self-loop at node {tail}")
+                raise InputError(f"arc {slot // 2} is a self-loop at node {tail}")
             if capacity < 0:
-                raise InputError(f"arc {i} has negative capacity {capacity}")
-            if head == self.source:
-                raise InputError(f"arc {i} enters the source")
-            if tail == self.sink:
-                raise InputError(f"arc {i} leaves the sink")
+                raise InputError(f"arc {slot // 2} has negative capacity {capacity}")
+            if head == source:
+                raise InputError(f"arc {slot // 2} enters the source")
+            if tail == sink:
+                raise InputError(f"arc {slot // 2} leaves the sink")
+            to[slot] = head
+            to[slot + 1] = tail
+            residual[slot] = capacity
+            out[tail].append(slot)
+            out[head].append(slot + 1)
+            if head == sink:
+                if into_sink[tail]:
+                    into_sink[tail].append(slot)
+                else:
+                    into_sink[tail] = [slot]
+            slot += 2
+        object.__setattr__(self, "_to", to)
+        object.__setattr__(self, "_capacity", residual)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_into_sink", into_sink)
 
 
 @dataclass(frozen=True)
@@ -89,88 +125,165 @@ def max_flow(net: FlowNetwork) -> Flow:
 
     Residual arcs are scanned in insertion order at every node, so the
     per-arc flow values are a pure function of the network.  Each phase
-    labels nodes breadth-first up to the sink's layer, then repeatedly
-    augments along the first admissible path a depth-first cursor walk
-    finds; a node the walk backs out of is dead for the rest of the phase.
+    labels nodes breadth-first from the source, then repeatedly augments
+    along the first admissible path a depth-first cursor walk finds; a
+    node the walk backs out of is dead for the rest of the phase.
+
+    Two shortcuts leave every augmentation unchanged.  The breadth-first
+    search stops at the sink: before it expands a layer it looks at that
+    layer's slots into the sink, and the first with residual capacity
+    labels the sink and ends the search, so no other node of the sink's
+    layer is labelled.  An admissible path climbs one layer per arc and
+    ends at the sink, so such a node cannot lie on one; the walk would
+    only enter it, find it dead and back out.  A phase whose sink sits at
+    depth 3 (every first phase of an extension network) runs as three
+    nested cursor scans, source -> depth 1 -> depth 2 -> sink, in which a
+    depth-2 node scans only its slots into the sink, since every other
+    slot it has is inadmissible.  Each scan resumes where the walk's
+    cursor would, and after a push control goes back to the tail of the
+    first saturated slot on the path, as in the walk, so the same paths
+    get the same pushes in the same order.
     """
     n = net.node_count
-    arcs = net.arcs
-    # residual structure: arc i -> slots 2i (forward) and 2i+1 (reverse)
-    to = [0] * (2 * len(arcs))
-    residual = [0] * (2 * len(arcs))
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
-    slot = 0
-    for tail, head, capacity in arcs:
-        out_arcs[tail].append(slot)
-        to[slot] = head
-        residual[slot] = capacity
-        out_arcs[head].append(slot + 1)
-        to[slot + 1] = tail
-        slot += 2
-
+    to, out, into_sink = net._to, net._out, net._into_sink
+    residual = net._capacity.copy()
     source, sink = net.source, net.sink
     total = 0
     while True:
-        # Nodes beyond the sink's layer cannot lie on an admissible path,
-        # so the search stops once that layer is complete.
-        level = [-1] * n
-        level[source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier and level[sink] < 0:
-            depth += 1
-            layer = []
-            for u in frontier:
-                for slot in out_arcs[u]:
-                    if residual[slot]:
-                        v = to[slot]
-                        if level[v] < 0:
-                            level[v] = depth
-                            layer.append(v)
-            frontier = layer
-        if level[sink] < 0:
+        level = _levels(n, source, sink, to, out, into_sink, residual)
+        if level is None:
             break
-
-        cursor = [0] * n
-        path: list[int] = []
-        u = source
-        while True:
-            if u == sink:
-                push = residual[path[0]]
-                for slot in path:
-                    if residual[slot] < push:
-                        push = residual[slot]
-                total += push
-                retreat = -1
-                for idx, slot in enumerate(path):
-                    residual[slot] -= push
-                    residual[slot ^ 1] += push
-                    if retreat < 0 and not residual[slot]:
-                        retreat = idx
-                u = to[path[retreat] ^ 1]  # tail of the first saturated arc
-                del path[retreat:]
-                continue
-            slots = out_arcs[u]
-            end = len(slots)
-            c = cursor[u]
-            want = level[u] + 1
-            while c < end:
-                slot = slots[c]
-                if residual[slot] and level[to[slot]] == want:
-                    break
-                c += 1
-            cursor[u] = c
-            if c < end:
-                path.append(slot)
-                u = to[slot]
-                continue
-            if u == source:
-                break
-            level[u] = -1  # dead end: no admissible arc leaves u this phase
-            u = to[path.pop() ^ 1]
-            cursor[u] += 1
-
+        if level[sink] == 3:
+            total += _depth3_phase(n, source, to, out, into_sink, residual, level)
+        else:
+            total += _cursor_walk_phase(n, source, sink, to, out, residual, level)
     return Flow(arc_flows=tuple(residual[1::2]), value=total)
+
+
+def _levels(n, source, sink, to, out, into_sink, residual) -> list[int] | None:
+    """Breadth-first depth of each node over slots with residual capacity,
+    up to the sink; None if the sink is unreachable.  Before a layer is
+    expanded its slots into the sink are looked at, and the first with
+    residual capacity labels the sink and ends the search, so no other
+    node at the sink's depth is labelled."""
+    level = [-1] * n
+    level[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        for u in frontier:
+            for slot in into_sink[u]:
+                if residual[slot]:
+                    level[sink] = depth
+                    return level
+        layer = []
+        for u in frontier:
+            for slot in out[u]:
+                if residual[slot]:
+                    v = to[slot]
+                    if level[v] < 0:
+                        level[v] = depth
+                        layer.append(v)
+        frontier = layer
+    return None
+
+
+def _depth3_phase(n, source, to, out, into_sink, residual, level) -> int:
+    """One blocking flow of a phase whose sink is at depth 3, found by
+    nested scans; returns the amount pushed.  A node whose scan runs out
+    is dead (level -1) for the rest of the phase, as in the cursor walk;
+    a live node's cursor is kept for its next visit."""
+    total = 0
+    cursor = [0] * n
+    for s0 in out[source]:
+        if not residual[s0]:
+            continue
+        a = to[s0]
+        if level[a] != 1:
+            continue
+        slots = out[a]
+        for c in range(cursor[a], len(slots)):
+            s1 = slots[c]
+            if not residual[s1]:
+                continue
+            b = to[s1]
+            if level[b] != 2:
+                continue
+            sinks = into_sink[b]
+            for d in range(cursor[b], len(sinks)):
+                s2 = sinks[d]
+                r2 = residual[s2]
+                if r2:
+                    r0 = residual[s0]
+                    r1 = residual[s1]
+                    push = r0 if r0 < r1 else r1
+                    if r2 < push:
+                        push = r2
+                    total += push
+                    residual[s0] = r0 - push
+                    residual[s0 ^ 1] += push
+                    residual[s1] = r1 - push
+                    residual[s1 ^ 1] += push
+                    residual[s2] = r2 - push
+                    residual[s2 ^ 1] += push
+                    if push == r0 or push == r1:
+                        cursor[b] = d
+                        break
+            else:
+                level[b] = -1  # b is dead: a moves past s1
+                continue
+            if push == r0:
+                cursor[a] = c  # s0 is saturated: back to the source
+                break
+            # s1 is saturated: a moves past it
+        else:
+            level[a] = -1
+    return total
+
+
+def _cursor_walk_phase(n, source, sink, to, out, residual, level) -> int:
+    """One blocking flow found by the depth-first cursor walk; returns the
+    amount pushed."""
+    total = 0
+    cursor = [0] * n
+    path: list[int] = []
+    u = source
+    while True:
+        if u == sink:
+            push = residual[path[0]]
+            for slot in path:
+                if residual[slot] < push:
+                    push = residual[slot]
+            total += push
+            retreat = -1
+            for idx, slot in enumerate(path):
+                residual[slot] -= push
+                residual[slot ^ 1] += push
+                if retreat < 0 and not residual[slot]:
+                    retreat = idx
+            u = to[path[retreat] ^ 1]  # tail of the first saturated arc
+            del path[retreat:]
+            continue
+        slots = out[u]
+        end = len(slots)
+        c = cursor[u]
+        want = level[u] + 1
+        while c < end:
+            slot = slots[c]
+            if residual[slot] and level[to[slot]] == want:
+                break
+            c += 1
+        cursor[u] = c
+        if c < end:
+            path.append(slot)
+            u = to[slot]
+            continue
+        if u == source:
+            return total
+        level[u] = -1  # dead end: no admissible arc leaves u this phase
+        u = to[path.pop() ^ 1]
+        cursor[u] += 1
 
 
 @dataclass(frozen=True)
@@ -284,8 +397,9 @@ def extend(state: PartitionState) -> PartitionState:
         )
     new_classes = tuple(dict(cls) for cls in state.classes)
     bit = 1 << state.level  # element level+1
-    for label, moved in zip(ext.arc_labels, flow.arc_flows):
-        if label is None or moved == 0:
+    flows = flow.arc_flows
+    for label, moved in compress(zip(ext.arc_labels, flows), flows):
+        if label is None:
             continue
         class_index, mask = label
         cls = new_classes[class_index]

@@ -21,6 +21,7 @@ nothing from this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .errors import InputError, InternalContradictionError, NotAMemberError
@@ -48,6 +49,7 @@ class Thresholds:
     clique_size_bound: int  # p*k^2 + (p-2)*k + 2
 
 
+@lru_cache(maxsize=None, typed=True)
 def thresholds(k: int, p: int) -> Thresholds:
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
@@ -247,7 +249,7 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     pass, and shared by F2, F3 and the certifying cover.
     """
     t = thresholds(k, p)
-    if g.edge_count == 0:
+    if not any(g._adj):
         raise InputError("recognition needs a graph with at least one edge")
 
     witness: Witness | None = check_f1(g, t)

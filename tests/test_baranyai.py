@@ -14,6 +14,7 @@ from hyperline import (
     regular_hypergraph,
 )
 from hyperline.baranyai import (
+    Flow,
     FlowNetwork,
     build_extension_network,
     extend,
@@ -61,18 +62,56 @@ def test_max_flow_is_deterministic():
     )
     assert max_flow(net) == max_flow(net)
 
+    # A real level: the residual form a network caches is never mutated
+    # by max_flow, and stays out of equality, hashing and repr.
+    state = initial_state(12, 6)
+    while state.level < 5:
+        state = extend(state)
+    net = build_extension_network(state).network
+
+    def residual_form():
+        return (
+            list(net._to),
+            list(net._capacity),
+            [list(slots) for slots in net._out],
+            [list(slots) for slots in net._into_sink],
+        )
+
+    before = residual_form()
+    first = max_flow(net)
+    assert first.value == comb(11, 5)
+    assert max_flow(net) == first
+    assert residual_form() == before
+    twin = FlowNetwork(net.node_count, tuple(list(net.arcs)), net.source, net.sink)
+    assert twin == net and hash(twin) == hash(net)
+    assert max_flow(twin) == first
+    assert "_to" not in repr(net) and "_capacity" not in repr(net)
+    object.__setattr__(twin, "_capacity", [])  # eq and hash ignore the cache
+    assert twin == net and hash(twin) == hash(net)
+    other = FlowNetwork(net.node_count, net.arcs[:-1], net.source, net.sink)
+    assert other != net
+
 
 def test_flow_network_validation():
-    with pytest.raises(InputError):
+    # each message names the first offending arc by its index
+    with pytest.raises(InputError, match=r"^arc 0 has negative capacity -1$"):
         FlowNetwork(3, ((0, 1, -1),), source=0, sink=2)
-    with pytest.raises(InputError):
-        FlowNetwork(3, ((1, 0, 1),), source=0, sink=2)  # arc into source
-    with pytest.raises(InputError):
-        FlowNetwork(3, ((2, 1, 1),), source=0, sink=2)  # arc out of sink
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^arc 1 enters the source$"):
+        FlowNetwork(3, ((0, 1, 1), (1, 0, 1)), source=0, sink=2)
+    with pytest.raises(InputError, match=r"^arc 2 leaves the sink$"):
+        FlowNetwork(3, ((0, 1, 1), (1, 2, 1), (2, 1, 1)), source=0, sink=2)
+    with pytest.raises(InputError, match=r"^arc 1 is a self-loop at node 1$"):
+        FlowNetwork(3, ((0, 1, 1), (1, 1, 1), (1, 0, 1)), source=0, sink=2)
+    with pytest.raises(InputError, match=r"^arc 3 has an endpoint outside \[0, 2\)$"):
+        FlowNetwork(2, ((0, 1, 1),) * 3 + ((0, 3, 1),), source=0, sink=1)
+    with pytest.raises(InputError, match=r"^arc 0 has an endpoint outside \[0, 3\)$"):
+        FlowNetwork(3, ((-1, 2, 1),), source=0, sink=2)
+    with pytest.raises(InputError, match="source and sink must differ"):
         FlowNetwork(2, (), source=0, sink=0)
-    with pytest.raises(InputError):
-        FlowNetwork(2, ((0, 3, 1),), source=0, sink=1)
+    with pytest.raises(InputError, match="outside the node range"):
+        FlowNetwork(2, (), source=0, sink=2)
+    with pytest.raises(InputError, match="at least 2 nodes"):
+        FlowNetwork(1, (), source=0, sink=0)
 
 
 def test_max_flow_value_matches_networkx_on_random_networks():
@@ -130,6 +169,162 @@ def test_max_flow_conservation_and_capacity():
     # them, so a change in which augmenting paths Dinic finds shows here.
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == "53f22cceee0794ce90e3a86dfbb8b91bcd241cc67f3a6819aaea34d1131a0880"
+
+
+def _reference_max_flow(net: FlowNetwork) -> Flow:
+    """Dinic as a single cursor walk per phase, rebuilding the residual
+    arrays from `net.arcs`: the algorithm `max_flow` must reproduce flow
+    for flow."""
+    n = net.node_count
+    arcs = net.arcs
+    # residual structure: arc i -> slots 2i (forward) and 2i+1 (reverse)
+    to = [0] * (2 * len(arcs))
+    residual = [0] * (2 * len(arcs))
+    out_arcs: list[list[int]] = [[] for _ in range(n)]
+    slot = 0
+    for tail, head, capacity in arcs:
+        out_arcs[tail].append(slot)
+        to[slot] = head
+        residual[slot] = capacity
+        out_arcs[head].append(slot + 1)
+        to[slot + 1] = tail
+        slot += 2
+
+    source, sink = net.source, net.sink
+    total = 0
+    while True:
+        # Nodes beyond the sink's layer cannot lie on an admissible path,
+        # so the search stops once that layer is complete.
+        level = [-1] * n
+        level[source] = 0
+        frontier = [source]
+        depth = 0
+        while frontier and level[sink] < 0:
+            depth += 1
+            layer = []
+            for u in frontier:
+                for slot in out_arcs[u]:
+                    if residual[slot]:
+                        v = to[slot]
+                        if level[v] < 0:
+                            level[v] = depth
+                            layer.append(v)
+            frontier = layer
+        if level[sink] < 0:
+            break
+
+        cursor = [0] * n
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                push = residual[path[0]]
+                for slot in path:
+                    if residual[slot] < push:
+                        push = residual[slot]
+                total += push
+                retreat = -1
+                for idx, slot in enumerate(path):
+                    residual[slot] -= push
+                    residual[slot ^ 1] += push
+                    if retreat < 0 and not residual[slot]:
+                        retreat = idx
+                u = to[path[retreat] ^ 1]  # tail of the first saturated arc
+                del path[retreat:]
+                continue
+            slots = out_arcs[u]
+            end = len(slots)
+            c = cursor[u]
+            want = level[u] + 1
+            while c < end:
+                slot = slots[c]
+                if residual[slot] and level[to[slot]] == want:
+                    break
+                c += 1
+            cursor[u] = c
+            if c < end:
+                path.append(slot)
+                u = to[slot]
+                continue
+            if u == source:
+                break
+            level[u] = -1  # dead end: no admissible arc leaves u this phase
+            u = to[path.pop() ^ 1]
+            cursor[u] += 1
+
+    return Flow(arc_flows=tuple(residual[1::2]), value=total)
+
+
+def _general_network(rng) -> FlowNetwork:
+    n = rng.randint(2, 24)
+    arcs = []
+    for _ in range(rng.randint(0, 70)):
+        tail = rng.randrange(0, n - 1)
+        head = rng.randrange(1, n)
+        if tail != head and tail != n - 1:
+            arcs.append((tail, head, rng.randint(0, 5)))
+    return FlowNetwork(n, tuple(arcs), source=0, sink=n - 1)
+
+
+def _layered_network(rng) -> FlowNetwork:
+    """source -> A -> B -> sink, shaped like an extension network, plus
+    nodes X one layer past B that the sink does not need (depth-3 dead
+    ends, some with a longer way on), back arcs B -> A, X -> A and
+    A -> A, zero capacities and repeated (parallel) arcs."""
+    na, nb, nx = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 3)
+    sink = 1 + na + nb + nx
+    nodes = {
+        "s": [0],
+        "A": range(1, 1 + na),
+        "B": range(1 + na, 1 + na + nb),
+        "X": range(1 + na + nb, sink),
+        "t": [sink],
+    }
+    kinds = ("sA", "AB", "Bt", "BX", "Xt", "XA", "BA", "AA")
+    weights = (20, 35, 20, 7, 4, 4, 5, 5)
+    arcs = []
+    for _ in range(rng.randint(1, 50)):
+        if arcs and rng.random() < 0.15:
+            arcs.append(rng.choice(arcs))
+            continue
+        tails, heads = (nodes[c] for c in rng.choices(kinds, weights)[0])
+        if tails and heads:
+            tail, head = rng.choice(tails), rng.choice(heads)
+            if tail != head:
+                arcs.append((tail, head, rng.choice((0, 1, 1, 2, 3, 4))))
+    return FlowNetwork(sink + 1, tuple(arcs), source=0, sink=sink)
+
+
+def test_max_flow_matches_cursor_walk_reference(monkeypatch):
+    import random
+
+    from hyperline import baranyai
+
+    phases = {"depth3": 0, "walk": 0}
+    for name, key in (("_depth3_phase", "depth3"), ("_cursor_walk_phase", "walk")):
+        def counted(*args, _phase=getattr(baranyai, name), _key=key):
+            phases[_key] += 1
+            return _phase(*args)
+
+        monkeypatch.setattr(baranyai, name, counted)
+
+    rng = random.Random(2024)
+    for i in range(2400):
+        net = _layered_network(rng) if i % 2 else _general_network(rng)
+        assert max_flow(net) == _reference_max_flow(net), net
+    # the layered half runs the nested scans, and later phases the walk
+    assert phases["depth3"] >= 600 and phases["walk"] >= 600, phases
+
+    levels = 0
+    for big_n in range(2, 10):
+        for k in range(2, big_n + 1):
+            state = initial_state(big_n, k)
+            while state.level < big_n:
+                net = build_extension_network(state).network
+                assert max_flow(net) == _reference_max_flow(net), (big_n, k, state.level)
+                state = extend(state)
+                levels += 1
+    assert levels == sum(big_n - 1 for big_n in range(2, 10) for k in range(2, big_n + 1))
 
 
 def test_initial_state_shape():

@@ -49,10 +49,17 @@ def test_thresholds_ordering_and_validation():
         for p in range(1, 5):
             t = thresholds(k, p)
             assert t.edge_degree_bound >= t.clique_size_bound
-    with pytest.raises(InputError):
-        thresholds(1, 1)
-    with pytest.raises(InputError):
-        thresholds(3, 0)
+    # thresholds is memoised: an invalid pair raises on every call, and
+    # an equal pair of another type gets its own entry
+    for _ in range(2):
+        with pytest.raises(InputError):
+            thresholds(1, 1)
+        with pytest.raises(InputError):
+            thresholds(3, 0)
+    assert thresholds(3, 2) is thresholds(3, 2)
+    t = thresholds(2.0, 1)
+    assert type(t.k) is float and type(t.edge_degree_bound) is float
+    assert type(thresholds(2, 1).edge_degree_bound) is int
 
 
 def test_check_claw():
@@ -145,8 +152,9 @@ def test_recognize_k25_reports_f1_before_claw():
 
 
 def test_recognize_rejects_edgeless_and_bad_parameters():
-    with pytest.raises(InputError):
-        recognize(Graph(3), 2, 1)
+    for edgeless in (Graph(0), Graph(1), Graph(3)):
+        with pytest.raises(InputError, match="at least one edge"):
+            recognize(edgeless, 2, 1)
     with pytest.raises(InputError):
         recognize(complete_graph(3), 1, 1)
 
