@@ -1,16 +1,26 @@
 """Simple undirected graphs and the structural queries the recognizer needs.
 
 Adjacency is stored as one bitmask per vertex, and the hot kernels work
-on those masks directly: a claw's leaves are grown by recursing over a
-candidate mask, each step keeping only the candidates outside the chosen
-leaf's neighborhood and dropping a candidate mask that splits into fewer
-cliques than leaves still needed; maximal cliques come from pivoted
-Bron-Kerbosch run on an explicit stack of (clique, size, candidates,
-excluded) masks, so the interpreter's recursion limit puts no bound on
-clique size, and branches that cannot reach a requested size are cut;
-and "which vertices have at least t neighbours among these" is one
-threshold count over the members' rows, kept in bit-sliced counters
-(`_met_at_least`), which the recognizer's F1 and F2 checks share.
+on those masks directly, each stopping as soon as its outcome is fixed:
+
+- a claw's leaves are grown by recursing over a candidate mask, each
+  step keeping only the candidates outside the chosen leaf's
+  neighborhood; a branch with fewer candidates than leaves still needed
+  ends at once, and one whose candidates, at least twice as many as the
+  leaves still needed, split into fewer cliques than that is dropped
+  (`_least_independent`);
+- maximal cliques come from pivoted Bron-Kerbosch run on an explicit
+  stack of masks, so the interpreter's recursion limit puts no bound on
+  clique size; branches that cannot reach a requested size are cut, a
+  frame whose candidates already form a clique reports its one maximal
+  clique whole, and one whose candidates an excluded vertex sees in full
+  is dropped, since it holds no maximal clique;
+- "which vertices have at least t neighbours among these" is one
+  threshold count over the members' rows, kept in bit-sliced counters
+  (`_met_at_least`), which the recognizer's F1 and F2 checks share.
+
+Each exit drops only work that cannot change the result, so every
+output is that of the plain search.
 """
 
 from __future__ import annotations
@@ -224,56 +234,85 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques with at least `min_size` vertices,
     each sorted, listed lexicographically.
 
-    Pivoted Bron-Kerbosch on bitmasks (Tomita-Tanaka-Takahashi pivot: the
-    vertex of P|X with the most neighbors in P, lowest index on ties),
-    driven by an explicit stack so a clique of any size is found without
-    recursion.  Isolated vertices show up as singleton cliques.  Every
-    clique a frame can still report lies inside R|P, so a frame whose
-    clique size plus candidate count falls below `min_size` is dropped
-    unexpanded; with the default every maximal clique is listed.
+    Pivoted Bron-Kerbosch on bitmasks, driven by an explicit stack so a
+    clique of any size is found without recursion.  A frame holds the
+    clique R so far, its candidates P and its excluded vertices X; P|X is
+    every vertex adjacent to all of R.  One scan over P|X counts each
+    vertex's neighbors in P.  It picks the pivot (Tomita-Tanaka-Takahashi:
+    the most neighbors in P), and it tells whether P is already a clique,
+    each vertex of P seeing all the others.  Then:
+
+    - a vertex of X adjacent to all of P extends every clique of R|P, so
+      the frame holds no maximal clique and is dropped;
+    - otherwise, if P is a clique, R|P is the one maximal clique of the
+      frame and is reported whole, where expanding it would walk down one
+      frame per vertex of P;
+    - otherwise the frame branches on the vertices of P outside the
+      pivot's neighborhood.
+
+    Every clique a frame can still report lies inside R|P, so a frame
+    whose clique size plus candidate count falls below `min_size` is
+    never pushed; with the default every maximal clique is listed, and
+    isolated vertices show up as singletons.  Each maximal clique is
+    found exactly once whatever the pivot and the frame order, and the
+    result is sorted, so neither shows in the output.
     """
     adj = g._adj
-    if not g.n:
-        return []
     found: list[int] = []
-    # Each frame is (r, size, p, x, todo): the clique so far and its size,
-    # its candidates, its excluded vertices, and the branch vertices not
-    # yet expanded.
-    full = (1 << g.n) - 1
-    stack = [(0, 0, full, 0, full & ~adj[_pivot(adj, full, 0)])]
+    # Each frame is (r, size, p, count, x): the clique so far and its
+    # size, the candidates and their count, and the excluded vertices.
+    n = g.n
+    stack = [(0, 0, (1 << n) - 1, n, 0)] if n and n >= min_size else []
     while stack:
-        r, size, p, x, todo = stack.pop()
-        if not todo:
-            continue
-        low = todo & -todo
-        v = low.bit_length() - 1
-        rest = p & ~low
-        if size + rest.bit_count() >= min_size:
-            stack.append((r, size, rest, x | low, todo ^ low))
-        nv = adj[v]
-        r, size, p, x = r | low, size + 1, p & nv, x & nv
-        if size + p.bit_count() >= min_size:
-            if p:
-                stack.append((r, size, p, x, p & ~adj[_pivot(adj, p, x)]))
-            elif not x:
-                found.append(r)
+        r, size, p, count, x = stack.pop()
+        others = count - 1  # neighbors in p of a vertex of p that sees all of p
+        clique = True
+        best = -1
+        rest = p
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            seen = (row & p).bit_count()
+            if seen < others:
+                clique = False
+            if seen > best:
+                best = seen
+                pivot = row
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1]
+            if row & p == p:
+                break
+            if not clique:
+                seen = (row & p).bit_count()
+                if seen > best:
+                    best = seen
+                    pivot = row
+        else:
+            if clique:
+                found.append(r | p)
+                continue
+            # Each branch vertex gets its child frame, then moves from the
+            # candidates to the excluded vertices of the frames after it.
+            todo = p & ~pivot
+            size += 1
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                row = adj[low.bit_length() - 1]
+                sub = p & row
+                subcount = sub.bit_count()
+                if size + subcount >= min_size:
+                    stack.append((r | low, size, sub, subcount, x & row))
+                p ^= low
+                x |= low
+                count -= 1
+                if size + count <= min_size:  # a later child reaches size + count - 1 at most
+                    break
     return sorted(tuple(_bits(m)) for m in found)
-
-
-def _pivot(adj: tuple[int, ...], p: int, x: int) -> int:
-    """Vertex of p|x with the most neighbors in p, lowest index on ties."""
-    pivot = -1
-    best = -1
-    rest = p | x
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        cnt = (adj[u] & p).bit_count()
-        if cnt > best:
-            best = cnt
-            pivot = u
-    return pivot
 
 
 def find_claw(g: Graph, r: int) -> Claw | None:
@@ -283,10 +322,11 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     For each center the leaves are grown from its neighborhood mask: take
     the lowest candidate, recurse on the candidates above it outside its
     neighborhood, and give up on a branch once fewer candidates remain
-    than leaves still needed, or once its candidates split into fewer
-    cliques than leaves still needed (see `_least_independent`).  Both
-    cuts drop only branches holding no claw, so the claw found is the
-    same as that of a plain search.
+    than leaves still needed, or once its candidates, where there are
+    enough of them for the test to pay, split into fewer cliques than
+    leaves still needed (see `_least_independent`).  Both cuts drop only
+    branches holding no claw, so the claw found is the same as that of a
+    plain search.
     """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
@@ -304,13 +344,20 @@ def _least_independent(adj: tuple[int, ...], cand: int, need: int) -> tuple[int,
     A clique holds at most one of them, so when cand splits into fewer
     than `need` cliques there are none (the greedy colouring bound of
     Tomita and Seki's MCQ, taken on the complement).  The bound is tried
-    at every level, after the cheaper count test.
+    only where cand holds at least twice as many vertices as leaves still
+    needed.  Below that the plain search settles a branch in about as few
+    steps as the bound takes, so on the neighborhoods of small graphs the
+    bound only adds cost, while on the large neighborhoods of line graphs,
+    which split into few cliques, it cuts nearly every branch.  Either
+    way the bound drops only branches that hold no leaf set, so where it
+    is tried changes the time, never the result.
     """
-    if cand.bit_count() < need:
+    count = cand.bit_count()
+    if count < need:
         return None
     if need == 1:
         return ((cand & -cand).bit_length() - 1,)
-    if not _clique_partition_reaches(adj, cand, need):
+    if count >= 2 * need and not _clique_partition_reaches(adj, cand, need):
         return None
     while cand.bit_count() >= need:
         low = cand & -cand

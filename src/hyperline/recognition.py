@@ -126,11 +126,22 @@ Verdict = Union[Member, NonMember, Inconclusive]
 
 def _big_cliques(g: Graph, t: Thresholds) -> list[tuple[int, ...]]:
     """Maximal cliques of size at least the big-clique bound, in
-    lexicographic order; none can exist when the bound exceeds n, and
-    then nothing is enumerated."""
-    if t.clique_size_bound > g.n:
+    lexicographic order.
+
+    Each vertex of such a clique has degree at least bound - 1, so none
+    can exist when the bound exceeds n or when fewer than bound vertices
+    reach that degree, and then nothing is enumerated.
+    """
+    bound = t.clique_size_bound
+    if bound > g.n:
         return []
-    return maximal_cliques(g, t.clique_size_bound)
+    heavy = 0
+    for row in g._adj:
+        if row.bit_count() >= bound - 1:
+            heavy += 1
+    if heavy < bound:
+        return []
+    return maximal_cliques(g, bound)
 
 
 def _certified_cover(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> CliqueCover:
@@ -174,8 +185,13 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     threshold count over the rows of N(a) (`_met_at_least`), kept to the
     heavy non-neighbors above `a`, gives every partner with that many
     common neighbors; the lowest one completes the first pair.
+
+    A pair has at most n - 2 common neighbors, so when the threshold
+    exceeds that no pair can meet it and nothing is scanned.
     """
     needed = t.p * t.k**2 + 1
+    if needed > g.n - 2:
+        return None
     adj = g._adj
     heavy = 0
     for v, nv in enumerate(adj):
@@ -206,7 +222,10 @@ def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
 def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
     """For each big clique in order, one threshold count over the rows of
     its vertices (`_met_at_least`) gives every vertex attached to enough
-    of it; the lowest one outside the clique is the witness."""
+    of it; the lowest one outside the clique is the witness.  With no big
+    clique there is nothing to attach to, and no mask is built."""
+    if not big:
+        return None
     needed = t.p * t.k + 1
     adj = g._adj
     full = (1 << g.n) - 1
@@ -225,6 +244,10 @@ def check_f3(g: Graph, t: Thresholds) -> F3Witness | None:
 
 
 def _check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
+    """Every pair of big cliques in order, by one AND of their masks; fewer
+    than two cliques make no pair, and then no mask is built."""
+    if len(big) < 2:
+        return None
     needed = t.p + 1
     masks = [_mask(clique) for clique in big]
     for i in range(len(big)):

@@ -13,6 +13,7 @@ from hyperline import (
 )
 from hyperline.fileio import write_graph
 from hyperline.graph import (
+    _bits,
     _met_at_least,
     common_neighborhood,
     edge_degree,
@@ -207,6 +208,23 @@ def _first_claw_reference(g: Graph, r: int) -> Claw | None:
 
 
 def test_find_claw_matches_first_claw_reference():
+    """Every graph on at most 6 vertices for r = 2..5, seeded random
+    graphs, stars whose neighborhoods hold just below and just above twice
+    the leaves needed (where the clique-partition bound starts to be
+    tried), split into r - 1 cliques (no claw) or r (a claw), and the
+    family near line graphs."""
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            for r in range(2, 6):
+                assert find_claw(g, r) == _first_claw_reference(g, r), (g, r)
+    for r in range(2, 6):
+        for count in range(2 * r - 2, 2 * r + 2):
+            for parts in (r - 1, r):
+                groups = [range(1 + i, count + 1, parts) for i in range(parts)]
+                star = [(0, v) for v in range(1, count + 1)]
+                g = Graph(count + 1, star + [e for grp in groups for e in combinations(grp, 2)])
+                expected = Claw(0, tuple(range(1, r + 1))) if parts == r else None
+                assert find_claw(g, r) == _first_claw_reference(g, r) == expected, (g, r)
     rng = random.Random(3141)
     for density, cap in DENSITY_CAPS:
         for _ in range(8):
@@ -226,6 +244,85 @@ def test_maximal_cliques_min_size_matches_filter():
         largest = max(len(c) for c in cliques)
         for s in (1, 2, thresholds(k, p).clique_size_bound, largest, largest + 1):
             assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g, s)
+
+
+def _maximal_cliques_reference(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
+    """One frame per branch vertex, with the pivot from `_pivot`: the
+    enumeration `maximal_cliques` had before it reported frames whose
+    candidates form a clique whole.  All inclusion-maximal cliques with
+    at least `min_size` vertices, each sorted, listed lexicographically.
+
+    Pivoted Bron-Kerbosch on bitmasks (Tomita-Tanaka-Takahashi pivot: the
+    vertex of P|X with the most neighbors in P, lowest index on ties),
+    driven by an explicit stack so a clique of any size is found without
+    recursion.  Isolated vertices show up as singleton cliques.  Every
+    clique a frame can still report lies inside R|P, so a frame whose
+    clique size plus candidate count falls below `min_size` is dropped
+    unexpanded; with the default every maximal clique is listed.
+    """
+    adj = g._adj
+    if not g.n:
+        return []
+    found: list[int] = []
+    # Each frame is (r, size, p, x, todo): the clique so far and its size,
+    # its candidates, its excluded vertices, and the branch vertices not
+    # yet expanded.
+    full = (1 << g.n) - 1
+    stack = [(0, 0, full, 0, full & ~adj[_pivot(adj, full, 0)])]
+    while stack:
+        r, size, p, x, todo = stack.pop()
+        if not todo:
+            continue
+        low = todo & -todo
+        v = low.bit_length() - 1
+        rest = p & ~low
+        if size + rest.bit_count() >= min_size:
+            stack.append((r, size, rest, x | low, todo ^ low))
+        nv = adj[v]
+        r, size, p, x = r | low, size + 1, p & nv, x & nv
+        if size + p.bit_count() >= min_size:
+            if p:
+                stack.append((r, size, p, x, p & ~adj[_pivot(adj, p, x)]))
+            elif not x:
+                found.append(r)
+    return sorted(tuple(_bits(m)) for m in found)
+
+
+def _pivot(adj: tuple[int, ...], p: int, x: int) -> int:
+    """Vertex of p|x with the most neighbors in p, lowest index on ties."""
+    pivot = -1
+    best = -1
+    rest = p | x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        cnt = (adj[u] & p).bit_count()
+        if cnt > best:
+            best = cnt
+            pivot = u
+    return pivot
+
+
+def test_maximal_cliques_matches_one_frame_per_vertex_reference():
+    """Whole-frame reports against the plain frame walk: every graph on at
+    most 6 vertices, seeded random graphs at each density, and the family
+    near line graphs, at size floors below, at and above the largest
+    clique."""
+    rng = random.Random(577)
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += [
+        random_graph(rng, rng.randint(1, cap), density)
+        for density, cap in DENSITY_CAPS
+        for _ in range(6)
+    ]
+    graphs += [g for _k, _p, g in line_graph_family()]
+    for g in graphs:
+        cliques = _maximal_cliques_reference(g)
+        largest = max((len(c) for c in cliques), default=0)
+        for s in sorted({1, 2, 4, 8, 10, largest, largest + 1}):
+            expected = [c for c in cliques if len(c) >= s]
+            assert maximal_cliques(g, s) == expected, (g, s)
 
 
 def _met_at_least_reference(g: Graph, members: int, t: int, scope: int) -> int:

@@ -21,10 +21,18 @@ from hyperline import (
     validate_cover,
 )
 from hyperline.graph import maximal_cliques
-from hyperline.recognition import check_claw, check_f1, check_f2, check_f3, thresholds
+from hyperline.recognition import (
+    _big_cliques,
+    check_claw,
+    check_f1,
+    check_f2,
+    check_f3,
+    thresholds,
+)
 
 from conftest import (
     DENSITY_CAPS,
+    all_graphs,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -212,11 +220,12 @@ def test_f1_monotone_in_p():
 def _f1_reference(g: Graph, t) -> F1Witness | None:
     """Plain scan of all pairs a < b in order."""
     needed = t.p * t.k**2 + 1
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     for a in range(g.n):
         for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
+            if b in nbrs[a]:
                 continue
-            common = sorted(set(g.neighbors(a)) & set(g.neighbors(b)))
+            common = sorted(nbrs[a] & nbrs[b])
             if len(common) >= needed:
                 return F1Witness(a, b, tuple(common[:needed]))
     return None
@@ -236,10 +245,11 @@ def test_check_f1_matches_all_pairs_reference():
             assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
 
 
-def _f2_reference(g: Graph, t) -> F2Witness | None:
-    """Plain scan of every big maximal clique, then every outside vertex."""
+def _f2_reference(g: Graph, t, cliques=None) -> F2Witness | None:
+    """Plain scan of every big maximal clique, then every outside vertex;
+    `cliques`, when given, are all maximal cliques of g."""
     needed = t.p * t.k + 1
-    for clique in maximal_cliques(g):
+    for clique in maximal_cliques(g) if cliques is None else cliques:
         if len(clique) < t.clique_size_bound:
             continue
         for v in range(g.n):
@@ -275,6 +285,53 @@ def test_check_f2_matches_per_vertex_reference():
         assert check_f2(g, t) == expected, (g, k, p)
         fired += expected is not None
     assert fired >= 100, fired
+
+
+def _f3_reference(g: Graph, t, cliques=None) -> F3Witness | None:
+    """Plain scan of every pair of big maximal cliques in order; `cliques`
+    as for `_f2_reference`."""
+    needed = t.p + 1
+    cliques = maximal_cliques(g) if cliques is None else cliques
+    big = [c for c in cliques if len(c) >= t.clique_size_bound]
+    for i, a in enumerate(big):
+        for b in big[i + 1 :]:
+            shared = sorted(set(a) & set(b))
+            if len(shared) >= needed:
+                return F3Witness(a, b, tuple(shared[:needed]))
+    return None
+
+
+def test_checks_match_references_on_every_small_graph():
+    """On every graph with edges on at most 6 vertices, where F1's
+    threshold exceeds the n - 2 common neighbors a pair can have and for
+    three of the four (k, p) no clique reaches the big-clique bound, the
+    checks that return at once agree with the plain scans, and the
+    big-clique family with the filter of all maximal cliques."""
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            if not g.edge_count:
+                continue
+            cliques = maximal_cliques(g)
+            for k, p in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+                t = thresholds(k, p)
+                big = [c for c in cliques if len(c) >= t.clique_size_bound]
+                assert _big_cliques(g, t) == big, (g, k, p)
+                assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
+                assert check_f2(g, t) == _f2_reference(g, t, cliques), (g, k, p)
+                assert check_f3(g, t) == _f3_reference(g, t, cliques), (g, k, p)
+
+
+def test_check_f1_fires_at_n_minus_two_common_neighbors():
+    """Two non-adjacent vertices joined to the same five others: on 7
+    vertices that is n - 2 = p*k^2 + 1 common neighbors for (k, p) =
+    (2, 1), the most a pair can have, and F1 fires."""
+    g = Graph(7, [(a, c) for a in (0, 1) for c in range(2, 7)])
+    t = thresholds(2, 1)
+    assert t.p * t.k**2 + 1 == g.n - 2
+    w = check_f1(g, t)
+    assert w == F1Witness(0, 1, (2, 3, 4, 5, 6)) == _f1_reference(g, t)
+    verify_witness(g, w, 2, 1)
+    assert recognize(g, 2, 1) == NonMember(w)
 
 
 def _first_uncovered_reference(g: Graph, cliques) -> str | None:
