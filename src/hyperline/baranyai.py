@@ -14,6 +14,17 @@ every source and sink arc is saturated; the flow on a class-to-set arc
 is the number of that set's copies that receive the new element, and
 the saturating value is C(N-1, k-1) at every step (Baranyai 1975).
 
+Each step's network is held per class (`ExtensionNetwork`) and solved in
+that form.  On it, Dinic's first phase is a greedy: classes sit one arc
+from the source, partial sets two and the sink three, so the phase's
+walk runs each class's L/N units down its partial sets in mask order,
+as far as multiplicities and sink capacities allow.  Where that fills
+every source arc, as at most levels of a large induction, the flow is
+maximum and no arc-by-arc network is built; only the other levels build
+the generic `FlowNetwork`, seeded with the greedy's flow, for Dinic's
+later phases.  Either way the flow is the one Dinic finds on the whole
+network, arc for arc.
+
 The class count times L/k equals C(N,k), so the final classes partition
 the full family of k-subsets.  Taking the first d*N/L classes as edges
 realizes the constant degree sequence (d, ..., d), which is possible
@@ -24,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
 from math import comb, lcm
+from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -120,44 +132,89 @@ class Flow:
     value: int
 
 
-def max_flow(net: FlowNetwork) -> Flow:
+def max_flow(net: FlowNetwork | ExtensionNetwork) -> Flow:
     """Deterministic integral maximum flow (Dinic).
 
     Residual arcs are scanned in insertion order at every node, so the
     per-arc flow values are a pure function of the network.  Each phase
     labels nodes breadth-first from the source, then repeatedly augments
     along the first admissible path a depth-first cursor walk finds; a
-    node the walk backs out of is dead for the rest of the phase.
+    node the walk backs out of is dead for the rest of the phase.  The
+    breadth-first search stops at the sink: before it expands a layer it
+    looks at that layer's slots into the sink, and the first with
+    residual capacity labels the sink and ends the search.  No other node
+    of the sink's layer is labelled; an admissible path climbs one layer
+    per arc and ends at the sink, so such a node cannot lie on one.
 
-    Two shortcuts leave every augmentation unchanged.  The breadth-first
-    search stops at the sink: before it expands a layer it looks at that
-    layer's slots into the sink, and the first with residual capacity
-    labels the sink and ends the search, so no other node of the sink's
-    layer is labelled.  An admissible path climbs one layer per arc and
-    ends at the sink, so such a node cannot lie on one; the walk would
-    only enter it, find it dead and back out.  A phase whose sink sits at
-    depth 3 (every first phase of an extension network) runs as three
-    nested cursor scans, source -> depth 1 -> depth 2 -> sink, in which a
-    depth-2 node scans only its slots into the sink, since every other
-    slot it has is inadmissible.  Each scan resumes where the walk's
-    cursor would, and after a push control goes back to the tail of the
-    first saturated slot on the path, as in the walk, so the same paths
-    get the same pushes in the same order.
+    An `ExtensionNetwork` is solved in its per-class form.  Its first
+    phase's admissible paths are exactly source -> class -> set -> sink,
+    and the walk meets them class by class in source-arc order, each
+    class's arcs in mask order.  A push fills the least of the three
+    residuals: a full source arc sends the walk on to the next class, a
+    full class arc on to the class's next set, and a full sink arc leaves
+    its set dead for the rest of the phase.  So the phase is a greedy,
+    run with no arc tuple and no residual arrays (`_first_phase`): each
+    class in turn sends its units down its sets in mask order, each set
+    taking what the class has left, its multiplicity and its remaining
+    sink capacity allow.  When the greedy fills every source arc the
+    source cut is full and the flow is maximum, as at most levels of a
+    large induction.  Only otherwise is the generic network built
+    (`ext.network`, validated as any `FlowNetwork`), its residuals seeded
+    with the greedy's flow, and the later phases run on it as above.
+    Either way the flow is the one Dinic finds on `ext.network`, arc for
+    arc, in the order of `ext.network.arcs`.
     """
+    if isinstance(net, ExtensionNetwork):
+        arc_flows, total = _first_phase(net)
+        if total == net.source_capacity * len(net.rows):
+            return Flow(arc_flows=tuple(arc_flows), value=total)
+        net = net.network
+        residual = net._capacity.copy()
+        residual[0::2] = [c - f for c, f in zip(residual[0::2], arc_flows)]
+        residual[1::2] = arc_flows
+    else:
+        residual = net._capacity.copy()
+        total = 0
     n = net.node_count
     to, out, into_sink = net._to, net._out, net._into_sink
-    residual = net._capacity.copy()
     source, sink = net.source, net.sink
-    total = 0
     while True:
         level = _levels(n, source, sink, to, out, into_sink, residual)
         if level is None:
             break
-        if level[sink] == 3:
-            total += _depth3_phase(n, source, to, out, into_sink, residual, level)
-        else:
-            total += _cursor_walk_phase(n, source, sink, to, out, residual, level)
+        total += _cursor_walk_phase(n, source, sink, to, out, residual, level)
     return Flow(arc_flows=tuple(residual[1::2]), value=total)
+
+
+def _first_phase(ext: ExtensionNetwork) -> tuple[list[int], int]:
+    """Dinic's first blocking flow on an extension network, as the greedy
+    `max_flow` describes; returns the per-arc flows in the order of
+    `ext.network.arcs`, and the value."""
+    cap = ext.source_capacity
+    rows = ext.rows
+    first = 1 + len(rows)
+    room = [0] * first  # by node: set nodes start at `first`
+    room += ext.rooms
+    sent: list[int] = []
+    flows = [0] * sum(map(len, rows))
+    start = 0
+    for row in rows:
+        left = cap
+        for arc, (_, head, held) in enumerate(row, start):
+            push = left if left < held else held
+            r = room[head]
+            if r < push:
+                push = r
+            if push:
+                room[head] = r - push
+                flows[arc] = push
+                left -= push
+                if not left:
+                    break
+        start += len(row)
+        sent.append(cap - left)
+    drained = list(map(sub, ext.rooms, room[first:]))
+    return sent + flows + drained, sum(sent)
 
 
 def _levels(n, source, sink, to, out, into_sink, residual) -> list[int] | None:
@@ -187,59 +244,6 @@ def _levels(n, source, sink, to, out, into_sink, residual) -> list[int] | None:
                         layer.append(v)
         frontier = layer
     return None
-
-
-def _depth3_phase(n, source, to, out, into_sink, residual, level) -> int:
-    """One blocking flow of a phase whose sink is at depth 3, found by
-    nested scans; returns the amount pushed.  A node whose scan runs out
-    is dead (level -1) for the rest of the phase, as in the cursor walk;
-    a live node's cursor is kept for its next visit."""
-    total = 0
-    cursor = [0] * n
-    for s0 in out[source]:
-        if not residual[s0]:
-            continue
-        a = to[s0]
-        if level[a] != 1:
-            continue
-        slots = out[a]
-        for c in range(cursor[a], len(slots)):
-            s1 = slots[c]
-            if not residual[s1]:
-                continue
-            b = to[s1]
-            if level[b] != 2:
-                continue
-            sinks = into_sink[b]
-            for d in range(cursor[b], len(sinks)):
-                s2 = sinks[d]
-                r2 = residual[s2]
-                if r2:
-                    r0 = residual[s0]
-                    r1 = residual[s1]
-                    push = r0 if r0 < r1 else r1
-                    if r2 < push:
-                        push = r2
-                    total += push
-                    residual[s0] = r0 - push
-                    residual[s0 ^ 1] += push
-                    residual[s1] = r1 - push
-                    residual[s1 ^ 1] += push
-                    residual[s2] = r2 - push
-                    residual[s2 ^ 1] += push
-                    if push == r0 or push == r1:
-                        cursor[b] = d
-                        break
-            else:
-                level[b] = -1  # b is dead: a moves past s1
-                continue
-            if push == r0:
-                cursor[a] = c  # s0 is saturated: back to the source
-                break
-            # s1 is saturated: a moves past it
-        else:
-            level[a] = -1
-    return total
 
 
 def _cursor_walk_phase(n, source, sink, to, out, residual, level) -> int:
@@ -315,12 +319,43 @@ class PartitionState:
 
 @dataclass(frozen=True)
 class ExtensionNetwork:
-    """Flow network for one induction step plus labels tying each
-    class-to-set arc back to (class index, partial-set mask); source and
-    sink arcs are labelled None."""
+    """The flow network of one induction step, held per class.
 
-    network: FlowNetwork
-    arc_labels: tuple[tuple[int, int] | None, ...]
+    Nodes: source 0, class i at node 1+i, growable partial set `sets[j]`
+    (fewer than k elements; masks in increasing order) at node 1+M+j,
+    the sink last.  `rows[i]` holds class i's arcs to the sets it holds,
+    as (tail, head, multiplicity) in increasing mask order; `rooms[j]` is
+    the capacity of `sets[j]`'s sink arc, and `source_capacity` that of
+    every class's source arc.  `max_flow` runs on this form directly.
+
+    `network` and `arc_labels` derive the arc form, anew at each read:
+    the source arcs in class order, then the rows, then the sink arcs in
+    set order.  The labels tie each class-to-set arc to (class index,
+    mask) and label source and sink arcs None.
+    """
+
+    source_capacity: int
+    sets: tuple[int, ...]
+    rooms: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    @property
+    def network(self) -> FlowNetwork:
+        first = 1 + len(self.rows)
+        sink = first + len(self.sets)
+        arcs = [(0, tail, self.source_capacity) for tail in range(1, first)]
+        arcs += chain.from_iterable(self.rows)
+        arcs += zip(range(first, sink), repeat(sink), self.rooms)
+        return FlowNetwork(node_count=sink + 1, arcs=tuple(arcs), source=0, sink=sink)
+
+    @property
+    def arc_labels(self) -> tuple[tuple[int, int] | None, ...]:
+        first = 1 + len(self.rows)
+        labels: list[tuple[int, int] | None] = [None] * len(self.rows)
+        for tail, head, _ in chain.from_iterable(self.rows):
+            labels.append((tail - 1, self.sets[head - first]))
+        labels += [None] * len(self.sets)
+        return tuple(labels)
 
 
 def initial_state(ground_size: int, subset_size: int) -> PartitionState:
@@ -356,65 +391,65 @@ def build_extension_network(state: PartitionState) -> ExtensionNetwork:
     if ell >= big_n:
         raise InputError(f"all {big_n} elements already distributed")
 
-    class_count = state.class_count
-    growable = sorted(m for m in set().union(*state.classes) if m.bit_count() < k)
-    node_of = {mask: 1 + class_count + j for j, mask in enumerate(growable)}
-    source = 0
-    sink = 1 + class_count + len(growable)
-
-    arcs: list[tuple[int, int, int]] = []
-    labels: list[tuple[int, int] | None] = []
-    per_class = state.element_uses_per_class
-    for i in range(class_count):
-        arcs.append((source, 1 + i, per_class))
-        labels.append(None)
-    for i, cls in enumerate(state.classes):
+    classes = state.classes
+    sets = tuple(sorted(m for m in set().union(*classes) if m.bit_count() < k))
+    first = 1 + len(classes)
+    node_of = {mask: node for node, mask in enumerate(sets, first)}
+    room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
+    rows = []
+    for tail, cls in enumerate(classes, 1):
+        row = []
         for mask in sorted(cls):
-            node = node_of.get(mask)  # None for sets that already hold k elements
-            if node is not None:
-                arcs.append((1 + i, node, cls[mask]))
-                labels.append((i, mask))
-    for mask in growable:
-        room = comb(big_n - 1 - ell, k - mask.bit_count() - 1)
-        arcs.append((node_of[mask], sink, room))
-        labels.append(None)
-
-    network = FlowNetwork(
-        node_count=sink + 1, arcs=tuple(arcs), source=source, sink=sink
+            head = node_of.get(mask)  # None for sets that already hold k elements
+            if head is not None:
+                row.append((tail, head, cls[mask]))
+        rows.append(tuple(row))
+    if min(map(itemgetter(2), chain.from_iterable(rows)), default=0) < 0:
+        for tail, head, held in chain.from_iterable(rows):
+            if held < 0:
+                raise InputError(
+                    f"class {tail - 1} holds set {_mask_to_set(sets[head - first])} "
+                    f"with negative multiplicity {held}"
+                )
+    return ExtensionNetwork(
+        source_capacity=state.element_uses_per_class,
+        sets=sets,
+        rooms=tuple(room_of_size[mask.bit_count()] for mask in sets),
+        rows=tuple(rows),
     )
-    return ExtensionNetwork(network=network, arc_labels=tuple(labels))
 
 
 def extend(state: PartitionState) -> PartitionState:
     """Distribute element level+1 according to a saturating integral flow."""
     ext = build_extension_network(state)
-    flow = max_flow(ext.network)
+    flow = max_flow(ext)
     expected = comb(state.ground_size - 1, state.subset_size - 1)
     if flow.value != expected:
         raise InternalContradictionError(
             f"extension flow has value {flow.value}, expected {expected} "
             f"at level {state.level}"
         )
-    new_classes = tuple(dict(cls) for cls in state.classes)
     bit = 1 << state.level  # element level+1
+    sets = ext.sets
+    first = 1 + len(ext.rows)
     flows = flow.arc_flows
-    for label, moved in compress(zip(ext.arc_labels, flows), flows):
-        if label is None:
-            continue
-        class_index, mask = label
-        cls = new_classes[class_index]
-        left = cls[mask] - moved
+    moved = flows[len(ext.rows) : len(flows) - len(sets)]  # the class-to-set arcs
+    new_classes = list(map(dict, state.classes))
+    for (tail, head, held), units in compress(zip(chain.from_iterable(ext.rows), moved), moved):
+        cls = new_classes[tail - 1]
+        mask = sets[head - first]
+        left = held - units
         if left:
             cls[mask] = left
         else:
             del cls[mask]
         grown = mask | bit
-        cls[grown] = cls.get(grown, 0) + moved
+        cls[grown] = cls.get(grown, 0) + units
     return PartitionState(
         ground_size=state.ground_size,
         subset_size=state.subset_size,
         level=state.level + 1,
-        classes=new_classes,
+        classes=tuple(new_classes),
     )
 
 

@@ -331,15 +331,22 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
     adj = g._adj
-    for center in range(g.n):
-        leaves = _least_independent(adj, adj[center], r)
-        if leaves is not None:
-            return Claw(center, leaves)
+    for center, nbrs in enumerate(adj):
+        count = nbrs.bit_count()
+        if count >= r:  # a centre needs r neighbours
+            leaves = _least_independent(adj, nbrs, count, r)
+            if leaves is not None:
+                return Claw(center, leaves)
     return None
 
 
-def _least_independent(adj: tuple[int, ...], cand: int, need: int) -> tuple[int, ...] | None:
-    """Lexicographically least `need` pairwise non-adjacent vertices of cand.
+def _least_independent(
+    adj: tuple[int, ...], cand: int, count: int, need: int
+) -> tuple[int, ...] | None:
+    """Lexicographically least `need` pairwise non-adjacent vertices of cand,
+    which holds `count` >= `need` vertices.  Callers skip a candidate set
+    smaller than the leaves it must supply instead of calling here for a
+    certain None.
 
     A clique holds at most one of them, so when cand splits into fewer
     than `need` cliques there are none (the greedy colouring bound of
@@ -352,20 +359,21 @@ def _least_independent(adj: tuple[int, ...], cand: int, need: int) -> tuple[int,
     way the bound drops only branches that hold no leaf set, so where it
     is tried changes the time, never the result.
     """
-    count = cand.bit_count()
-    if count < need:
-        return None
     if need == 1:
         return ((cand & -cand).bit_length() - 1,)
     if count >= 2 * need and not _clique_partition_reaches(adj, cand, need):
         return None
-    while cand.bit_count() >= need:
+    while count >= need:
         low = cand & -cand
         cand ^= low
+        count -= 1
         v = low.bit_length() - 1
-        leaves = _least_independent(adj, cand & ~adj[v], need - 1)
-        if leaves is not None:
-            return (v, *leaves)
+        rest = cand & ~adj[v]
+        left = rest.bit_count()
+        if left >= need - 1:
+            leaves = _least_independent(adj, rest, left, need - 1)
+            if leaves is not None:
+                return (v, *leaves)
     return None
 
 

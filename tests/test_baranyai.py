@@ -295,36 +295,115 @@ def _layered_network(rng) -> FlowNetwork:
     return FlowNetwork(sink + 1, tuple(arcs), source=0, sink=sink)
 
 
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Replace module.name with a wrapper counting its calls; returns the
+    one-element counter."""
+    count = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
 def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     import random
 
     from hyperline import baranyai
 
-    phases = {"depth3": 0, "walk": 0}
-    for name, key in (("_depth3_phase", "depth3"), ("_cursor_walk_phase", "walk")):
-        def counted(*args, _phase=getattr(baranyai, name), _key=key):
-            phases[_key] += 1
-            return _phase(*args)
-
-        monkeypatch.setattr(baranyai, name, counted)
-
+    walks = _count_calls(monkeypatch, baranyai, "_cursor_walk_phase")
     rng = random.Random(2024)
     for i in range(2400):
         net = _layered_network(rng) if i % 2 else _general_network(rng)
         assert max_flow(net) == _reference_max_flow(net), net
-    # the layered half runs the nested scans, and later phases the walk
-    assert phases["depth3"] >= 600 and phases["walk"] >= 600, phases
+    # a generic network runs every phase, its first too, as a cursor walk
+    assert walks[0] >= 1200, walks
 
+    first_phases = _count_calls(monkeypatch, baranyai, "_first_phase")
     levels = 0
     for big_n in range(2, 10):
         for k in range(2, big_n + 1):
             state = initial_state(big_n, k)
             while state.level < big_n:
-                net = build_extension_network(state).network
-                assert max_flow(net) == _reference_max_flow(net), (big_n, k, state.level)
+                ext = build_extension_network(state)
+                net = ext.network
+                expected = _reference_max_flow(net)
+                assert max_flow(net) == expected, (big_n, k, state.level)
+                assert max_flow(ext) == expected, (big_n, k, state.level)
                 state = extend(state)
                 levels += 1
     assert levels == sum(big_n - 1 for big_n in range(2, 10) for k in range(2, big_n + 1))
+    # an extension network's first phase runs as the greedy, once per
+    # max_flow(ext) and once more per extend
+    assert first_phases[0] == 2 * levels, (first_phases, levels)
+
+
+def test_extension_max_flow_matches_reference(monkeypatch):
+    """max_flow on the per-class form equals the reference Dinic on the
+    derived arc network, arc for arc, at every level of 2 <= k <= N <= 12
+    and of (14, 7); the greedy alone settles a pinned share of them, so
+    both the greedy-only path and the seeded later phases stay covered."""
+    from hyperline import baranyai
+
+    bfs_runs = _count_calls(monkeypatch, baranyai, "_levels")
+    pairs = [(big_n, k) for big_n in range(2, 13) for k in range(2, big_n + 1)]
+    greedy_only = {}
+    for big_n, k in pairs + [(14, 7)]:
+        state = initial_state(big_n, k)
+        settled = 0
+        while state.level < big_n:
+            ext = build_extension_network(state)
+            before = bfs_runs[0]
+            flow = max_flow(ext)
+            settled += bfs_runs[0] == before
+            assert flow == _reference_max_flow(ext.network), (big_n, k, state.level)
+            assert flow.value == comb(big_n - 1, k - 1)
+            state = extend(state)
+        greedy_only[big_n, k] = settled
+    assert sum(big_n - 1 for big_n, _ in pairs) == 506
+    assert sum(greedy_only[pair] for pair in pairs) == 282
+    assert greedy_only[14, 7] == 13  # every level of (14, 7)
+
+
+def test_extension_network_rejects_negative_multiplicity():
+    from hyperline.baranyai import PartitionState
+
+    state = PartitionState(ground_size=3, subset_size=2, level=1, classes=({1: 3, 0: -1},))
+    with pytest.raises(InputError, match=r"^class 0 holds set \(\) with negative multiplicity -1$"):
+        build_extension_network(state)
+    with pytest.raises(InputError):
+        extend(state)
+    # a full set gets no arc, so its multiplicity is not a capacity
+    full = PartitionState(ground_size=3, subset_size=2, level=2, classes=({3: -1, 1: 2, 2: 2},))
+    ext = build_extension_network(full)
+    assert ext.sets == (1, 2) and ext.rows == (((1, 2, 2), (1, 3, 2)),)
+
+
+def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
+    """Every induction step is one max_flow call made by extend, with value
+    C(N-1, k-1): the call path a per-level flow check can wrap."""
+    import sys
+
+    from hyperline import baranyai
+
+    calls = []
+    original = baranyai.max_flow
+
+    def recorded(net):
+        flow = original(net)
+        calls.append((sys._getframe(1).f_code, flow.value))
+        return flow
+
+    monkeypatch.setattr(baranyai, "max_flow", recorded)
+    for big_n, k in [(4, 2), (6, 3), (9, 3), (12, 6), (10, 5)]:
+        baranyai._baranyai_classes.cache_clear()
+        calls.clear()
+        baranyai_partition(big_n, k)
+        assert calls == [(extend.__code__, comb(big_n - 1, k - 1))] * (big_n - 1)
+    baranyai._baranyai_classes.cache_clear()
 
 
 def test_initial_state_shape():
