@@ -14,16 +14,14 @@ every source and sink arc is saturated; the flow on a class-to-set arc
 is the number of that set's copies that receive the new element, and
 the saturating value is C(N-1, k-1) at every step (Baranyai 1975).
 
-Each step's network is held per class (`ExtensionNetwork`) and solved in
-that form.  On it, Dinic's first phase is a greedy: classes sit one arc
-from the source, partial sets two and the sink three, so the phase's
-walk runs each class's L/N units down its partial sets in mask order,
-as far as multiplicities and sink capacities allow.  Where that fills
-every source arc, as at most levels of a large induction, the flow is
-maximum and no arc-by-arc network is built; only the other levels build
-the generic `FlowNetwork`, seeded with the greedy's flow, for Dinic's
-later phases.  Either way the flow is the one Dinic finds on the whole
-network, arc for arc.
+The state holds the induction in that network's own form
+(`PartitionState`): per class, a row of (set index, multiplicity) pairs
+over the sets that can still grow, and the k-sets it has finished.
+`extend` builds the next rows by a merge, with no sort.  Each step's
+network is those rows (`ExtensionNetwork`).  On it `max_flow` runs
+Dinic's first phase as a greedy and, only where that leaves flow to
+send, the later phases, per class; the flow is the one Dinic finds on
+the arc-by-arc network, arc for arc.
 
 The class count times L/k equals C(N,k), so the final classes partition
 the full family of k-subsets.  Taking the first d*N/L classes as edges
@@ -33,12 +31,11 @@ if and only if k divides d*N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations
 from math import comb, lcm
 from operator import itemgetter, sub
-from typing import Mapping, Sequence
 
 from .errors import (
     DivisibilityError,
@@ -47,10 +44,9 @@ from .errors import (
     ResourceLimitError,
     UnrealizableError,
 )
+from .fileio import READ_SIZE_BOUND
 from .graph import _bits
 from .hypergraph import Hypergraph
-
-COMB_GUARD = 2**62  # refuse ground sets whose subset family cannot be materialized
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:
@@ -58,70 +54,17 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
     return tuple(b + 1 for b in _bits(mask))
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    """Directed network with integer arc capacities; parallel arcs allowed.
-
-    Construction validates the arcs and, in the same pass, builds the
-    residual form `max_flow` runs on.  Arc i owns slot 2i (forward, to its
-    head) and slot 2i+1 (reverse, back to its tail): `_to` holds each
-    slot's head, `_capacity` each slot's starting residual capacity (the
-    arc's capacity forward, 0 reverse), `_out[u]` the slots leaving u in
-    arc order, and `_into_sink[u]` the forward slots from u to the sink
-    (one shared empty tuple for every node without such a slot).
-    The residual form is derived from the fields, so it stays out of
-    equality, hashing and repr; nothing mutates it after construction.
-    """
-
-    node_count: int
-    arcs: tuple[tuple[int, int, int], ...]  # (tail, head, capacity)
-    source: int
-    sink: int
-    _to: list[int] = field(init=False, repr=False, compare=False)
-    _capacity: list[int] = field(init=False, repr=False, compare=False)
-    _out: list[list[int]] = field(init=False, repr=False, compare=False)
-    _into_sink: list[Sequence[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.node_count
-        if n < 2:
-            raise InputError(f"network needs at least 2 nodes, got {n}")
-        source, sink = self.source, self.sink
-        if not (0 <= source < n and 0 <= sink < n):
-            raise InputError("source or sink outside the node range")
-        if source == sink:
-            raise InputError("source and sink must differ")
-        to = [0] * (2 * len(self.arcs))
-        residual = to.copy()
-        out: list[list[int]] = [[] for _ in range(n)]
-        into_sink: list[Sequence[int]] = [()] * n
-        slot = 0
-        for tail, head, capacity in self.arcs:
-            if not (0 <= tail < n and 0 <= head < n):
-                raise InputError(f"arc {slot // 2} has an endpoint outside [0, {n})")
-            if tail == head:
-                raise InputError(f"arc {slot // 2} is a self-loop at node {tail}")
-            if capacity < 0:
-                raise InputError(f"arc {slot // 2} has negative capacity {capacity}")
-            if head == source:
-                raise InputError(f"arc {slot // 2} enters the source")
-            if tail == sink:
-                raise InputError(f"arc {slot // 2} leaves the sink")
-            to[slot] = head
-            to[slot + 1] = tail
-            residual[slot] = capacity
-            out[tail].append(slot)
-            out[head].append(slot + 1)
-            if head == sink:
-                if into_sink[tail]:
-                    into_sink[tail].append(slot)
-                else:
-                    into_sink[tail] = [slot]
-            slot += 2
-        object.__setattr__(self, "_to", to)
-        object.__setattr__(self, "_capacity", residual)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_into_sink", into_sink)
+def _growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int, ...]:
+    """Every mask over the first `level` bits whose size lies in
+    [max(0, k-(N-level)), k-1], in increasing order: the partial sets
+    that can still grow at that level."""
+    low = max(0, subset_size - (ground_size - level))
+    masks = [
+        sum(1 << b for b in combo)
+        for size in range(low, subset_size)
+        for combo in combinations(range(level), size)
+    ]
+    return tuple(sorted(masks))
 
 
 @dataclass(frozen=True)
@@ -132,173 +75,24 @@ class Flow:
     value: int
 
 
-def max_flow(net: FlowNetwork | ExtensionNetwork) -> Flow:
-    """Deterministic integral maximum flow (Dinic).
-
-    Residual arcs are scanned in insertion order at every node, so the
-    per-arc flow values are a pure function of the network.  Each phase
-    labels nodes breadth-first from the source, then repeatedly augments
-    along the first admissible path a depth-first cursor walk finds; a
-    node the walk backs out of is dead for the rest of the phase.  The
-    breadth-first search stops at the sink: before it expands a layer it
-    looks at that layer's slots into the sink, and the first with
-    residual capacity labels the sink and ends the search.  No other node
-    of the sink's layer is labelled; an admissible path climbs one layer
-    per arc and ends at the sink, so such a node cannot lie on one.
-
-    An `ExtensionNetwork` is solved in its per-class form.  Its first
-    phase's admissible paths are exactly source -> class -> set -> sink,
-    and the walk meets them class by class in source-arc order, each
-    class's arcs in mask order.  A push fills the least of the three
-    residuals: a full source arc sends the walk on to the next class, a
-    full class arc on to the class's next set, and a full sink arc leaves
-    its set dead for the rest of the phase.  So the phase is a greedy,
-    run with no arc tuple and no residual arrays (`_first_phase`): each
-    class in turn sends its units down its sets in mask order, each set
-    taking what the class has left, its multiplicity and its remaining
-    sink capacity allow.  When the greedy fills every source arc the
-    source cut is full and the flow is maximum, as at most levels of a
-    large induction.  Only otherwise is the generic network built
-    (`ext.network`, validated as any `FlowNetwork`), its residuals seeded
-    with the greedy's flow, and the later phases run on it as above.
-    Either way the flow is the one Dinic finds on `ext.network`, arc for
-    arc, in the order of `ext.network.arcs`.
-    """
-    if isinstance(net, ExtensionNetwork):
-        arc_flows, total = _first_phase(net)
-        if total == net.source_capacity * len(net.rows):
-            return Flow(arc_flows=tuple(arc_flows), value=total)
-        net = net.network
-        residual = net._capacity.copy()
-        residual[0::2] = [c - f for c, f in zip(residual[0::2], arc_flows)]
-        residual[1::2] = arc_flows
-    else:
-        residual = net._capacity.copy()
-        total = 0
-    n = net.node_count
-    to, out, into_sink = net._to, net._out, net._into_sink
-    source, sink = net.source, net.sink
-    while True:
-        level = _levels(n, source, sink, to, out, into_sink, residual)
-        if level is None:
-            break
-        total += _cursor_walk_phase(n, source, sink, to, out, residual, level)
-    return Flow(arc_flows=tuple(residual[1::2]), value=total)
-
-
-def _first_phase(ext: ExtensionNetwork) -> tuple[list[int], int]:
-    """Dinic's first blocking flow on an extension network, as the greedy
-    `max_flow` describes; returns the per-arc flows in the order of
-    `ext.network.arcs`, and the value."""
-    cap = ext.source_capacity
-    rows = ext.rows
-    first = 1 + len(rows)
-    room = [0] * first  # by node: set nodes start at `first`
-    room += ext.rooms
-    sent: list[int] = []
-    flows = [0] * sum(map(len, rows))
-    start = 0
-    for row in rows:
-        left = cap
-        for arc, (_, head, held) in enumerate(row, start):
-            push = left if left < held else held
-            r = room[head]
-            if r < push:
-                push = r
-            if push:
-                room[head] = r - push
-                flows[arc] = push
-                left -= push
-                if not left:
-                    break
-        start += len(row)
-        sent.append(cap - left)
-    drained = list(map(sub, ext.rooms, room[first:]))
-    return sent + flows + drained, sum(sent)
-
-
-def _levels(n, source, sink, to, out, into_sink, residual) -> list[int] | None:
-    """Breadth-first depth of each node over slots with residual capacity,
-    up to the sink; None if the sink is unreachable.  Before a layer is
-    expanded its slots into the sink are looked at, and the first with
-    residual capacity labels the sink and ends the search, so no other
-    node at the sink's depth is labelled."""
-    level = [-1] * n
-    level[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier:
-        depth += 1
-        for u in frontier:
-            for slot in into_sink[u]:
-                if residual[slot]:
-                    level[sink] = depth
-                    return level
-        layer = []
-        for u in frontier:
-            for slot in out[u]:
-                if residual[slot]:
-                    v = to[slot]
-                    if level[v] < 0:
-                        level[v] = depth
-                        layer.append(v)
-        frontier = layer
-    return None
-
-
-def _cursor_walk_phase(n, source, sink, to, out, residual, level) -> int:
-    """One blocking flow found by the depth-first cursor walk; returns the
-    amount pushed."""
-    total = 0
-    cursor = [0] * n
-    path: list[int] = []
-    u = source
-    while True:
-        if u == sink:
-            push = residual[path[0]]
-            for slot in path:
-                if residual[slot] < push:
-                    push = residual[slot]
-            total += push
-            retreat = -1
-            for idx, slot in enumerate(path):
-                residual[slot] -= push
-                residual[slot ^ 1] += push
-                if retreat < 0 and not residual[slot]:
-                    retreat = idx
-            u = to[path[retreat] ^ 1]  # tail of the first saturated arc
-            del path[retreat:]
-            continue
-        slots = out[u]
-        end = len(slots)
-        c = cursor[u]
-        want = level[u] + 1
-        while c < end:
-            slot = slots[c]
-            if residual[slot] and level[to[slot]] == want:
-                break
-            c += 1
-        cursor[u] = c
-        if c < end:
-            path.append(slot)
-            u = to[slot]
-            continue
-        if u == source:
-            return total
-        level[u] = -1  # dead end: no admissible arc leaves u this phase
-        u = to[path.pop() ^ 1]
-        cursor[u] += 1
-
-
 @dataclass(frozen=True)
 class PartitionState:
-    """Snapshot of the induction: partial sets over the first `level`
-    elements, held per class as mask -> multiplicity."""
+    """Snapshot of the induction in the flow's own form.
+
+    `sets` holds the partial sets that can still grow, as masks over the
+    first `level` elements: every mask whose size lies in
+    [max(0, k-(N-level)), k-1], in increasing order.  `rows[i]` holds
+    class i's partial sets as (index into `sets`, multiplicity) pairs in
+    strictly increasing index order, each multiplicity positive;
+    `finished[i]` holds the masks of class i's k-sets, one entry per copy.
+    """
 
     ground_size: int
     subset_size: int
     level: int
-    classes: tuple[Mapping[int, int], ...]
+    sets: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    finished: tuple[tuple[int, ...], ...]
 
     @property
     def lcm_value(self) -> int:
@@ -306,7 +100,7 @@ class PartitionState:
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.rows)
 
     @property
     def sets_per_class(self) -> int:
@@ -319,43 +113,207 @@ class PartitionState:
 
 @dataclass(frozen=True)
 class ExtensionNetwork:
-    """The flow network of one induction step, held per class.
+    """The flow network of one induction step, held as the state's rows.
 
-    Nodes: source 0, class i at node 1+i, growable partial set `sets[j]`
-    (fewer than k elements; masks in increasing order) at node 1+M+j,
-    the sink last.  `rows[i]` holds class i's arcs to the sets it holds,
-    as (tail, head, multiplicity) in increasing mask order; `rooms[j]` is
-    the capacity of `sets[j]`'s sink arc, and `source_capacity` that of
-    every class's source arc.  `max_flow` runs on this form directly.
-
-    `network` and `arc_labels` derive the arc form, anew at each read:
-    the source arcs in class order, then the rows, then the sink arcs in
-    set order.  The labels tie each class-to-set arc to (class index,
-    mask) and label source and sink arcs None.
+    Nodes: source 0, class i at node 1+i, set `sets[j]` at node 1+M+j,
+    the sink last.  Arcs, in order: a source arc of capacity
+    `source_capacity` to every class; then, row by row, an arc from
+    class i to set j for each pair (j, multiplicity) of `rows[i]`, with
+    the multiplicity as capacity; then a sink arc of capacity `rooms[j]`
+    from every set j.  `max_flow` runs on this form directly and reports
+    per-arc flows in that order.
     """
 
     source_capacity: int
     sets: tuple[int, ...]
     rooms: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    @property
-    def network(self) -> FlowNetwork:
-        first = 1 + len(self.rows)
-        sink = first + len(self.sets)
-        arcs = [(0, tail, self.source_capacity) for tail in range(1, first)]
-        arcs += chain.from_iterable(self.rows)
-        arcs += zip(range(first, sink), repeat(sink), self.rooms)
-        return FlowNetwork(node_count=sink + 1, arcs=tuple(arcs), source=0, sink=sink)
 
-    @property
-    def arc_labels(self) -> tuple[tuple[int, int] | None, ...]:
-        first = 1 + len(self.rows)
-        labels: list[tuple[int, int] | None] = [None] * len(self.rows)
-        for tail, head, _ in chain.from_iterable(self.rows):
-            labels.append((tail - 1, self.sets[head - first]))
-        labels += [None] * len(self.sets)
-        return tuple(labels)
+def max_flow(ext: ExtensionNetwork) -> Flow:
+    """Deterministic integral maximum flow (Dinic) of an extension network.
+
+    The flow is the one Dinic finds on the arc-by-arc network `ext`
+    describes, scanning residual arcs in arc order at every node: at the
+    source its arcs in class order; at a class its row (its reverse
+    source arc is never admissible); at a set the reverse arcs of the
+    classes holding it, in class order, then its sink arc.  Each phase
+    labels nodes breadth-first from the source, stopping at the first
+    set of a layer whose sink arc has residual capacity, so no other node
+    of the sink's layer is labelled (an admissible path climbs one layer
+    per arc and ends at the sink).  It then repeatedly augments along the
+    first admissible path a depth-first cursor walk finds; a node the
+    walk backs out of is dead for the rest of the phase.
+
+    The first phase's admissible paths are exactly source -> class ->
+    set -> sink, met class by class, each row in index order.  A push
+    fills the least of three residuals: a full source arc sends the walk
+    on to the next class, a full class arc on to the row's next set, and
+    a full sink arc leaves its set dead for the phase.  So the phase is
+    a greedy (`_first_phase`): each class in turn sends its L/N units
+    down its row, each set taking what its multiplicity and remaining
+    sink capacity allow.  When that fills every source arc the flow is
+    maximum, as at most levels of a large induction; only otherwise do
+    the later phases run (`_later_phases`).
+    """
+    sent, flows, room = _first_phase(ext)
+    value = sum(sent)
+    if value < ext.source_capacity * len(ext.rows):
+        value += _later_phases(ext, sent, flows, room)
+    drained = list(map(sub, ext.rooms, room))
+    return Flow(arc_flows=tuple(sent + flows + drained), value=value)
+
+
+def _first_phase(ext: ExtensionNetwork) -> tuple[list[int], list[int], list[int]]:
+    """Dinic's first blocking flow, as the greedy `max_flow` describes:
+    the flow on every source arc and every class arc, and every set's
+    remaining sink capacity."""
+    cap = ext.source_capacity
+    rows = ext.rows
+    room = list(ext.rooms)
+    sent: list[int] = []
+    flows = [0] * sum(map(len, rows))
+    start = 0
+    for row in rows:
+        left = cap
+        for arc, (j, held) in enumerate(row, start):
+            push = left if left < held else held
+            r = room[j]
+            if r < push:
+                push = r
+            if push:
+                room[j] = r - push
+                flows[arc] = push
+                left -= push
+                if not left:
+                    break
+        start += len(row)
+        sent.append(cap - left)
+    return sent, flows, room
+
+
+def _later_phases(ext: ExtensionNetwork, sent: list[int], flows: list[int], room: list[int]) -> int:
+    """Dinic's phases after the first, run on the rows from the flow
+    `sent`, `flows` and `room` describe (as `_first_phase` returns it),
+    which they update in place; returns the value they add.
+
+    Classes are labelled at odd depths and sets at even ones.  The walk's
+    path is the class its source arc enters, then class arcs by flat
+    index, forward (class to set) and reverse (set to class) in turn."""
+    cap = ext.source_capacity
+    rows = ext.rows
+    m = len(rows)
+    src = [cap - s for s in sent]  # residual capacity of each source arc
+    head = [j for row in rows for j, _ in row]
+    fwd = list(map(sub, map(itemgetter(1), chain.from_iterable(rows)), flows))
+    tail = [i for i, row in enumerate(rows) for _ in row]
+    begin = [0, *accumulate(map(len, rows))]  # class i's arcs: begin[i] to begin[i+1]
+    into: list[list[int]] = [[] for _ in room]  # each set's entering arcs, in class order
+    for arc, j in enumerate(head):
+        into[j].append(arc)
+    added = 0
+    while True:
+        clevel = [-1] * m
+        slevel = [-1] * len(room)
+        frontier = [i for i in range(m) if src[i]]
+        for i in frontier:
+            clevel[i] = 1
+        depth = 1
+        sink_depth = 0
+        while frontier and not sink_depth:
+            layer = []
+            for i in frontier:
+                for arc in range(begin[i], begin[i + 1]):
+                    if fwd[arc]:
+                        j = head[arc]
+                        if slevel[j] < 0:
+                            slevel[j] = depth + 1
+                            layer.append(j)
+            depth += 2
+            frontier = []
+            for j in layer:
+                if room[j]:
+                    sink_depth = depth
+                    break
+            else:
+                for j in layer:
+                    for arc in into[j]:
+                        if flows[arc]:
+                            i = tail[arc]
+                            if clevel[i] < 0:
+                                clevel[i] = depth
+                                frontier.append(i)
+        if not sink_depth:
+            break
+
+        top = 0  # the source's cursor, over the classes
+        ccur = begin[:-1]  # each class's cursor, an arc of its row
+        scur = [0] * len(room)  # each set's cursor into `into[j]`; its end is the sink arc
+        path: list[int] = []
+        while True:
+            n = len(path)
+            if not n:  # at the source
+                while top < m and not (src[top] and clevel[top] == 1):
+                    top += 1
+                if top == m:
+                    break
+                path.append(top)
+            elif n & 1:  # at a class
+                i = tail[path[-1]] if n > 1 else path[0]
+                want = clevel[i] + 1
+                arc, end = ccur[i], begin[i + 1]
+                while arc < end and not (fwd[arc] and slevel[head[arc]] == want):
+                    arc += 1
+                ccur[i] = arc
+                if arc < end:
+                    path.append(arc)
+                    continue
+                clevel[i] = -1  # dead end for the rest of the phase
+                arc = path.pop()
+                if n > 1:
+                    scur[head[arc]] += 1
+                else:
+                    top += 1
+            else:  # at a set
+                j = head[path[-1]]
+                want = slevel[j] + 1
+                arcs = into[j]
+                c, end = scur[j], len(arcs)
+                while c < end and not (flows[arcs[c]] and clevel[tail[arcs[c]]] == want):
+                    c += 1
+                scur[j] = c
+                if c < end:
+                    path.append(arcs[c])
+                    continue
+                if not (room[j] and want == sink_depth):
+                    slevel[j] = -1
+                    ccur[tail[path.pop()]] += 1
+                    continue
+                first = path[0]
+                push = min(room[j], src[first])
+                for p in range(1, n):
+                    r = fwd[path[p]] if p & 1 else flows[path[p]]
+                    if r < push:
+                        push = r
+                added += push
+                room[j] -= push
+                src[first] -= push
+                cut = 0 if not src[first] else n  # first saturated arc; n: the sink arc
+                for p in range(1, n):
+                    arc = path[p]
+                    if p & 1:
+                        fwd[arc] -= push
+                        flows[arc] += push
+                        r = fwd[arc]
+                    else:
+                        flows[arc] -= push
+                        fwd[arc] += push
+                        r = flows[arc]
+                    if not r and cut == n:
+                        cut = p
+                del path[cut:]  # retreat to the tail of the first saturated arc
+    sent[:] = [cap - r for r in src]
+    return added
 
 
 def initial_state(ground_size: int, subset_size: int) -> PartitionState:
@@ -365,14 +323,15 @@ def initial_state(ground_size: int, subset_size: int) -> PartitionState:
     class_count = subset_size * comb(ground_size, subset_size) // big
     singles = big // ground_size
     empties = big // subset_size - singles
-    base: dict[int, int] = {1: singles}
-    if empties:
-        base[0] = empties
+    sets = _growable_sets(ground_size, subset_size, 1)  # (0, 1), or (1,) when k = N
+    row = tuple((sets.index(mask), count) for mask, count in ((0, empties), (1, singles)) if count)
     return PartitionState(
         ground_size=ground_size,
         subset_size=subset_size,
         level=1,
-        classes=tuple(dict(base) for _ in range(class_count)),
+        sets=sets,
+        rows=(row,) * class_count,
+        finished=((),) * class_count,
     )
 
 
@@ -380,102 +339,137 @@ def build_extension_network(state: PartitionState) -> ExtensionNetwork:
     """Network whose saturating integral flows pick, per class, how many
     copies of each partial set receive element level+1.
 
-    Source arcs carry L/N to each class; each partial set T of size < k
-    held by a class gets one arc from the class to T's node, with T's
-    multiplicity in the class as capacity; T's node drains into the sink
-    with capacity C(N-1-level, k-|T|-1).
+    Source arcs carry L/N to each class; each class's row gives its arcs
+    to the sets it holds, with multiplicities as capacities; set T
+    drains into the sink with capacity C(N-1-level, k-|T|-1).
     """
     big_n = state.ground_size
     k = state.subset_size
     ell = state.level
     if ell >= big_n:
         raise InputError(f"all {big_n} elements already distributed")
-
-    classes = state.classes
-    sets = tuple(sorted(m for m in set().union(*classes) if m.bit_count() < k))
-    first = 1 + len(classes)
-    node_of = {mask: node for node, mask in enumerate(sets, first)}
+    rows = state.rows
+    if min(map(itemgetter(1), chain.from_iterable(rows)), default=0) < 0:
+        for i, row in enumerate(rows):
+            for j, held in row:
+                if held < 0:
+                    raise InputError(
+                        f"class {i} holds set {_mask_to_set(state.sets[j])} "
+                        f"with negative multiplicity {held}"
+                    )
     room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
-    rows = []
-    for tail, cls in enumerate(classes, 1):
-        row = []
-        for mask in sorted(cls):
-            head = node_of.get(mask)  # None for sets that already hold k elements
-            if head is not None:
-                row.append((tail, head, cls[mask]))
-        rows.append(tuple(row))
-    if min(map(itemgetter(2), chain.from_iterable(rows)), default=0) < 0:
-        for tail, head, held in chain.from_iterable(rows):
-            if held < 0:
-                raise InputError(
-                    f"class {tail - 1} holds set {_mask_to_set(sets[head - first])} "
-                    f"with negative multiplicity {held}"
-                )
     return ExtensionNetwork(
         source_capacity=state.element_uses_per_class,
-        sets=sets,
-        rooms=tuple(room_of_size[mask.bit_count()] for mask in sets),
-        rows=tuple(rows),
+        sets=state.sets,
+        rooms=tuple(room_of_size[mask.bit_count()] for mask in state.sets),
+        rows=rows,
     )
 
 
 def extend(state: PartitionState) -> PartitionState:
-    """Distribute element level+1 according to a saturating integral flow."""
+    """Distribute element level+1 according to a saturating integral flow.
+
+    Each class's next row is a merge: its sets that keep copies, in their
+    old order, then its grown sets (mask | new bit), in their old order,
+    each reindexed through arrays built once per level.  A set that
+    reaches k elements moves to the class's finished sets.
+    """
     ext = build_extension_network(state)
     flow = max_flow(ext)
-    expected = comb(state.ground_size - 1, state.subset_size - 1)
+    big_n, k, ell = state.ground_size, state.subset_size, state.level
+    expected = comb(big_n - 1, k - 1)
     if flow.value != expected:
         raise InternalContradictionError(
             f"extension flow has value {flow.value}, expected {expected} "
-            f"at level {state.level}"
+            f"at level {ell}"
         )
-    bit = 1 << state.level  # element level+1
+    bit = 1 << ell  # element level+1
     sets = ext.sets
-    first = 1 + len(ext.rows)
-    flows = flow.arc_flows
-    moved = flows[len(ext.rows) : len(flows) - len(sets)]  # the class-to-set arcs
-    new_classes = list(map(dict, state.classes))
-    for (tail, head, held), units in compress(zip(chain.from_iterable(ext.rows), moved), moved):
-        cls = new_classes[tail - 1]
-        mask = sets[head - first]
-        left = held - units
-        if left:
-            cls[mask] = left
-        else:
-            del cls[mask]
-        grown = mask | bit
-        cls[grown] = cls.get(grown, 0) + units
+    low = max(0, k - (big_n - ell - 1))  # least size that can grow at the next level
+    survivors = [mask for mask in sets if mask.bit_count() >= low]
+    next_sets = tuple(survivors + [mask | bit for mask in sets if mask.bit_count() < k - 1])
+    position = {mask: j for j, mask in enumerate(next_sets)}
+    stay = [position.get(mask) for mask in sets]  # None: every copy must grow
+    grow = [position.get(mask | bit) for mask in sets]  # None: the grown set is finished
+    units_of = iter(flow.arc_flows[len(ext.rows) :])  # the class arcs', row by row
+    rows = []
+    finished = []
+    for row, done in zip(ext.rows, state.finished):
+        kept = []
+        grown = []
+        for (j, held), units in zip(row, units_of):
+            if units:
+                g = grow[j]
+                if g is None:
+                    done += (sets[j] | bit,)  # a (k-1)-set's sink arc carries 1 unit
+                else:
+                    grown.append((g, units))
+                if held != units:
+                    kept.append((stay[j], held - units))
+            else:
+                kept.append((stay[j], held))
+        kept += grown
+        rows.append(tuple(kept))
+        finished.append(done)
+    if len(survivors) < len(sets) and None in map(itemgetter(0), chain.from_iterable(rows)):
+        raise InternalContradictionError(
+            f"a class keeps copies of a set that must all grow at level {ell}"
+        )
     return PartitionState(
-        ground_size=state.ground_size,
-        subset_size=state.subset_size,
-        level=state.level + 1,
-        classes=tuple(new_classes),
+        ground_size=big_n,
+        subset_size=k,
+        level=ell + 1,
+        sets=next_sets,
+        rows=tuple(rows),
+        finished=tuple(finished),
     )
 
 
 def state_violations(state: PartitionState) -> list[str]:
     """All invariant violations of the state; empty when healthy.
 
-    Checked: per-class set totals, per-class per-element occurrence
-    counts, and the global multiplicity of every partial set over the
-    distributed elements.
+    Checked: the growable sets against their formula; per class, row
+    indices in range and strictly increasing, positive multiplicities,
+    finished sets of k distributed elements, the set total and every
+    element's occurrence count; and the global multiplicity of every
+    partial set over the distributed elements.
     """
     big_n, k, ell = state.ground_size, state.subset_size, state.level
     problems: list[str] = []
+    sets = state.sets
+    if sets != _growable_sets(big_n, k, ell):
+        problems.append(
+            f"growable sets are not every set of {max(0, k - (big_n - ell))} to {k - 1} "
+            f"of the first {ell} elements, in increasing order"
+        )
+    if len(state.finished) != len(state.rows):
+        problems.append(f"{len(state.rows)} rows but {len(state.finished)} finished lists")
     distributed = (1 << ell) - 1
-    for i, cls in enumerate(state.classes):
-        total = 0
-        element_uses = [0] * ell
-        for mask, count in cls.items():
+    totals: dict[int, int] = {}
+    for i, (row, done) in enumerate(zip(state.rows, state.finished)):
+        held = [(mask, 1) for mask in done]
+        last = -1
+        for j, count in row:
+            if not last < j < len(sets):
+                problems.append(f"class {i}: set index {j} after {last} or past {len(sets) - 1}")
+                continue
+            last = j
             if count < 1:
-                problems.append(f"class {i}: nonpositive multiplicity for {mask:b}")
-            if mask & ~distributed:
-                problems.append(f"class {i}: set uses an undistributed element")
-            if mask.bit_count() > k:
-                problems.append(f"class {i}: set larger than {k}")
-            total += count
-            for b in _bits(mask):
+                problems.append(
+                    f"class {i}: nonpositive multiplicity {count} for {_mask_to_set(sets[j])}"
+                )
+            held.append((sets[j], count))
+        for mask in done:
+            if mask.bit_count() != k or mask & ~distributed:
+                problems.append(
+                    f"class {i}: finished set {_mask_to_set(mask)} is not {k} distributed elements"
+                )
+        element_uses = [0] * ell
+        for mask, count in held:
+            for b in _bits(mask & distributed):
                 element_uses[b] += count
+            totals[mask] = totals.get(mask, 0) + count
+        total = sum(count for _, count in held)
         if total != state.sets_per_class:
             problems.append(
                 f"class {i}: holds {total} sets, expected {state.sets_per_class}"
@@ -486,10 +480,6 @@ def state_violations(state: PartitionState) -> list[str]:
                     f"class {i}: element {b + 1} occurs {element_uses[b]} times, "
                     f"expected {state.element_uses_per_class}"
                 )
-    totals: dict[int, int] = {}
-    for cls in state.classes:
-        for mask, count in cls.items():
-            totals[mask] = totals.get(mask, 0) + count
     for size in range(min(k, ell) + 1):
         for combo in combinations(range(ell), size):
             mask = 0
@@ -509,9 +499,9 @@ def _validate_parameters(ground_size: int, subset_size: int) -> None:
         raise InputError(
             f"need 2 <= k <= N, got k={subset_size}, N={ground_size}"
         )
-    if comb(ground_size, subset_size) >= COMB_GUARD:
+    if comb(ground_size, subset_size) > READ_SIZE_BOUND:
         raise ResourceLimitError(
-            f"C({ground_size}, {subset_size}) exceeds the size guard"
+            f"C({ground_size}, {subset_size}) subsets exceed the bound {READ_SIZE_BOUND}"
         )
 
 
@@ -535,13 +525,13 @@ def _baranyai_classes(ground_size: int, subset_size: int) -> tuple[tuple[tuple[i
         for first in range(0, ground_size, 8)
     ]
     out = []
-    for cls in state.classes:
+    for row, done in zip(state.rows, state.finished):
+        if row or len(set(done)) != len(done):
+            raise InternalContradictionError(
+                "final state holds a partial or repeated set"
+            )
         sets = []
-        for mask, count in cls.items():
-            if count != 1 or mask.bit_count() != subset_size:
-                raise InternalContradictionError(
-                    "final state holds a partial or repeated set"
-                )
+        for mask in done:
             elements = ()
             for table in tables:
                 elements += table[mask & 255]
@@ -578,6 +568,9 @@ def regular_hypergraph(
         raise InputError(f"degree must be positive, got {degree}")
     if (degree * ground_size) % subset_size != 0:
         raise DivisibilityError("k does not divide d*N")
+    edge_count = degree * ground_size // subset_size
+    if edge_count > READ_SIZE_BOUND:
+        raise ResourceLimitError(f"{edge_count} edges exceed the bound {READ_SIZE_BOUND}")
     big = lcm(ground_size, subset_size)
     wanted = degree * ground_size // big
     classes = _baranyai_classes(ground_size, subset_size)

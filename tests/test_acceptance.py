@@ -197,7 +197,7 @@ def test_criterion_5_baranyai_partition():
         assert not state_violations(state), (n, k, 1)
         while state.level < n:
             ext = build_extension_network(state)
-            flow = max_flow(ext.network)
+            flow = max_flow(ext)
             assert flow.value == comb(n - 1, k - 1), (n, k, state.level)
             state = extend(state)
             assert not state_violations(state), (n, k, state.level)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 from math import comb, lcm
 
@@ -8,14 +9,16 @@ from hyperline import (
     DivisibilityError,
     Hypergraph,
     InputError,
+    InternalContradictionError,
     ResourceLimitError,
     UnrealizableError,
     baranyai_partition,
     regular_hypergraph,
 )
 from hyperline.baranyai import (
+    ExtensionNetwork,
     Flow,
-    FlowNetwork,
+    PartitionState,
     build_extension_network,
     extend,
     initial_state,
@@ -25,162 +28,14 @@ from hyperline.baranyai import (
 from hyperline.fileio import write_partition
 
 
-def test_max_flow_bottleneck():
-    net = FlowNetwork(3, ((0, 1, 2), (1, 2, 1)), source=0, sink=2)
-    flow = max_flow(net)
-    assert flow.value == 1
-    assert flow.arc_flows == (1, 1)
-
-
-def test_max_flow_two_paths():
-    net = FlowNetwork(4, ((0, 1, 3), (0, 2, 3), (1, 3, 2), (2, 3, 2)), source=0, sink=3)
-    assert max_flow(net).value == 4
-
-
-def test_max_flow_parallel_unit_arcs():
-    net = FlowNetwork(4, ((0, 1, 2), (1, 2, 1), (1, 2, 1), (2, 3, 2)), source=0, sink=3)
-    flow = max_flow(net)
-    assert flow.value == 2
-    assert flow.arc_flows[1] in (0, 1) and flow.arc_flows[2] in (0, 1)
-    assert flow.arc_flows[1] + flow.arc_flows[2] == 2
-
-
-def test_max_flow_needs_augmenting_undo():
-    # greedy first path s->a->d->t must be partially rerouted via b
-    net = FlowNetwork(
-        5,
-        ((0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 0), (2, 3, 1), (3, 4, 2)),
-        source=0,
-        sink=4,
-    )
-    assert max_flow(net).value == 2
-
-
-def test_max_flow_is_deterministic():
-    net = FlowNetwork(
-        4, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 1), (1, 2, 1)), source=0, sink=3
-    )
-    assert max_flow(net) == max_flow(net)
-
-    # A real level: the residual form a network caches is never mutated
-    # by max_flow, and stays out of equality, hashing and repr.
-    state = initial_state(12, 6)
-    while state.level < 5:
-        state = extend(state)
-    net = build_extension_network(state).network
-
-    def residual_form():
-        return (
-            list(net._to),
-            list(net._capacity),
-            [list(slots) for slots in net._out],
-            [list(slots) for slots in net._into_sink],
-        )
-
-    before = residual_form()
-    first = max_flow(net)
-    assert first.value == comb(11, 5)
-    assert max_flow(net) == first
-    assert residual_form() == before
-    twin = FlowNetwork(net.node_count, tuple(list(net.arcs)), net.source, net.sink)
-    assert twin == net and hash(twin) == hash(net)
-    assert max_flow(twin) == first
-    assert "_to" not in repr(net) and "_capacity" not in repr(net)
-    object.__setattr__(twin, "_capacity", [])  # eq and hash ignore the cache
-    assert twin == net and hash(twin) == hash(net)
-    other = FlowNetwork(net.node_count, net.arcs[:-1], net.source, net.sink)
-    assert other != net
-
-
-def test_flow_network_validation():
-    # each message names the first offending arc by its index
-    with pytest.raises(InputError, match=r"^arc 0 has negative capacity -1$"):
-        FlowNetwork(3, ((0, 1, -1),), source=0, sink=2)
-    with pytest.raises(InputError, match=r"^arc 1 enters the source$"):
-        FlowNetwork(3, ((0, 1, 1), (1, 0, 1)), source=0, sink=2)
-    with pytest.raises(InputError, match=r"^arc 2 leaves the sink$"):
-        FlowNetwork(3, ((0, 1, 1), (1, 2, 1), (2, 1, 1)), source=0, sink=2)
-    with pytest.raises(InputError, match=r"^arc 1 is a self-loop at node 1$"):
-        FlowNetwork(3, ((0, 1, 1), (1, 1, 1), (1, 0, 1)), source=0, sink=2)
-    with pytest.raises(InputError, match=r"^arc 3 has an endpoint outside \[0, 2\)$"):
-        FlowNetwork(2, ((0, 1, 1),) * 3 + ((0, 3, 1),), source=0, sink=1)
-    with pytest.raises(InputError, match=r"^arc 0 has an endpoint outside \[0, 3\)$"):
-        FlowNetwork(3, ((-1, 2, 1),), source=0, sink=2)
-    with pytest.raises(InputError, match="source and sink must differ"):
-        FlowNetwork(2, (), source=0, sink=0)
-    with pytest.raises(InputError, match="outside the node range"):
-        FlowNetwork(2, (), source=0, sink=2)
-    with pytest.raises(InputError, match="at least 2 nodes"):
-        FlowNetwork(1, (), source=0, sink=0)
-
-
-def test_max_flow_value_matches_networkx_on_random_networks():
-    nx = pytest.importorskip("networkx")
-    import random
-
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        arcs = []
-        for _ in range(rng.randint(0, 16)):
-            tail = rng.randrange(0, n - 1)
-            head = rng.randrange(1, n)
-            if tail == head or head == 0 or tail == n - 1:
-                continue
-            arcs.append((tail, head, rng.randint(0, 5)))
-        net = FlowNetwork(n, tuple(arcs), source=0, sink=n - 1)
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        for tail, head, cap in arcs:
-            if graph.has_edge(tail, head):
-                graph[tail][head]["capacity"] += cap
-            else:
-                graph.add_edge(tail, head, capacity=cap)
-        expected = nx.maximum_flow_value(graph, 0, n - 1)
-        assert max_flow(net).value == expected
-
-
-def test_max_flow_conservation_and_capacity():
-    import random
-
-    rng = random.Random(77)
-    results = []
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        arcs = []
-        for _ in range(rng.randint(0, 16)):
-            tail = rng.randrange(0, n - 1)
-            head = rng.randrange(1, n)
-            if tail == head or head == 0 or tail == n - 1:
-                continue
-            arcs.append((tail, head, rng.randint(0, 5)))
-        net = FlowNetwork(n, tuple(arcs), source=0, sink=n - 1)
-        flow = max_flow(net)
-        balance = [0] * n
-        for (tail, head, cap), value in zip(arcs, flow.arc_flows):
-            assert 0 <= value <= cap
-            balance[tail] -= value
-            balance[head] += value
-        for v in range(1, n - 1):
-            assert balance[v] == 0
-        assert balance[n - 1] == flow.value == -balance[0]
-        results.append((flow.value, flow.arc_flows))
-    # Per-arc flows are a pure function of the network; the digest pins
-    # them, so a change in which augmenting paths Dinic finds shows here.
-    digest = hashlib.sha256(repr(results).encode()).hexdigest()
-    assert digest == "53f22cceee0794ce90e3a86dfbb8b91bcd241cc67f3a6819aaea34d1131a0880"
-
-
-def _reference_max_flow(net: FlowNetwork) -> Flow:
-    """Dinic as a single cursor walk per phase, rebuilding the residual
-    arrays from `net.arcs`: the algorithm `max_flow` must reproduce flow
-    for flow."""
-    n = net.node_count
-    arcs = net.arcs
+def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> Flow:
+    """Dinic as a single cursor walk per phase on a residual form rebuilt
+    from the (tail, head, capacity) arcs, scanned in arc order at every
+    node: the algorithm `max_flow` must reproduce flow for flow."""
     # residual structure: arc i -> slots 2i (forward) and 2i+1 (reverse)
     to = [0] * (2 * len(arcs))
     residual = [0] * (2 * len(arcs))
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
+    out_arcs: list[list[int]] = [[] for _ in range(node_count)]
     slot = 0
     for tail, head, capacity in arcs:
         out_arcs[tail].append(slot)
@@ -190,12 +45,11 @@ def _reference_max_flow(net: FlowNetwork) -> Flow:
         to[slot + 1] = tail
         slot += 2
 
-    source, sink = net.source, net.sink
     total = 0
     while True:
         # Nodes beyond the sink's layer cannot lie on an admissible path,
         # so the search stops once that layer is complete.
-        level = [-1] * n
+        level = [-1] * node_count
         level[source] = 0
         frontier = [source]
         depth = 0
@@ -213,7 +67,7 @@ def _reference_max_flow(net: FlowNetwork) -> Flow:
         if level[sink] < 0:
             break
 
-        cursor = [0] * n
+        cursor = [0] * node_count
         path: list[int] = []
         u = source
         while True:
@@ -255,44 +109,20 @@ def _reference_max_flow(net: FlowNetwork) -> Flow:
     return Flow(arc_flows=tuple(residual[1::2]), value=total)
 
 
-def _general_network(rng) -> FlowNetwork:
-    n = rng.randint(2, 24)
-    arcs = []
-    for _ in range(rng.randint(0, 70)):
-        tail = rng.randrange(0, n - 1)
-        head = rng.randrange(1, n)
-        if tail != head and tail != n - 1:
-            arcs.append((tail, head, rng.randint(0, 5)))
-    return FlowNetwork(n, tuple(arcs), source=0, sink=n - 1)
+def _arc_form(ext: ExtensionNetwork) -> tuple[int, list[tuple[int, int, int]], int, int]:
+    """The arc-by-arc network an extension network describes, derived from
+    its rows, sets and rooms: source 0, class i at 1+i, set j at 1+M+j,
+    the sink last; source arcs, then class arcs row by row, then sink arcs."""
+    first = 1 + len(ext.rows)
+    sink = first + len(ext.sets)
+    arcs = [(0, 1 + i, ext.source_capacity) for i in range(len(ext.rows))]
+    arcs += [(1 + i, first + j, held) for i, row in enumerate(ext.rows) for j, held in row]
+    arcs += [(first + j, sink, room) for j, room in enumerate(ext.rooms)]
+    return sink + 1, arcs, 0, sink
 
 
-def _layered_network(rng) -> FlowNetwork:
-    """source -> A -> B -> sink, shaped like an extension network, plus
-    nodes X one layer past B that the sink does not need (depth-3 dead
-    ends, some with a longer way on), back arcs B -> A, X -> A and
-    A -> A, zero capacities and repeated (parallel) arcs."""
-    na, nb, nx = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 3)
-    sink = 1 + na + nb + nx
-    nodes = {
-        "s": [0],
-        "A": range(1, 1 + na),
-        "B": range(1 + na, 1 + na + nb),
-        "X": range(1 + na + nb, sink),
-        "t": [sink],
-    }
-    kinds = ("sA", "AB", "Bt", "BX", "Xt", "XA", "BA", "AA")
-    weights = (20, 35, 20, 7, 4, 4, 5, 5)
-    arcs = []
-    for _ in range(rng.randint(1, 50)):
-        if arcs and rng.random() < 0.15:
-            arcs.append(rng.choice(arcs))
-            continue
-        tails, heads = (nodes[c] for c in rng.choices(kinds, weights)[0])
-        if tails and heads:
-            tail, head = rng.choice(tails), rng.choice(heads)
-            if tail != head:
-                arcs.append((tail, head, rng.choice((0, 1, 1, 2, 3, 4))))
-    return FlowNetwork(sink + 1, tuple(arcs), source=0, sink=sink)
+def _reference(ext: ExtensionNetwork) -> Flow:
+    return _reference_max_flow(*_arc_form(ext))
 
 
 def _count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -309,77 +139,189 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
     return count
 
 
-def test_max_flow_matches_cursor_walk_reference(monkeypatch):
-    import random
+def _network(cap: int, rows, rooms) -> ExtensionNetwork:
+    return ExtensionNetwork(
+        source_capacity=cap, sets=tuple(range(len(rooms))), rooms=tuple(rooms), rows=tuple(rows)
+    )
 
+
+def test_max_flow_bottleneck():
+    ext = _network(2, [((0, 2),)], [1])
+    flow = max_flow(ext)
+    assert flow.value == 1
+    assert flow.arc_flows == (1, 1, 1)  # source arc, class arc, sink arc
+    assert flow == _reference(ext)
+
+
+def test_max_flow_two_paths():
+    ext = _network(3, [((0, 3),), ((1, 3),)], [2, 2])
+    assert max_flow(ext).value == 4
+    assert max_flow(ext) == _reference(ext)
+
+
+def test_max_flow_parallel_unit_arcs():
+    # two classes reach the one set by unit arcs that share its sink arc
+    ext = _network(2, [((0, 1),), ((0, 1),)], [2])
+    flow = max_flow(ext)
+    assert flow.value == 2
+    assert flow.arc_flows == (1, 1, 1, 1, 2)
+
+
+def test_max_flow_needs_augmenting_undo(monkeypatch):
+    # the greedy sends class 0 into set 0, which starves class 1; the
+    # second phase reroutes through the reverse arc set 0 -> class 0
     from hyperline import baranyai
 
-    walks = _count_calls(monkeypatch, baranyai, "_cursor_walk_phase")
-    rng = random.Random(2024)
-    for i in range(2400):
-        net = _layered_network(rng) if i % 2 else _general_network(rng)
-        assert max_flow(net) == _reference_max_flow(net), net
-    # a generic network runs every phase, its first too, as a cursor walk
-    assert walks[0] >= 1200, walks
+    later = _count_calls(monkeypatch, baranyai, "_later_phases")
+    ext = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [1, 1])
+    flow = max_flow(ext)
+    assert later[0] == 1
+    assert flow.value == 2
+    assert flow.arc_flows == (1, 1, 0, 1, 1, 1, 1)
+    assert flow == _reference(ext)
 
-    first_phases = _count_calls(monkeypatch, baranyai, "_first_phase")
-    levels = 0
-    for big_n in range(2, 10):
-        for k in range(2, big_n + 1):
-            state = initial_state(big_n, k)
-            while state.level < big_n:
-                ext = build_extension_network(state)
-                net = ext.network
-                expected = _reference_max_flow(net)
-                assert max_flow(net) == expected, (big_n, k, state.level)
-                assert max_flow(ext) == expected, (big_n, k, state.level)
-                state = extend(state)
-                levels += 1
-    assert levels == sum(big_n - 1 for big_n in range(2, 10) for k in range(2, big_n + 1))
-    # an extension network's first phase runs as the greedy, once per
-    # max_flow(ext) and once more per extend
-    assert first_phases[0] == 2 * levels, (first_phases, levels)
+
+def test_max_flow_is_deterministic():
+    # A real level: the same network, built twice, gives the same flow.
+    state = initial_state(12, 6)
+    while state.level < 5:
+        state = extend(state)
+    ext = build_extension_network(state)
+    first = max_flow(ext)
+    assert first.value == comb(11, 5)
+    assert max_flow(ext) == first
+    twin = build_extension_network(state)
+    assert twin == ext and hash(twin) == hash(ext)
+    assert max_flow(twin) == first
+
+
+def _general_network(rng) -> tuple[int, list[tuple[int, int, int]], int, int]:
+    n = rng.randint(2, 8)
+    arcs = []
+    for _ in range(rng.randint(0, 16)):
+        tail = rng.randrange(0, n - 1)
+        head = rng.randrange(1, n)
+        if tail == head or head == 0 or tail == n - 1:
+            continue
+        arcs.append((tail, head, rng.randint(0, 5)))
+    return n, arcs, 0, n - 1
+
+
+def _random_extension_network(rng) -> ExtensionNetwork:
+    """Classes and sets as in an induction step, with zero capacities,
+    empty rows and sink rooms that sum to about what the classes send, so
+    the greedy often leaves flow that only rerouting can place."""
+    sets = rng.randint(1, 9)
+    cap = rng.randint(0, 4)
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        held = sorted(rng.sample(range(sets), rng.randint(0, sets)))
+        rows.append(tuple((j, rng.choice((0, 1, 2, 2, 3, 3))) for j in held))
+    rooms = [0] * sets
+    for _ in range(cap * len(rows) + rng.randint(-1, 1)):
+        rooms[rng.randrange(sets)] += 1
+    return _network(cap, rows, rooms)
+
+
+def test_max_flow_value_matches_networkx_on_random_networks():
+    nx = pytest.importorskip("networkx")
+
+    def networkx_value(node_count, arcs, source, sink):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(node_count))
+        for tail, head, cap in arcs:
+            if graph.has_edge(tail, head):
+                graph[tail][head]["capacity"] += cap
+            else:
+                graph.add_edge(tail, head, capacity=cap)
+        return nx.maximum_flow_value(graph, source, sink)
+
+    rng = random.Random(31)
+    for _ in range(40):
+        net = _general_network(rng)
+        assert _reference_max_flow(*net).value == networkx_value(*net)
+        ext = _random_extension_network(rng)
+        assert max_flow(ext).value == networkx_value(*_arc_form(ext))
+
+
+def test_max_flow_conservation_and_capacity():
+    """The reference conserves flow within capacities, and its per-arc
+    flows on fixed random networks hash to the digest the library's own
+    arc-by-arc Dinic produced, so the reference is that algorithm."""
+    rng = random.Random(77)
+    results = []
+    for _ in range(40):
+        n, arcs, source, sink = _general_network(rng)
+        flow = _reference_max_flow(n, arcs, source, sink)
+        balance = [0] * n
+        for (tail, head, cap), value in zip(arcs, flow.arc_flows):
+            assert 0 <= value <= cap
+            balance[tail] -= value
+            balance[head] += value
+        for v in range(1, n - 1):
+            assert balance[v] == 0
+        assert balance[n - 1] == flow.value == -balance[0]
+        results.append((flow.value, flow.arc_flows))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "53f22cceee0794ce90e3a86dfbb8b91bcd241cc67f3a6819aaea34d1131a0880"
+
+
+def test_max_flow_matches_cursor_walk_reference(monkeypatch):
+    from hyperline import baranyai
+
+    added = []
+    original = baranyai._later_phases
+
+    def recorded(*args):
+        added.append(original(*args))
+        return added[-1]
+
+    monkeypatch.setattr(baranyai, "_later_phases", recorded)
+    rng = random.Random(2024)
+    for _ in range(3000):
+        ext = _random_extension_network(rng)
+        assert max_flow(ext) == _reference(ext), ext
+    # the per-class later phases reroute flow on a good share of them
+    assert sum(1 for value in added if value) >= 500, len(added)
 
 
 def test_extension_max_flow_matches_reference(monkeypatch):
-    """max_flow on the per-class form equals the reference Dinic on the
-    derived arc network, arc for arc, at every level of 2 <= k <= N <= 12
-    and of (14, 7); the greedy alone settles a pinned share of them, so
-    both the greedy-only path and the seeded later phases stay covered."""
+    """max_flow on the rows equals the reference Dinic on the derived arc
+    network, arc for arc, at every level of 2 <= k <= N <= 12, (14, 7)
+    and (30, 3); the greedy alone settles a pinned share of them, so both
+    the greedy-only path and the per-class later phases stay covered."""
     from hyperline import baranyai
 
-    bfs_runs = _count_calls(monkeypatch, baranyai, "_levels")
+    later = _count_calls(monkeypatch, baranyai, "_later_phases")
     pairs = [(big_n, k) for big_n in range(2, 13) for k in range(2, big_n + 1)]
     greedy_only = {}
-    for big_n, k in pairs + [(14, 7)]:
+    for big_n, k in pairs + [(14, 7), (30, 3)]:
         state = initial_state(big_n, k)
         settled = 0
         while state.level < big_n:
             ext = build_extension_network(state)
-            before = bfs_runs[0]
+            before = later[0]
             flow = max_flow(ext)
-            settled += bfs_runs[0] == before
-            assert flow == _reference_max_flow(ext.network), (big_n, k, state.level)
+            settled += later[0] == before
+            assert flow == _reference(ext), (big_n, k, state.level)
             assert flow.value == comb(big_n - 1, k - 1)
             state = extend(state)
         greedy_only[big_n, k] = settled
     assert sum(big_n - 1 for big_n, _ in pairs) == 506
     assert sum(greedy_only[pair] for pair in pairs) == 282
     assert greedy_only[14, 7] == 13  # every level of (14, 7)
+    assert greedy_only[30, 3] == 2
 
 
 def test_extension_network_rejects_negative_multiplicity():
-    from hyperline.baranyai import PartitionState
-
-    state = PartitionState(ground_size=3, subset_size=2, level=1, classes=({1: 3, 0: -1},))
+    state = PartitionState(
+        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, -1), (1, 3)),), finished=((),)
+    )
     with pytest.raises(InputError, match=r"^class 0 holds set \(\) with negative multiplicity -1$"):
         build_extension_network(state)
     with pytest.raises(InputError):
         extend(state)
-    # a full set gets no arc, so its multiplicity is not a capacity
-    full = PartitionState(ground_size=3, subset_size=2, level=2, classes=({3: -1, 1: 2, 2: 2},))
-    ext = build_extension_network(full)
-    assert ext.sets == (1, 2) and ext.rows == (((1, 2, 2), (1, 3, 2)),)
+    assert "class 0: nonpositive multiplicity -1 for ()" in state_violations(state)
 
 
 def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
@@ -411,48 +353,43 @@ def test_initial_state_shape():
     assert state.class_count == 3
     assert state.sets_per_class == 2
     assert state.element_uses_per_class == 1
-    for cls in state.classes:
-        assert cls == {1: 1, 0: 1}
+    assert state.sets == (0, 1)  # {} and {1}
+    assert state.rows == (((0, 1), (1, 1)),) * 3
+    assert state.finished == ((),) * 3
     assert not state_violations(state)
+    # k = N: only {1} can grow, and no class holds an empty set
+    assert initial_state(3, 3).sets == (1,)
+    assert initial_state(3, 3).rows == (((0, 1),),)
 
 
 def test_extension_network_structure_n3_k2():
     state = initial_state(3, 2)
     assert state.class_count == 1
-    assert dict(state.classes[0]) == {1: 2, 0: 1}
+    assert state.rows == (((0, 1), (1, 2)),)  # {}: 1, {1}: 2
     ext = build_extension_network(state)
-    net = ext.network
-    # source, 1 class, B-nodes for {} and {1}, sink
-    assert net.node_count == 5
-    assert net.arcs[0] == (0, 1, 2)  # source capacity L/N = 2
-    # one arc per partial set, capacity = its multiplicity in the class
-    middle = [a for a, lab in zip(net.arcs, ext.arc_labels) if lab is not None]
-    assert middle == [(1, 2, 1), (1, 3, 2)]
-    sink_arcs = [a for a in net.arcs if a[1] == net.sink]
-    assert sink_arcs == [(2, 4, 1), (3, 4, 1)]  # C(1,1) for {}, C(1,0) for {1}
+    assert ext.source_capacity == 2  # L/N
+    assert ext.sets == (0, 1) and ext.rows == state.rows
+    assert ext.rooms == (1, 1)  # C(1,1) for {}, C(1,0) for {1}
+    node_count, arcs, source, sink = _arc_form(ext)
+    # source, 1 class, a node each for {} and {1}, sink
+    assert (node_count, source, sink) == (5, 0, 4)
+    assert arcs == [(0, 1, 2), (1, 2, 1), (1, 3, 2), (2, 4, 1), (3, 4, 1)]
 
 
 def test_extension_network_structure_n4_k2():
-    state = initial_state(4, 2)
-    ext = build_extension_network(state)
-    net = ext.network
-    source_arcs = [a for a in net.arcs if a[0] == net.source]
-    assert len(source_arcs) == 3  # one per class
-    assert all(cap == 1 for _, _, cap in source_arcs)
-    labels = [lab for lab in ext.arc_labels if lab is not None]
-    assert labels == [(i, mask) for i in range(3) for mask in (0, 1)]  # {} and {1} per class
-    sink_by_mask = {}
-    growable = sorted({m for cls in state.classes for m in cls})
-    for mask, arc in zip(growable, [a for a in net.arcs if a[1] == net.sink]):
-        sink_by_mask[mask] = arc[2]
-    assert sink_by_mask[0] == comb(2, 1)  # empty set -> 2
-    assert sink_by_mask[1] == comb(2, 0)  # {1} -> 1
+    ext = build_extension_network(initial_state(4, 2))
+    assert ext.source_capacity == 1
+    assert ext.rows == (((0, 1), (1, 1)),) * 3  # {} and {1} per class
+    assert ext.sets == (0, 1)
+    assert ext.rooms == (comb(2, 1), comb(2, 0))  # {} -> 2, {1} -> 1
 
 
 def test_extend_n3_k2_golden():
     state = extend(initial_state(3, 2))
     assert state.level == 2
-    assert dict(state.classes[0]) == {3: 1, 1: 1, 2: 1}  # {1,2}, {1}, {2}
+    assert state.sets == (1, 2)  # {1}, {2}: the empty set can no longer grow to 2
+    assert state.rows == (((0, 1), (1, 1)),)
+    assert state.finished == ((3,),)  # {1,2}
     assert not state_violations(state)
 
 
@@ -475,13 +412,47 @@ def test_extend_rejects_complete_state():
 
 
 def test_extend_detects_corrupt_state():
-    from hyperline.baranyai import InternalContradictionError, PartitionState
-
     # a legitimate (3, 2) class holds {1} twice and {} once; all empties
     # starves the {1}-node and the flow cannot saturate
-    broken = PartitionState(ground_size=3, subset_size=2, level=1, classes=({0: 3},))
+    broken = PartitionState(
+        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, 3),),), finished=((),)
+    )
     with pytest.raises(InternalContradictionError):
         extend(broken)
+    # {} twice: the flow saturates, but one copy of {} would have to stay
+    # behind, and at level 2 only sets of one element or more can grow
+    doubled = PartitionState(
+        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, 2), (1, 2)),), finished=((),)
+    )
+    with pytest.raises(InternalContradictionError, match="keeps copies of a set that must all grow"):
+        extend(doubled)
+
+
+def test_state_violations_reads_row_form():
+    state = extend(extend(initial_state(6, 3)))
+    assert not state_violations(state)
+    fields = dict(
+        ground_size=6, subset_size=3, level=3, sets=state.sets, rows=state.rows, finished=state.finished
+    )
+    assert any(
+        "growable sets" in p for p in state_violations(PartitionState(**{**fields, "sets": state.sets[1:]}))
+    )
+    row = state.rows[0]
+    swapped = (row[1], row[0]) + row[2:]
+    assert any(
+        "set index" in p
+        for p in state_violations(PartitionState(**{**fields, "rows": (swapped,) + state.rows[1:]}))
+    )
+    zero = ((row[0][0], 0),) + row[1:]
+    assert any(
+        "nonpositive multiplicity 0" in p
+        for p in state_violations(PartitionState(**{**fields, "rows": (zero,) + state.rows[1:]}))
+    )
+    short = ((0b11,),) + state.finished[1:]
+    assert any(
+        "finished set (1, 2) is not 3 distributed elements" in p
+        for p in state_violations(PartitionState(**{**fields, "finished": short}))
+    )
 
 
 def test_partition_goldens():
@@ -504,6 +475,15 @@ def test_partition_bytes_pinned():
         for k in range(2, big_n + 1):
             digest.update(write_partition(baranyai_partition(big_n, k), big_n, k).encode())
     assert digest.hexdigest() == "52293728ce25537424e9493f57e920a1ba7b97f4dff8ae90cc75f633faa723af"
+
+
+def test_large_partition_bytes_pinned():
+    """The partitions of (14, 7), (16, 8), (30, 3) and (100, 2), whose
+    levels the greedy first phase settles all of, or almost none of."""
+    digest = hashlib.sha256()
+    for big_n, k in [(14, 7), (16, 8), (30, 3), (100, 2)]:
+        digest.update(write_partition(baranyai_partition(big_n, k), big_n, k).encode())
+    assert digest.hexdigest() == "bb6e17010eb70e17102657a3ed4647df2cb1be5c9b22e14f366c720ad6b2a77e"
 
 
 def test_partition_is_deterministic():
@@ -534,6 +514,11 @@ def test_partition_validation():
         baranyai_partition(3, 1)
     with pytest.raises(ResourceLimitError):
         baranyai_partition(200, 100)
+    # the size guard refuses more than 2^20 subsets or edges before any work
+    with pytest.raises(ResourceLimitError, match=r"^C\(40, 20\) subsets exceed the bound 1048576$"):
+        baranyai_partition(40, 20)
+    with pytest.raises(ResourceLimitError, match=r"^200000000 edges exceed the bound 1048576$"):
+        regular_hypergraph(4, 2, 10**8)
 
 
 def test_regular_divisibility_error():

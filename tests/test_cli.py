@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -322,6 +323,20 @@ def test_huge_header_exits_3(args, text, tmp_path, capsys):
     path.write_text(text)
     assert run(args + ["--in", str(path)]) == (3, "")
     assert capsys.readouterr().err.startswith("error: line 1: header declares 10000000000 vertices")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["baranyai", "-N", "40", "-k", "20"], "error: C(40, 20) subsets exceed the bound 1048576\n"),
+        (["regular", "-N", "4", "-k", "2", "-d", "100000000"], "error: 200000000 edges exceed the bound 1048576\n"),
+    ],
+)
+def test_oversized_construction_exits_3_at_once(args, message, capsys):
+    start = time.perf_counter()
+    assert run(args) == (3, "")
+    assert time.perf_counter() - start < 1.0  # refused before any state is built
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
