@@ -25,6 +25,7 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from operator import add, lt
 
 from .errors import InputError, ResourceLimitError
@@ -92,18 +93,30 @@ def read_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
+# The binary digits of a mask as the bytes 0 and 1, for `compress`.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def write_graph(g: Graph) -> str:
+    """The .gr text of g.  A row whose set bits fill at least an eighth of
+    its width takes its heads by `compress` over its binary digits; a
+    sparser one walks its set bits."""
     n = g.n
     names = [str(v) for v in range(n)]
     rows = [f"G {n} {g.edge_count}\n"]
     for u in range(n):
         above = g.adjacency_mask(u) >> (u + 1)  # bit j stands for vertex u+1+j
         if above:
-            heads = []
-            while above:
-                low = above & -above
-                heads.append(names[u + low.bit_length()])
-                above ^= low
+            width = above.bit_length()
+            if 8 * above.bit_count() >= width:
+                picks = format(above, "b").encode().translate(_DIGIT_BYTES)[::-1]
+                heads = compress(names[u + 1 : u + 1 + width], picks)
+            else:
+                heads = []
+                while above:
+                    low = above & -above
+                    heads.append(names[u + low.bit_length()])
+                    above ^= low
             prefix = names[u] + " "
             rows.append(prefix + ("\n" + prefix).join(heads) + "\n")
     return "".join(rows)

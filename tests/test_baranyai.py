@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 import pytest
 
@@ -28,7 +29,14 @@ from hyperline.baranyai import (
 from hyperline.fileio import write_partition
 
 
-def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> Flow:
+class ArcFlow(NamedTuple):
+    """A flow given arc by arc: one value per arc, in arc order."""
+
+    arc_flows: tuple[int, ...]
+    value: int
+
+
+def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> ArcFlow:
     """Dinic as a single cursor walk per phase on a residual form rebuilt
     from the (tail, head, capacity) arcs, scanned in arc order at every
     node: the algorithm `max_flow` must reproduce flow for flow."""
@@ -106,22 +114,47 @@ def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> Flow:
             u = to[path.pop() ^ 1]
             cursor[u] += 1
 
-    return Flow(arc_flows=tuple(residual[1::2]), value=total)
+    return ArcFlow(arc_flows=tuple(residual[1::2]), value=total)
 
 
 def _arc_form(ext: ExtensionNetwork) -> tuple[int, list[tuple[int, int, int]], int, int]:
     """The arc-by-arc network an extension network describes, derived from
-    its rows, sets and rooms: source 0, class i at 1+i, set j at 1+M+j,
-    the sink last; source arcs, then class arcs row by row, then sink arcs."""
-    first = 1 + len(ext.rows)
+    its runs, sets and rooms: each run expanded to its count of classes,
+    source 0, class i at 1+i, set j at 1+M+j, the sink last; source arcs,
+    then class arcs class by class, then sink arcs."""
+    rows = [row for row, count in zip(ext.rows, ext.counts) for _ in range(count)]
+    first = 1 + len(rows)
     sink = first + len(ext.sets)
-    arcs = [(0, 1 + i, ext.source_capacity) for i in range(len(ext.rows))]
-    arcs += [(1 + i, first + j, held) for i, row in enumerate(ext.rows) for j, held in row]
+    arcs = [(0, 1 + i, ext.source_capacity) for i in range(len(rows))]
+    arcs += [(1 + i, first + j, held) for i, row in enumerate(rows) for j, held in row]
     arcs += [(first + j, sink, room) for j, room in enumerate(ext.rooms)]
     return sink + 1, arcs, 0, sink
 
 
-def _reference(ext: ExtensionNetwork) -> Flow:
+def _arc_flows(ext: ExtensionNetwork, flow) -> ArcFlow:
+    """The flow a run-form `Flow` stands for on `_arc_form(ext)`, arc by
+    arc; checks that its pieces cover every run's classes, in run order,
+    each piece at least one class."""
+    sent: list[int] = []
+    class_arcs: list[int] = []
+    drained = [0] * len(ext.sets)
+    covered = [0] * len(ext.rows)
+    at = 0
+    for r, q in zip(flow.runs, flow.pieces):
+        assert q >= 1, flow
+        units = flow.units[at : at + len(ext.rows[r])]
+        at += len(ext.rows[r])
+        covered[r] += q
+        sent += [sum(units)] * q
+        class_arcs += list(units) * q
+        for (j, _), u in zip(ext.rows[r], units):
+            drained[j] += q * u
+    assert len(flow.runs) == len(flow.pieces) and at == len(flow.units), flow
+    assert list(flow.runs) == sorted(flow.runs) and covered == list(ext.counts), flow
+    return ArcFlow(arc_flows=tuple(sent + class_arcs + drained), value=flow.value)
+
+
+def _reference(ext: ExtensionNetwork) -> ArcFlow:
     return _reference_max_flow(*_arc_form(ext))
 
 
@@ -139,9 +172,13 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
     return count
 
 
-def _network(cap: int, rows, rooms) -> ExtensionNetwork:
+def _network(cap: int, rows, rooms, counts=None) -> ExtensionNetwork:
     return ExtensionNetwork(
-        source_capacity=cap, sets=tuple(range(len(rooms))), rooms=tuple(rooms), rows=tuple(rows)
+        source_capacity=cap,
+        sets=tuple(range(len(rooms))),
+        rooms=tuple(rooms),
+        rows=tuple(rows),
+        counts=tuple(counts or [1] * len(rows)),
     )
 
 
@@ -149,14 +186,14 @@ def test_max_flow_bottleneck():
     ext = _network(2, [((0, 2),)], [1])
     flow = max_flow(ext)
     assert flow.value == 1
-    assert flow.arc_flows == (1, 1, 1)  # source arc, class arc, sink arc
-    assert flow == _reference(ext)
+    assert _arc_flows(ext, flow) == ((1, 1, 1), 1)  # source arc, class arc, sink arc
+    assert _arc_flows(ext, flow) == _reference(ext)
 
 
 def test_max_flow_two_paths():
     ext = _network(3, [((0, 3),), ((1, 3),)], [2, 2])
     assert max_flow(ext).value == 4
-    assert max_flow(ext) == _reference(ext)
+    assert _arc_flows(ext, max_flow(ext)) == _reference(ext)
 
 
 def test_max_flow_parallel_unit_arcs():
@@ -164,7 +201,21 @@ def test_max_flow_parallel_unit_arcs():
     ext = _network(2, [((0, 1),), ((0, 1),)], [2])
     flow = max_flow(ext)
     assert flow.value == 2
-    assert flow.arc_flows == (1, 1, 1, 1, 2)
+    assert _arc_flows(ext, flow).arc_flows == (1, 1, 1, 1, 2)
+    # with one unit to send, the two classes as one run: one piece serves both
+    pair = _network(1, [((0, 1),), ((0, 1),)], [2])
+    run = _network(1, [((0, 1),)], [2], counts=[2])
+    assert max_flow(run) == Flow(runs=(0,), pieces=(2,), units=(1,), value=2)
+    assert _arc_flows(run, max_flow(run)) == _arc_flows(pair, max_flow(pair)) == _reference(pair)
+
+
+def test_max_flow_splits_a_run_where_a_room_runs_low():
+    # five classes alike: set 0 has room for three of them, so the greedy
+    # serves three in one step and the other two, sent on to set 1, in another
+    ext = _network(1, [((0, 1), (1, 1))], [3, 2], counts=[5])
+    flow = max_flow(ext)
+    assert flow == Flow(runs=(0, 0), pieces=(3, 2), units=(1, 0, 0, 1), value=5)
+    assert _arc_flows(ext, flow) == _reference(ext)
 
 
 def test_max_flow_needs_augmenting_undo(monkeypatch):
@@ -177,8 +228,15 @@ def test_max_flow_needs_augmenting_undo(monkeypatch):
     flow = max_flow(ext)
     assert later[0] == 1
     assert flow.value == 2
-    assert flow.arc_flows == (1, 1, 0, 1, 1, 1, 1)
-    assert flow == _reference(ext)
+    assert _arc_flows(ext, flow).arc_flows == (1, 1, 0, 1, 1, 1, 1)
+    assert _arc_flows(ext, flow) == _reference(ext)
+    # a run of two whose one piece fills set 0: the later phases split it
+    # and reroute its second class, which becomes a piece of its own
+    ext = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [2, 1], counts=[2, 1])
+    flow = max_flow(ext)
+    assert later[0] == 2
+    assert flow.runs == (0, 0, 1) and flow.pieces == (1, 1, 1)
+    assert _arc_flows(ext, flow) == _reference(ext)
 
 
 def test_max_flow_is_deterministic():
@@ -208,19 +266,22 @@ def _general_network(rng) -> tuple[int, list[tuple[int, int, int]], int, int]:
 
 
 def _random_extension_network(rng) -> ExtensionNetwork:
-    """Classes and sets as in an induction step, with zero capacities,
-    empty rows and sink rooms that sum to about what the classes send, so
-    the greedy often leaves flow that only rerouting can place."""
+    """Runs of classes and sets as in an induction step, with zero
+    capacities, empty rows, runs of one to three classes and sink rooms
+    that sum to about what the classes send, so the greedy often splits a
+    run where a room runs low, or leaves flow that only rerouting can
+    place."""
     sets = rng.randint(1, 9)
     cap = rng.randint(0, 4)
     rows = []
     for _ in range(rng.randint(1, 9)):
         held = sorted(rng.sample(range(sets), rng.randint(0, sets)))
         rows.append(tuple((j, rng.choice((0, 1, 2, 2, 3, 3))) for j in held))
+    counts = [rng.choice((1, 1, 2, 3)) for _ in rows]
     rooms = [0] * sets
-    for _ in range(cap * len(rows) + rng.randint(-1, 1)):
+    for _ in range(cap * sum(counts) + rng.randint(-1, 1)):
         rooms[rng.randrange(sets)] += 1
-    return _network(cap, rows, rooms)
+    return _network(cap, rows, rooms, counts)
 
 
 def test_max_flow_value_matches_networkx_on_random_networks():
@@ -269,24 +330,42 @@ def test_max_flow_conservation_and_capacity():
 def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     from hyperline import baranyai
 
+    greedy = []
     added = []
-    original = baranyai._later_phases
+    first_phase, later_phases = baranyai._first_phase, baranyai._later_phases
 
-    def recorded(*args):
-        added.append(original(*args))
+    def recorded_first(ext):
+        greedy.append(first_phase(ext))
+        return greedy[-1]
+
+    def recorded_later(*args):
+        added.append(later_phases(*args))
         return added[-1]
 
-    monkeypatch.setattr(baranyai, "_later_phases", recorded)
+    monkeypatch.setattr(baranyai, "_first_phase", recorded_first)
+    monkeypatch.setattr(baranyai, "_later_phases", recorded_later)
     rng = random.Random(2024)
+    split = split_settled = rerouted = 0
     for _ in range(3000):
         ext = _random_extension_network(rng)
-        assert max_flow(ext) == _reference(ext), ext
+        before = len(added)
+        flow = max_flow(ext)
+        assert _arc_flows(ext, flow) == _reference(ext), ext
+        runs = greedy[-1][0]
+        if len(set(runs)) < len(runs):  # the greedy split a run
+            split += 1
+            split_settled += len(added) == before
+        if len(added) > before:
+            rerouted += added[-1] > 0 and max(ext.counts) > 1
     # the per-class later phases reroute flow on a good share of them
     assert sum(1 for value in added if value) >= 500, len(added)
+    # runs of several classes: the greedy splits one where a room runs low,
+    # sometimes settling the flow alone, and the later phases reroute
+    assert split >= 1000 and split_settled >= 30 and rerouted >= 300, (split, split_settled, rerouted)
 
 
 def test_extension_max_flow_matches_reference(monkeypatch):
-    """max_flow on the rows equals the reference Dinic on the derived arc
+    """max_flow on the runs equals the reference Dinic on the derived arc
     network, arc for arc, at every level of 2 <= k <= N <= 12, (14, 7)
     and (30, 3); the greedy alone settles a pinned share of them, so both
     the greedy-only path and the per-class later phases stay covered."""
@@ -303,7 +382,7 @@ def test_extension_max_flow_matches_reference(monkeypatch):
             before = later[0]
             flow = max_flow(ext)
             settled += later[0] == before
-            assert flow == _reference(ext), (big_n, k, state.level)
+            assert _arc_flows(ext, flow) == _reference(ext), (big_n, k, state.level)
             assert flow.value == comb(big_n - 1, k - 1)
             state = extend(state)
         greedy_only[big_n, k] = settled
@@ -313,15 +392,41 @@ def test_extension_max_flow_matches_reference(monkeypatch):
     assert greedy_only[30, 3] == 2
 
 
+def test_runs_of_16_8():
+    """(16, 8) steps 6 435 classes through each of its 15 levels, 96 525
+    class steps held as 17 874 runs; consecutive runs always differ."""
+    state = initial_state(16, 8)
+    runs = steps = 0
+    while state.level < 16:
+        runs += len(state.rows)
+        steps += state.class_count
+        keys = list(zip(state.rows, state.finished))
+        assert all(a != b for a, b in zip(keys, keys[1:])), state.level
+        state = extend(state)
+    assert (runs, steps) == (17874, 96525)
+
+
 def test_extension_network_rejects_negative_multiplicity():
     state = PartitionState(
-        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, -1), (1, 3)),), finished=((),)
+        ground_size=3,
+        subset_size=2,
+        level=1,
+        sets=(0, 1),
+        rows=(((0, -1), (1, 3)),),
+        finished=((),),
+        counts=(1,),
     )
-    with pytest.raises(InputError, match=r"^class 0 holds set \(\) with negative multiplicity -1$"):
+    with pytest.raises(InputError, match=r"^run 0 holds set \(\) with negative multiplicity -1$"):
         build_extension_network(state)
     with pytest.raises(InputError):
         extend(state)
-    assert "class 0: nonpositive multiplicity -1 for ()" in state_violations(state)
+    assert "run 0: nonpositive multiplicity -1 for ()" in state_violations(state)
+    # a run of no classes, and counts that do not match the runs
+    empty = PartitionState(**{**state.__dict__, "rows": (((0, 1), (1, 2)),), "counts": (0,)})
+    with pytest.raises(InputError, match=r"^run 0 stands for 0 classes$"):
+        build_extension_network(empty)
+    with pytest.raises(InputError, match=r"^1 runs but 2 counts$"):
+        build_extension_network(PartitionState(**{**empty.__dict__, "counts": (1, 1)}))
 
 
 def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
@@ -354,8 +459,9 @@ def test_initial_state_shape():
     assert state.sets_per_class == 2
     assert state.element_uses_per_class == 1
     assert state.sets == (0, 1)  # {} and {1}
-    assert state.rows == (((0, 1), (1, 1)),) * 3
-    assert state.finished == ((),) * 3
+    assert state.rows == (((0, 1), (1, 1)),)  # one run of three classes alike
+    assert state.finished == ((),)
+    assert state.counts == (3,)
     assert not state_violations(state)
     # k = N: only {1} can grow, and no class holds an empty set
     assert initial_state(3, 3).sets == (1,)
@@ -365,10 +471,10 @@ def test_initial_state_shape():
 def test_extension_network_structure_n3_k2():
     state = initial_state(3, 2)
     assert state.class_count == 1
-    assert state.rows == (((0, 1), (1, 2)),)  # {}: 1, {1}: 2
+    assert state.rows == (((0, 1), (1, 2)),) and state.counts == (1,)  # {}: 1, {1}: 2
     ext = build_extension_network(state)
     assert ext.source_capacity == 2  # L/N
-    assert ext.sets == (0, 1) and ext.rows == state.rows
+    assert ext.sets == (0, 1) and ext.rows == state.rows and ext.counts == (1,)
     assert ext.rooms == (1, 1)  # C(1,1) for {}, C(1,0) for {1}
     node_count, arcs, source, sink = _arc_form(ext)
     # source, 1 class, a node each for {} and {1}, sink
@@ -379,7 +485,7 @@ def test_extension_network_structure_n3_k2():
 def test_extension_network_structure_n4_k2():
     ext = build_extension_network(initial_state(4, 2))
     assert ext.source_capacity == 1
-    assert ext.rows == (((0, 1), (1, 1)),) * 3  # {} and {1} per class
+    assert ext.rows == (((0, 1), (1, 1)),) and ext.counts == (3,)  # {} and {1}, three classes
     assert ext.sets == (0, 1)
     assert ext.rooms == (comb(2, 1), comb(2, 0))  # {} -> 2, {1} -> 1
 
@@ -390,6 +496,7 @@ def test_extend_n3_k2_golden():
     assert state.sets == (1, 2)  # {1}, {2}: the empty set can no longer grow to 2
     assert state.rows == (((0, 1), (1, 1)),)
     assert state.finished == ((3,),)  # {1,2}
+    assert state.counts == (1,)
     assert not state_violations(state)
 
 
@@ -415,14 +522,26 @@ def test_extend_detects_corrupt_state():
     # a legitimate (3, 2) class holds {1} twice and {} once; all empties
     # starves the {1}-node and the flow cannot saturate
     broken = PartitionState(
-        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, 3),),), finished=((),)
+        ground_size=3,
+        subset_size=2,
+        level=1,
+        sets=(0, 1),
+        rows=(((0, 3),),),
+        finished=((),),
+        counts=(1,),
     )
     with pytest.raises(InternalContradictionError):
         extend(broken)
     # {} twice: the flow saturates, but one copy of {} would have to stay
     # behind, and at level 2 only sets of one element or more can grow
     doubled = PartitionState(
-        ground_size=3, subset_size=2, level=1, sets=(0, 1), rows=(((0, 2), (1, 2)),), finished=((),)
+        ground_size=3,
+        subset_size=2,
+        level=1,
+        sets=(0, 1),
+        rows=(((0, 2), (1, 2)),),
+        finished=((),),
+        counts=(1,),
     )
     with pytest.raises(InternalContradictionError, match="keeps copies of a set that must all grow"):
         extend(doubled)
@@ -431,8 +550,15 @@ def test_extend_detects_corrupt_state():
 def test_state_violations_reads_row_form():
     state = extend(extend(initial_state(6, 3)))
     assert not state_violations(state)
+    assert state.counts == (3, 3, 3, 1)
     fields = dict(
-        ground_size=6, subset_size=3, level=3, sets=state.sets, rows=state.rows, finished=state.finished
+        ground_size=6,
+        subset_size=3,
+        level=3,
+        sets=state.sets,
+        rows=state.rows,
+        finished=state.finished,
+        counts=state.counts,
     )
     assert any(
         "growable sets" in p for p in state_violations(PartitionState(**{**fields, "sets": state.sets[1:]}))
@@ -453,6 +579,29 @@ def test_state_violations_reads_row_form():
         "finished set (1, 2) is not 3 distributed elements" in p
         for p in state_violations(PartitionState(**{**fields, "finished": short}))
     )
+
+
+def test_state_violations_weighs_runs_by_count():
+    state = extend(extend(initial_state(6, 3)))
+    fields = dict(
+        ground_size=6, subset_size=3, level=3, sets=state.sets, rows=state.rows, finished=state.finished
+    )
+    # the same classes, one run each: runs need not join identical classes
+    runs = zip(state.rows, state.finished, state.counts)
+    one_each = [(row, done) for row, done, count in runs for _ in range(count)]
+    spread = PartitionState(
+        **{**fields, "rows": tuple(r for r, _ in one_each), "finished": tuple(d for _, d in one_each)},
+        counts=(1,) * len(one_each),
+    )
+    assert spread.class_count == state.class_count == 10
+    assert not state_violations(spread)
+    # a count below 1 is rejected, and a count moved between runs of
+    # different rows breaks the global multiplicities
+    assert "run 3: count 0 below 1" in state_violations(PartitionState(**fields, counts=(3, 3, 3, 0)))
+    moved = state_violations(PartitionState(**fields, counts=(4, 3, 2, 1)))
+    assert moved and all("globally" in p for p in moved), moved
+    mismatched = state_violations(PartitionState(**fields, counts=(3, 3, 4)))
+    assert "4 rows, 4 finished lists and 3 counts" in mismatched
 
 
 def test_partition_goldens():
@@ -484,6 +633,37 @@ def test_large_partition_bytes_pinned():
     for big_n, k in [(14, 7), (16, 8), (30, 3), (100, 2)]:
         digest.update(write_partition(baranyai_partition(big_n, k), big_n, k).encode())
     assert digest.hexdigest() == "bb6e17010eb70e17102657a3ed4647df2cb1be5c9b22e14f366c720ad6b2a77e"
+
+
+def test_cached_classes_are_masks_decoded_on_read(monkeypatch):
+    """The induction is cached once per (N, k) as masks; each call decodes
+    afresh, and regular_hypergraph decodes only the classes it takes."""
+    from hyperline import baranyai
+
+    baranyai._baranyai_classes.cache_clear()
+    cached = baranyai._baranyai_classes(6, 3)
+    assert baranyai._baranyai_classes.cache_info().currsize == 1
+    assert len(cached) == 10 and all(mask.bit_count() == 3 for cls in cached for mask in cls)
+    decoded = [sorted(tuple(b + 1 for b in range(6) if mask >> b & 1) for mask in c) for c in cached]
+    first = baranyai_partition(6, 3)
+    assert first == decoded
+    first[0].clear()  # the caller's own lists
+    assert baranyai_partition(6, 3) == decoded
+    assert regular_hypergraph(6, 3, 5).edges == tuple(
+        tuple(x - 1 for x in subset) for cls in decoded[:5] for subset in cls
+    )
+    taken = []
+    original = baranyai._decoded
+
+    def recorded(classes, *args):
+        taken.append(len(classes))
+        return original(classes, *args)
+
+    monkeypatch.setattr(baranyai, "_decoded", recorded)
+    regular_hypergraph(12, 6, 5)  # 5 of the 462 classes
+    regular_hypergraph(3, 2, 4)  # the one class, taken twice
+    assert taken == [5, 1]
+    baranyai._baranyai_classes.cache_clear()
 
 
 def test_partition_is_deterministic():

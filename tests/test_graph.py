@@ -10,6 +10,7 @@ from hyperline import (
     Hypergraph,
     InputError,
     line_graph,
+    regular_hypergraph,
 )
 from hyperline.fileio import write_graph
 from hyperline.graph import (
@@ -95,15 +96,51 @@ def test_line_graph_matches_pairwise_reference():
         assert line_graph(hg) == Graph(hg.m, expected), hg
 
 
+def _bit_loop_write_graph(g: Graph) -> str:
+    """The writer that walks every set bit of every row."""
+    names = [str(v) for v in range(g.n)]
+    rows = [f"G {g.n} {g.edge_count}\n"]
+    for u in range(g.n):
+        above = g.adjacency_mask(u) >> (u + 1)
+        while above:
+            low = above & -above
+            rows.append(f"{names[u]} {names[u + low.bit_length()]}\n")
+            above ^= low
+    return "".join(rows)
+
+
+def _row_graph(n: int, rows: dict[int, list[int]]) -> Graph:
+    return Graph(n, [(u, v) for u, heads in rows.items() for v in heads])
+
+
 def test_write_graph_matches_per_edge_reference():
     rng = random.Random(2025)
-    graphs = [Graph(0), Graph(1), Graph(5, [(0, 4)]), complete_graph(9)]
+    graphs = [Graph(0), Graph(1), Graph(5, [(0, 4)]), complete_graph(9), complete_graph(40)]
     graphs += [line_graph(_random_hypergraph(rng)) for _ in range(100)]
     for density, cap in DENSITY_CAPS:
         graphs += [random_graph(rng, rng.randint(0, cap), density) for _ in range(10)]
+    # vertex 0's row spans 64 vertices: 8 set bits take the compress side
+    # of the one-in-eight cut, 7 the bit loop
+    dense, sparse = [1 + 8 * i for i in range(7)] + [64], [1 + 9 * i for i in range(7)] + [64]
+    graphs += [_row_graph(65, {0: dense}), _row_graph(65, {0: sparse, 3: dense[1:], 60: [61, 64]})]
+    # names crossing 9 -> 10, 99 -> 100 and 999 -> 1000, in dense and sparse rows
+    graphs.append(
+        _row_graph(
+            1006,
+            {
+                5: list(range(6, 21)),
+                8: [9, 10, 500],
+                95: list(range(96, 106)),
+                99: [100, 1000],
+                995: list(range(996, 1006)),
+                998: [999, 1000, 1005],
+            },
+        )
+    )
+    graphs += [line_graph(regular_hypergraph(12, 6, 231)), line_graph(regular_hypergraph(100, 2, 60))]
     for g in graphs:
         reference = "".join(f"{u} {v}\n" for u, v in g.edges())
-        assert write_graph(g) == f"G {g.n} {g.edge_count}\n" + reference
+        assert write_graph(g) == f"G {g.n} {g.edge_count}\n" + reference == _bit_loop_write_graph(g)
 
 
 def test_line_graph_vertex_count_is_edge_count():
