@@ -100,7 +100,13 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def write_graph(g: Graph) -> str:
     """The .gr text of g.  A row whose set bits fill at least an eighth of
     its width takes its heads by `compress` over its binary digits; a
-    sparser one walks its set bits."""
+    sparser one walks its set bits.  `compress` costs per bit of the
+    row's width and the walk per set bit, each step an operation on the
+    whole row, so neither wins everywhere: `compress` alone writes the
+    line graph of a regular (100, 2, 59) hypergraph, rows about 4% dense,
+    a fifth to a quarter slower, and the walk alone writes dense rows at
+    half speed or less.  Any cut from a quarter to a sixteenth writes as
+    fast."""
     n = g.n
     names = [str(v) for v in range(n)]
     rows = [f"G {n} {g.edge_count}\n"]

@@ -335,8 +335,9 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     first_phase, later_phases = baranyai._first_phase, baranyai._later_phases
 
     def recorded_first(ext):
-        greedy.append(first_phase(ext))
-        return greedy[-1]
+        result = first_phase(ext)
+        greedy.append(list(result[0]))  # the later phases split runs in place
+        return result
 
     def recorded_later(*args):
         added.append(later_phases(*args))
@@ -351,7 +352,7 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
         before = len(added)
         flow = max_flow(ext)
         assert _arc_flows(ext, flow) == _reference(ext), ext
-        runs = greedy[-1][0]
+        runs = greedy[-1]
         if len(set(runs)) < len(runs):  # the greedy split a run
             split += 1
             split_settled += len(added) == before
@@ -361,7 +362,7 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     assert sum(1 for value in added if value) >= 500, len(added)
     # runs of several classes: the greedy splits one where a room runs low,
     # sometimes settling the flow alone, and the later phases reroute
-    assert split >= 1000 and split_settled >= 30 and rerouted >= 300, (split, split_settled, rerouted)
+    assert split >= 1200 and split_settled >= 30 and rerouted >= 300, (split, split_settled, rerouted)
 
 
 def test_extension_max_flow_matches_reference(monkeypatch):
