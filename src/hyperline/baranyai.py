@@ -18,14 +18,16 @@ The state holds the induction in that network's own form
 (`PartitionState`), as runs of identical consecutive classes: per run,
 a row of (set index, multiplicity) pairs over the sets that can still
 grow, the k-sets its classes have finished, and how many classes it
-stands for.  Each step's network is those runs (`ExtensionNetwork`).
-On it `max_flow` runs Dinic's first phase as a greedy, one step per run
-serving as many of its classes as the sink capacities allow, and, only
-where that leaves flow to send, the later phases, per class.  The flow
-is the one Dinic finds on the arc-by-arc network, arc for arc, held per
-run as pieces of classes that carry the same flow (`Flow`).  `extend`
-builds the next runs by a merge, once per piece, with no sort, so a
-level costs per distinct class rather than per class.
+stands for.  Each step's network is those runs, plus the source
+capacity L/N and the sink capacities that (N, k, level) fix; `extend`
+passes them to `max_flow` as plain arguments.  It runs Dinic's first
+phase as a greedy, one step per run serving as many of its classes as
+the sink capacities allow, and, only where that leaves flow to send,
+the later phases, per class.  The flow is the one Dinic finds on the
+arc-by-arc network, arc for arc, held per run as pieces of classes that
+carry the same flow (`Flow`).  `extend` builds the next runs by a
+merge, once per piece, with no sort, so a level costs per distinct
+class rather than per class.
 
 The class count times L/k equals C(N,k), so the final classes partition
 the full family of k-subsets.  Taking the first d*N/L classes as edges
@@ -49,7 +51,7 @@ from .errors import (
     UnrealizableError,
 )
 from .fileio import READ_SIZE_BOUND
-from .graph import _bits
+from .graph import _bits, _mask
 from .hypergraph import Hypergraph
 
 
@@ -64,7 +66,7 @@ def _growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int,
     that can still grow at that level."""
     low = max(0, subset_size - (ground_size - level))
     masks = [
-        sum(1 << b for b in combo)
+        _mask(combo)
         for size in range(low, subset_size)
         for combo in combinations(range(level), size)
     ]
@@ -73,12 +75,13 @@ def _growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int,
 
 @dataclass(frozen=True)
 class Flow:
-    """Integral feasible flow of an extension network, held per piece.
+    """Integral feasible flow of one induction step, as `max_flow`
+    returns it, held per piece.
 
     The classes of each run split, in order, into pieces of consecutive
     classes that carry the same flow.  Piece p, in run order, is
-    `pieces[p]` classes of run `runs[p]`; so run r's pieces hold the
-    network's `counts[r]` classes in all.  `units` holds, piece after piece, the
+    `pieces[p]` classes of run `runs[p]`; so run r's pieces hold its
+    `counts[r]` classes in all.  `units` holds, piece after piece, the
     flow each class of the piece sends on the arcs of its row, one value
     per pair; a class's source arc carries their sum, and a set's sink
     arc what enters the set.
@@ -129,42 +132,35 @@ class PartitionState:
         return self.lcm_value // self.ground_size
 
 
-@dataclass(frozen=True)
-class ExtensionNetwork:
-    """The flow network of one induction step, held as the state's runs.
+def max_flow(
+    source_capacity: int,
+    rooms: tuple[int, ...],
+    rows: tuple[tuple[tuple[int, int], ...], ...],
+    counts: tuple[int, ...],
+) -> Flow:
+    """Deterministic integral maximum flow (Dinic) of one induction step's
+    network, given as runs of identical consecutive classes.
 
-    Run r stands for `counts[r]` consecutive classes with the row
-    `rows[r]`; expanded, class i is the i-th class in run order.  Nodes:
-    source 0, class i at node 1+i, set `sets[j]` at node 1+M+j, the sink
-    last.  Arcs, in order: a source arc of capacity `source_capacity` to
-    every class; then, class by class, an arc from the class to set j
-    for each pair (j, multiplicity) of its row, with the multiplicity as
-    capacity; then a sink arc of capacity `rooms[j]` from every set j.
-    `max_flow` runs on the runs directly and reports the flow per piece
-    of a run (`Flow`).
-    """
+    Run r stands for `counts[r]` classes with the row `rows[r]` of (set
+    index, multiplicity) pairs; expanded, class i is the i-th class in
+    run order.  Nodes: source 0, class i at node 1+i, set j at node 1+M+j,
+    the sink last, M the number of classes.  Arcs, in order: a source arc
+    of capacity `source_capacity` to every class; then, class by class,
+    an arc from the class to set j for each pair (j, multiplicity) of its
+    row, with the multiplicity as capacity; then a sink arc of capacity
+    `rooms[j]` from every set j.
 
-    source_capacity: int
-    sets: tuple[int, ...]
-    rooms: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    counts: tuple[int, ...]
-
-
-def max_flow(ext: ExtensionNetwork) -> Flow:
-    """Deterministic integral maximum flow (Dinic) of an extension network.
-
-    The flow is the one Dinic finds on the arc-by-arc network `ext`
-    describes, scanning residual arcs in arc order at every node: at the
-    source its arcs in class order; at a class its row (its reverse
-    source arc is never admissible); at a set the reverse arcs of the
-    classes holding it, in class order, then its sink arc.  Each phase
-    labels nodes breadth-first from the source, stopping at the first
-    set of a layer whose sink arc has residual capacity, so no other node
-    of the sink's layer is labelled (an admissible path climbs one layer
-    per arc and ends at the sink).  It then repeatedly augments along the
-    first admissible path a depth-first cursor walk finds; a node the
-    walk backs out of is dead for the rest of the phase.
+    The flow is the one Dinic finds on that arc-by-arc network, scanning
+    residual arcs in arc order at every node: at the source its arcs in
+    class order; at a class its row (its reverse source arc is never
+    admissible); at a set the reverse arcs of the classes holding it, in
+    class order, then its sink arc.  Each phase labels nodes
+    breadth-first from the source, stopping at the first set of a layer
+    whose sink arc has residual capacity, so no other node of the sink's
+    layer is labelled (an admissible path climbs one layer per arc and
+    ends at the sink).  It then repeatedly augments along the first
+    admissible path a depth-first cursor walk finds; a node the walk
+    backs out of is dead for the rest of the phase.
 
     The first phase's admissible paths are exactly source -> class ->
     set -> sink, met class by class, each row in index order.  A push
@@ -179,14 +175,19 @@ def max_flow(ext: ExtensionNetwork) -> Flow:
     flow is maximum, as at most levels of a large induction; only
     otherwise do the later phases run, per class (`_later_phases`).
     """
-    runs, pieces, units, spare, room = _first_phase(ext)
+    runs, pieces, units, spare, room = _first_phase(source_capacity, rooms, rows, counts)
     if any(spare):
-        _later_phases(ext, runs, pieces, units, spare, room)
-    value = sum(ext.rooms) - sum(room)
+        _later_phases(rows, runs, pieces, units, spare, room)
+    value = sum(rooms) - sum(room)
     return Flow(runs=tuple(runs), pieces=tuple(pieces), units=tuple(units), value=value)
 
 
-def _first_phase(ext: ExtensionNetwork) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+def _first_phase(
+    cap: int,
+    rooms: tuple[int, ...],
+    rows: tuple[tuple[tuple[int, int], ...], ...],
+    counts: tuple[int, ...],
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Dinic's first blocking flow, as the greedy `max_flow` describes:
     the flow's runs, pieces and units (as `Flow` holds them), what each
     piece's classes leave unsent, and every set's remaining sink
@@ -196,15 +197,13 @@ def _first_phase(ext: ExtensionNetwork) -> tuple[list[int], list[int], list[int]
     classes left or, if less, the least `room // push` over the sets the
     step pushes into: each of those classes finds room enough for the
     same push, and the next class would not."""
-    cap = ext.source_capacity
-    room = list(ext.rooms)
-    counts = ext.counts
-    units = [0] * sum(map(mul, map(len, ext.rows), counts))  # one piece per class at most
+    room = list(rooms)
+    units = [0] * sum(map(mul, map(len, rows), counts))  # one piece per class at most
     runs: list[int] = []
     pieces: list[int] = []
     spare: list[int] = []
     start = 0
-    for r, row in enumerate(ext.rows):
+    for r, row in enumerate(rows):
         count = counts[r]
         while True:
             left = cap
@@ -251,23 +250,24 @@ def _repeated(column: list, bounds, pieces: list[int], multi: list[int]) -> list
 
 
 def _later_phases(
-    ext: ExtensionNetwork,
+    run_rows: tuple[tuple[tuple[int, int], ...], ...],
     runs: list[int],
     pieces: list[int],
     units: list[int],
     spare: list[int],
     room: list[int],
 ) -> int:
-    """Dinic's phases after the first, run per class from the flow
-    `runs`, `pieces`, `units`, `spare` and `room` describe (as
-    `_first_phase` returns them), which they update in place; returns
-    the value they add.  First every piece splits into its classes, so
-    that class i is piece i and its arcs are its stretch of `units`.
+    """Dinic's phases after the first, run per class on the runs' rows
+    `run_rows` from the flow `runs`, `pieces`, `units`, `spare` and
+    `room` describe (as `_first_phase` returns them), which they update
+    in place; returns the value they add.  First every piece splits into
+    its classes, so that class i is piece i and its arcs are its stretch
+    of `units`.
 
     Classes are labelled at odd depths and sets at even ones.  The walk's
     path is the class its source arc enters, then class arcs by flat
     index, forward (class to set) and reverse (set to class) in turn."""
-    rows = list(map(ext.rows.__getitem__, runs))  # each piece's row
+    rows = list(map(run_rows.__getitem__, runs))  # each piece's row
     multi = [p for p, q in enumerate(pieces) if q > 1]
     if multi:
         ends = [0, *accumulate(map(len, rows))]
@@ -412,47 +412,15 @@ def initial_state(ground_size: int, subset_size: int) -> PartitionState:
     )
 
 
-def build_extension_network(state: PartitionState) -> ExtensionNetwork:
-    """Network whose saturating integral flows pick, per class, how many
-    copies of each partial set receive element level+1.
-
-    Source arcs carry L/N to each class; each class's row gives its arcs
-    to the sets it holds, with multiplicities as capacities; set T
-    drains into the sink with capacity C(N-1-level, k-|T|-1).  Refuses a
-    run of fewer than one class and a negative multiplicity.
-    """
-    big_n = state.ground_size
-    k = state.subset_size
-    ell = state.level
-    if ell >= big_n:
-        raise InputError(f"all {big_n} elements already distributed")
-    rows = state.rows
-    counts = state.counts
-    if len(counts) != len(rows):
-        raise InputError(f"{len(rows)} runs but {len(counts)} counts")
-    if min(counts, default=1) < 1:
-        r = next(r for r, count in enumerate(counts) if count < 1)
-        raise InputError(f"run {r} stands for {counts[r]} classes")
-    if min(map(itemgetter(1), chain.from_iterable(rows)), default=0) < 0:
-        for r, row in enumerate(rows):
-            for j, held in row:
-                if held < 0:
-                    raise InputError(
-                        f"run {r} holds set {_mask_to_set(state.sets[j])} "
-                        f"with negative multiplicity {held}"
-                    )
-    room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
-    return ExtensionNetwork(
-        source_capacity=state.element_uses_per_class,
-        sets=state.sets,
-        rooms=tuple(room_of_size[mask.bit_count()] for mask in state.sets),
-        rows=rows,
-        counts=counts,
-    )
-
-
 def extend(state: PartitionState) -> PartitionState:
     """Distribute element level+1 according to a saturating integral flow.
+
+    The step's network (see `max_flow`) is the state's runs: each class
+    sends L/N units down its row, and set T drains into the sink with
+    capacity C(N-1-level, k-|T|-1).  Its one `max_flow` call must reach
+    C(N-1, k-1).  Refuses a state whose N elements are all distributed,
+    whose counts do not match its runs, or that holds a run of fewer
+    than one class or a negative multiplicity.
 
     Each piece of a run gets its next row by a merge: the row's sets that
     keep copies, in their old order, then its grown sets (mask | new
@@ -461,9 +429,26 @@ def extend(state: PartitionState) -> PartitionState:
     Consecutive pieces with the same next row and finished sets join
     into one run.
     """
-    ext = build_extension_network(state)
-    flow = max_flow(ext)
     big_n, k, ell = state.ground_size, state.subset_size, state.level
+    if ell >= big_n:
+        raise InputError(f"all {big_n} elements already distributed")
+    sets, runs_rows, runs_counts = state.sets, state.rows, state.counts
+    if len(runs_counts) != len(runs_rows):
+        raise InputError(f"{len(runs_rows)} runs but {len(runs_counts)} counts")
+    if min(runs_counts, default=1) < 1:
+        r = next(r for r, count in enumerate(runs_counts) if count < 1)
+        raise InputError(f"run {r} stands for {runs_counts[r]} classes")
+    if min(map(itemgetter(1), chain.from_iterable(runs_rows)), default=0) < 0:
+        for r, row in enumerate(runs_rows):
+            for j, held in row:
+                if held < 0:
+                    raise InputError(
+                        f"run {r} holds set {_mask_to_set(sets[j])} "
+                        f"with negative multiplicity {held}"
+                    )
+    room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
+    rooms = tuple(room_of_size[mask.bit_count()] for mask in sets)
+    flow = max_flow(state.element_uses_per_class, rooms, runs_rows, runs_counts)
     expected = comb(big_n - 1, k - 1)
     if flow.value != expected:
         raise InternalContradictionError(
@@ -471,7 +456,6 @@ def extend(state: PartitionState) -> PartitionState:
             f"at level {ell}"
         )
     bit = 1 << ell  # element level+1
-    sets = ext.sets
     low = max(0, k - (big_n - ell - 1))  # least size that can grow at the next level
     survivors = [mask for mask in sets if mask.bit_count() >= low]
     next_sets = tuple(survivors + [mask | bit for mask in sets if mask.bit_count() < k - 1])
@@ -483,7 +467,7 @@ def extend(state: PartitionState) -> PartitionState:
     finished: list[tuple[int, ...]] = []
     counts: list[int] = []
     last_row = last_done = None
-    runs_rows, runs_done = ext.rows, state.finished
+    runs_done = state.finished
     for r, q in zip(flow.runs, flow.pieces):
         done = runs_done[r]
         kept = []
@@ -586,9 +570,7 @@ def state_violations(state: PartitionState) -> list[str]:
                 )
     for size in range(min(k, ell) + 1):
         for combo in combinations(range(ell), size):
-            mask = 0
-            for b in combo:
-                mask |= 1 << b
+            mask = _mask(combo)
             expected = comb(big_n - ell, k - size)
             if totals.get(mask, 0) != expected:
                 problems.append(
@@ -603,10 +585,16 @@ def _validate_parameters(ground_size: int, subset_size: int) -> None:
         raise InputError(
             f"need 2 <= k <= N, got k={subset_size}, N={ground_size}"
         )
-    if comb(ground_size, subset_size) > READ_SIZE_BOUND:
-        raise ResourceLimitError(
-            f"C({ground_size}, {subset_size}) subsets exceed the bound {READ_SIZE_BOUND}"
-        )
+    # C(N, j) grows with j up to N/2, so stepping it to min(k, N-k) stops
+    # within a few dozen small products once it passes the bound, where
+    # the full binomial of a large N takes seconds to compute.
+    count = 1
+    for j in range(min(subset_size, ground_size - subset_size)):
+        count = count * (ground_size - j) // (j + 1)
+        if count > READ_SIZE_BOUND:
+            raise ResourceLimitError(
+                f"C({ground_size}, {subset_size}) subsets exceed the bound {READ_SIZE_BOUND}"
+            )
 
 
 # Mask bits decoded per table lookup.  Each call builds its tables, so 64

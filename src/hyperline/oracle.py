@@ -58,7 +58,6 @@ def cover_search(
     k: int,
     p: int,
     budget: int = DEFAULT_BUDGET,
-    max_vertices: int = COVER_SIZE_BOUND,
 ) -> CliqueCover | None:
     """Exhaustive search for a clique cover with vertex load <= k and
     pairwise overlaps <= p; None is a definitive negative.
@@ -68,16 +67,16 @@ def cover_search(
     and the first complete cover wins, so the result is deterministic.
     `loaded[j]` masks the vertices in more than j chosen cliques, so a
     clique overloads a vertex iff it meets `loaded[k-1]`.  Each search
-    call is one node; exceeding the vertex bound or the node budget
-    raises rather than guessing.
+    call is one node; a graph of more than `COVER_SIZE_BOUND` vertices,
+    or a search past the node budget, raises rather than guessing.
     """
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
-    if g.n > max_vertices:
+    if g.n > COVER_SIZE_BOUND:
         raise ResourceLimitError(
-            f"graph has {g.n} vertices, oracle bound is {max_vertices}"
+            f"graph has {g.n} vertices, oracle bound is {COVER_SIZE_BOUND}"
         )
 
     candidates: dict[int, list[tuple[int, int]]] = {}

@@ -25,13 +25,8 @@ from hyperline import (
     reconstruct,
     validate_cover,
 )
-from hyperline.baranyai import (
-    build_extension_network,
-    extend,
-    initial_state,
-    max_flow,
-    state_violations,
-)
+from hyperline import baranyai
+from hyperline.baranyai import extend, initial_state, state_violations
 from hyperline.oracle import scan_regular_realizability
 from hyperline.recognition import thresholds
 
@@ -188,7 +183,16 @@ def test_criterion_4_reconstruction_contract(small_graph_survey, threshold_membe
     )
 
 
-def test_criterion_5_baranyai_partition():
+def test_criterion_5_baranyai_partition(monkeypatch):
+    values = []
+    max_flow = baranyai.max_flow
+
+    def recorded(*args):
+        flow = max_flow(*args)
+        values.append(flow.value)
+        return flow
+
+    monkeypatch.setattr(baranyai, "max_flow", recorded)
     start = time.perf_counter()
     pairs = [(n, k) for n in range(2, 11) for k in range(2, n + 1)]
     pairs += [(12, 3), (12, 4), (12, 6)]
@@ -196,10 +200,10 @@ def test_criterion_5_baranyai_partition():
         state = initial_state(n, k)
         assert not state_violations(state), (n, k, 1)
         while state.level < n:
-            ext = build_extension_network(state)
-            flow = max_flow(ext)
-            assert flow.value == comb(n - 1, k - 1), (n, k, state.level)
+            level = state.level
+            values.clear()
             state = extend(state)
+            assert values == [comb(n - 1, k - 1)], (n, k, level)
             assert not state_violations(state), (n, k, state.level)
         classes = baranyai_partition(n, k)
         big = lcm(n, k)

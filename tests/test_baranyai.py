@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple
@@ -17,10 +18,8 @@ from hyperline import (
     regular_hypergraph,
 )
 from hyperline.baranyai import (
-    ExtensionNetwork,
     Flow,
     PartitionState,
-    build_extension_network,
     extend,
     initial_state,
     max_flow,
@@ -117,45 +116,46 @@ def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> ArcFlo
     return ArcFlow(arc_flows=tuple(residual[1::2]), value=total)
 
 
-def _arc_form(ext: ExtensionNetwork) -> tuple[int, list[tuple[int, int, int]], int, int]:
-    """The arc-by-arc network an extension network describes, derived from
-    its runs, sets and rooms: each run expanded to its count of classes,
-    source 0, class i at 1+i, set j at 1+M+j, the sink last; source arcs,
-    then class arcs class by class, then sink arcs."""
-    rows = [row for row, count in zip(ext.rows, ext.counts) for _ in range(count)]
-    first = 1 + len(rows)
-    sink = first + len(ext.sets)
-    arcs = [(0, 1 + i, ext.source_capacity) for i in range(len(rows))]
-    arcs += [(1 + i, first + j, held) for i, row in enumerate(rows) for j, held in row]
-    arcs += [(first + j, sink, room) for j, room in enumerate(ext.rooms)]
+def _arc_form(cap: int, rooms, rows, counts) -> tuple[int, list[tuple[int, int, int]], int, int]:
+    """The arc-by-arc network `max_flow`'s arguments describe: each run
+    expanded to its count of classes, source 0, class i at 1+i, set j at
+    1+M+j, the sink last; source arcs, then class arcs class by class,
+    then sink arcs."""
+    classes = [row for row, count in zip(rows, counts) for _ in range(count)]
+    first = 1 + len(classes)
+    sink = first + len(rooms)
+    arcs = [(0, 1 + i, cap) for i in range(len(classes))]
+    arcs += [(1 + i, first + j, held) for i, row in enumerate(classes) for j, held in row]
+    arcs += [(first + j, sink, room) for j, room in enumerate(rooms)]
     return sink + 1, arcs, 0, sink
 
 
-def _arc_flows(ext: ExtensionNetwork, flow) -> ArcFlow:
-    """The flow a run-form `Flow` stands for on `_arc_form(ext)`, arc by
+def _arc_flows(net, flow) -> ArcFlow:
+    """The flow a run-form `Flow` stands for on `_arc_form(*net)`, arc by
     arc; checks that its pieces cover every run's classes, in run order,
     each piece at least one class."""
+    _, rooms, rows, counts = net
     sent: list[int] = []
     class_arcs: list[int] = []
-    drained = [0] * len(ext.sets)
-    covered = [0] * len(ext.rows)
+    drained = [0] * len(rooms)
+    covered = [0] * len(rows)
     at = 0
     for r, q in zip(flow.runs, flow.pieces):
         assert q >= 1, flow
-        units = flow.units[at : at + len(ext.rows[r])]
-        at += len(ext.rows[r])
+        units = flow.units[at : at + len(rows[r])]
+        at += len(rows[r])
         covered[r] += q
         sent += [sum(units)] * q
         class_arcs += list(units) * q
-        for (j, _), u in zip(ext.rows[r], units):
+        for (j, _), u in zip(rows[r], units):
             drained[j] += q * u
     assert len(flow.runs) == len(flow.pieces) and at == len(flow.units), flow
-    assert list(flow.runs) == sorted(flow.runs) and covered == list(ext.counts), flow
+    assert list(flow.runs) == sorted(flow.runs) and covered == list(counts), flow
     return ArcFlow(arc_flows=tuple(sent + class_arcs + drained), value=flow.value)
 
 
-def _reference(ext: ExtensionNetwork) -> ArcFlow:
-    return _reference_max_flow(*_arc_form(ext))
+def _reference(net) -> ArcFlow:
+    return _reference_max_flow(*_arc_form(*net))
 
 
 def _count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -172,50 +172,62 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
     return count
 
 
-def _network(cap: int, rows, rooms, counts=None) -> ExtensionNetwork:
-    return ExtensionNetwork(
-        source_capacity=cap,
-        sets=tuple(range(len(rooms))),
-        rooms=tuple(rooms),
-        rows=tuple(rows),
-        counts=tuple(counts or [1] * len(rows)),
-    )
+def _record_max_flow(monkeypatch) -> list:
+    """Replace `max_flow` with a wrapper recording each call's arguments
+    and result; returns the list of (arguments, flow) pairs."""
+    from hyperline import baranyai
+
+    calls = []
+    original = baranyai.max_flow
+
+    def recorded(*args):
+        flow = original(*args)
+        calls.append((args, flow))
+        return flow
+
+    monkeypatch.setattr(baranyai, "max_flow", recorded)
+    return calls
+
+
+def _network(cap: int, rows, rooms, counts=None) -> tuple:
+    """`max_flow`'s arguments for a network of the given runs."""
+    return cap, tuple(rooms), tuple(rows), tuple(counts or [1] * len(rows))
 
 
 def test_max_flow_bottleneck():
-    ext = _network(2, [((0, 2),)], [1])
-    flow = max_flow(ext)
+    net = _network(2, [((0, 2),)], [1])
+    flow = max_flow(*net)
     assert flow.value == 1
-    assert _arc_flows(ext, flow) == ((1, 1, 1), 1)  # source arc, class arc, sink arc
-    assert _arc_flows(ext, flow) == _reference(ext)
+    assert _arc_flows(net, flow) == ((1, 1, 1), 1)  # source arc, class arc, sink arc
+    assert _arc_flows(net, flow) == _reference(net)
 
 
 def test_max_flow_two_paths():
-    ext = _network(3, [((0, 3),), ((1, 3),)], [2, 2])
-    assert max_flow(ext).value == 4
-    assert _arc_flows(ext, max_flow(ext)) == _reference(ext)
+    net = _network(3, [((0, 3),), ((1, 3),)], [2, 2])
+    assert max_flow(*net).value == 4
+    assert _arc_flows(net, max_flow(*net)) == _reference(net)
 
 
 def test_max_flow_parallel_unit_arcs():
     # two classes reach the one set by unit arcs that share its sink arc
-    ext = _network(2, [((0, 1),), ((0, 1),)], [2])
-    flow = max_flow(ext)
+    net = _network(2, [((0, 1),), ((0, 1),)], [2])
+    flow = max_flow(*net)
     assert flow.value == 2
-    assert _arc_flows(ext, flow).arc_flows == (1, 1, 1, 1, 2)
+    assert _arc_flows(net, flow).arc_flows == (1, 1, 1, 1, 2)
     # with one unit to send, the two classes as one run: one piece serves both
     pair = _network(1, [((0, 1),), ((0, 1),)], [2])
     run = _network(1, [((0, 1),)], [2], counts=[2])
-    assert max_flow(run) == Flow(runs=(0,), pieces=(2,), units=(1,), value=2)
-    assert _arc_flows(run, max_flow(run)) == _arc_flows(pair, max_flow(pair)) == _reference(pair)
+    assert max_flow(*run) == Flow(runs=(0,), pieces=(2,), units=(1,), value=2)
+    assert _arc_flows(run, max_flow(*run)) == _arc_flows(pair, max_flow(*pair)) == _reference(pair)
 
 
 def test_max_flow_splits_a_run_where_a_room_runs_low():
     # five classes alike: set 0 has room for three of them, so the greedy
     # serves three in one step and the other two, sent on to set 1, in another
-    ext = _network(1, [((0, 1), (1, 1))], [3, 2], counts=[5])
-    flow = max_flow(ext)
+    net = _network(1, [((0, 1), (1, 1))], [3, 2], counts=[5])
+    flow = max_flow(*net)
     assert flow == Flow(runs=(0, 0), pieces=(3, 2), units=(1, 0, 0, 1), value=5)
-    assert _arc_flows(ext, flow) == _reference(ext)
+    assert _arc_flows(net, flow) == _reference(net)
 
 
 def test_max_flow_needs_augmenting_undo(monkeypatch):
@@ -224,33 +236,33 @@ def test_max_flow_needs_augmenting_undo(monkeypatch):
     from hyperline import baranyai
 
     later = _count_calls(monkeypatch, baranyai, "_later_phases")
-    ext = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [1, 1])
-    flow = max_flow(ext)
+    net = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [1, 1])
+    flow = max_flow(*net)
     assert later[0] == 1
     assert flow.value == 2
-    assert _arc_flows(ext, flow).arc_flows == (1, 1, 0, 1, 1, 1, 1)
-    assert _arc_flows(ext, flow) == _reference(ext)
+    assert _arc_flows(net, flow).arc_flows == (1, 1, 0, 1, 1, 1, 1)
+    assert _arc_flows(net, flow) == _reference(net)
     # a run of two whose one piece fills set 0: the later phases split it
     # and reroute its second class, which becomes a piece of its own
-    ext = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [2, 1], counts=[2, 1])
-    flow = max_flow(ext)
+    net = _network(1, [((0, 1), (1, 1)), ((0, 1),)], [2, 1], counts=[2, 1])
+    flow = max_flow(*net)
     assert later[0] == 2
     assert flow.runs == (0, 0, 1) and flow.pieces == (1, 1, 1)
-    assert _arc_flows(ext, flow) == _reference(ext)
+    assert _arc_flows(net, flow) == _reference(net)
 
 
-def test_max_flow_is_deterministic():
-    # A real level: the same network, built twice, gives the same flow.
+def test_max_flow_is_deterministic(monkeypatch):
+    # A real level: extending the same state twice passes the same
+    # arguments, and they give the same flow, also when passed again.
     state = initial_state(12, 6)
     while state.level < 5:
         state = extend(state)
-    ext = build_extension_network(state)
-    first = max_flow(ext)
+    calls = _record_max_flow(monkeypatch)
+    assert extend(state) == extend(state)
+    (net, first), (twin, again) = calls
     assert first.value == comb(11, 5)
-    assert max_flow(ext) == first
-    twin = build_extension_network(state)
-    assert twin == ext and hash(twin) == hash(ext)
-    assert max_flow(twin) == first
+    assert twin == net and again == first
+    assert max_flow(*net) == first
 
 
 def _general_network(rng) -> tuple[int, list[tuple[int, int, int]], int, int]:
@@ -265,7 +277,7 @@ def _general_network(rng) -> tuple[int, list[tuple[int, int, int]], int, int]:
     return n, arcs, 0, n - 1
 
 
-def _random_extension_network(rng) -> ExtensionNetwork:
+def _random_extension_network(rng) -> tuple:
     """Runs of classes and sets as in an induction step, with zero
     capacities, empty rows, runs of one to three classes and sink rooms
     that sum to about what the classes send, so the greedy often splits a
@@ -299,10 +311,10 @@ def test_max_flow_value_matches_networkx_on_random_networks():
 
     rng = random.Random(31)
     for _ in range(40):
-        net = _general_network(rng)
-        assert _reference_max_flow(*net).value == networkx_value(*net)
-        ext = _random_extension_network(rng)
-        assert max_flow(ext).value == networkx_value(*_arc_form(ext))
+        general = _general_network(rng)
+        assert _reference_max_flow(*general).value == networkx_value(*general)
+        net = _random_extension_network(rng)
+        assert max_flow(*net).value == networkx_value(*_arc_form(*net))
 
 
 def test_max_flow_conservation_and_capacity():
@@ -334,8 +346,8 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     added = []
     first_phase, later_phases = baranyai._first_phase, baranyai._later_phases
 
-    def recorded_first(ext):
-        result = first_phase(ext)
+    def recorded_first(*args):
+        result = first_phase(*args)
         greedy.append(list(result[0]))  # the later phases split runs in place
         return result
 
@@ -348,16 +360,17 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     rng = random.Random(2024)
     split = split_settled = rerouted = 0
     for _ in range(3000):
-        ext = _random_extension_network(rng)
+        net = _random_extension_network(rng)
         before = len(added)
-        flow = max_flow(ext)
-        assert _arc_flows(ext, flow) == _reference(ext), ext
+        flow = max_flow(*net)
+        assert _arc_flows(net, flow) == _reference(net), net
         runs = greedy[-1]
         if len(set(runs)) < len(runs):  # the greedy split a run
             split += 1
             split_settled += len(added) == before
         if len(added) > before:
-            rerouted += added[-1] > 0 and max(ext.counts) > 1
+            counts = net[3]
+            rerouted += added[-1] > 0 and max(counts) > 1
     # the per-class later phases reroute flow on a good share of them
     assert sum(1 for value in added if value) >= 500, len(added)
     # runs of several classes: the greedy splits one where a room runs low,
@@ -366,26 +379,29 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
 
 
 def test_extension_max_flow_matches_reference(monkeypatch):
-    """max_flow on the runs equals the reference Dinic on the derived arc
-    network, arc for arc, at every level of 2 <= k <= N <= 12, (14, 7)
-    and (30, 3); the greedy alone settles a pinned share of them, so both
-    the greedy-only path and the per-class later phases stay covered."""
+    """The flow of the one max_flow call extend makes per level equals the
+    reference Dinic on the arc network its arguments describe, arc for
+    arc, at every level of 2 <= k <= N <= 12, (14, 7) and (30, 3); the
+    greedy alone settles a pinned share of them, so both the greedy-only
+    path and the per-class later phases stay covered."""
     from hyperline import baranyai
 
     later = _count_calls(monkeypatch, baranyai, "_later_phases")
+    calls = _record_max_flow(monkeypatch)
     pairs = [(big_n, k) for big_n in range(2, 13) for k in range(2, big_n + 1)]
     greedy_only = {}
     for big_n, k in pairs + [(14, 7), (30, 3)]:
         state = initial_state(big_n, k)
         settled = 0
         while state.level < big_n:
-            ext = build_extension_network(state)
             before = later[0]
-            flow = max_flow(ext)
-            settled += later[0] == before
-            assert _arc_flows(ext, flow) == _reference(ext), (big_n, k, state.level)
-            assert flow.value == comb(big_n - 1, k - 1)
+            level = state.level
             state = extend(state)
+            settled += later[0] == before
+            [(net, flow)] = calls
+            calls.clear()
+            assert _arc_flows(net, flow) == _reference(net), (big_n, k, level)
+            assert flow.value == comb(big_n - 1, k - 1)
         greedy_only[big_n, k] = settled
     assert sum(big_n - 1 for big_n, _ in pairs) == 506
     assert sum(greedy_only[pair] for pair in pairs) == 282
@@ -407,7 +423,8 @@ def test_runs_of_16_8():
     assert (runs, steps) == (17874, 96525)
 
 
-def test_extension_network_rejects_negative_multiplicity():
+def test_extension_network_rejects_negative_multiplicity(monkeypatch):
+    calls = _record_max_flow(monkeypatch)
     state = PartitionState(
         ground_size=3,
         subset_size=2,
@@ -418,16 +435,15 @@ def test_extension_network_rejects_negative_multiplicity():
         counts=(1,),
     )
     with pytest.raises(InputError, match=r"^run 0 holds set \(\) with negative multiplicity -1$"):
-        build_extension_network(state)
-    with pytest.raises(InputError):
         extend(state)
     assert "run 0: nonpositive multiplicity -1 for ()" in state_violations(state)
     # a run of no classes, and counts that do not match the runs
     empty = PartitionState(**{**state.__dict__, "rows": (((0, 1), (1, 2)),), "counts": (0,)})
     with pytest.raises(InputError, match=r"^run 0 stands for 0 classes$"):
-        build_extension_network(empty)
+        extend(empty)
     with pytest.raises(InputError, match=r"^1 runs but 2 counts$"):
-        build_extension_network(PartitionState(**{**empty.__dict__, "counts": (1, 1)}))
+        extend(PartitionState(**{**empty.__dict__, "counts": (1, 1)}))
+    assert not calls  # refused before any flow is run
 
 
 def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
@@ -440,8 +456,8 @@ def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
     calls = []
     original = baranyai.max_flow
 
-    def recorded(net):
-        flow = original(net)
+    def recorded(*args):
+        flow = original(*args)
         calls.append((sys._getframe(1).f_code, flow.value))
         return flow
 
@@ -469,26 +485,31 @@ def test_initial_state_shape():
     assert initial_state(3, 3).rows == (((0, 1),),)
 
 
-def test_extension_network_structure_n3_k2():
+def test_extension_network_structure_n3_k2(monkeypatch):
     state = initial_state(3, 2)
     assert state.class_count == 1
     assert state.rows == (((0, 1), (1, 2)),) and state.counts == (1,)  # {}: 1, {1}: 2
-    ext = build_extension_network(state)
-    assert ext.source_capacity == 2  # L/N
-    assert ext.sets == (0, 1) and ext.rows == state.rows and ext.counts == (1,)
-    assert ext.rooms == (1, 1)  # C(1,1) for {}, C(1,0) for {1}
-    node_count, arcs, source, sink = _arc_form(ext)
+    assert state.sets == (0, 1)
+    calls = _record_max_flow(monkeypatch)
+    extend(state)
+    [(net, _)] = calls
+    # L/N = 2; rooms C(1,1) for {} and C(1,0) for {1}; the state's own runs
+    assert net == (2, (1, 1), state.rows, (1,))
+    assert net[2] is state.rows and net[3] is state.counts
+    node_count, arcs, source, sink = _arc_form(*net)
     # source, 1 class, a node each for {} and {1}, sink
     assert (node_count, source, sink) == (5, 0, 4)
     assert arcs == [(0, 1, 2), (1, 2, 1), (1, 3, 2), (2, 4, 1), (3, 4, 1)]
 
 
-def test_extension_network_structure_n4_k2():
-    ext = build_extension_network(initial_state(4, 2))
-    assert ext.source_capacity == 1
-    assert ext.rows == (((0, 1), (1, 1)),) and ext.counts == (3,)  # {} and {1}, three classes
-    assert ext.sets == (0, 1)
-    assert ext.rooms == (comb(2, 1), comb(2, 0))  # {} -> 2, {1} -> 1
+def test_extension_network_structure_n4_k2(monkeypatch):
+    state = initial_state(4, 2)
+    assert state.sets == (0, 1)
+    calls = _record_max_flow(monkeypatch)
+    extend(state)
+    [(net, _)] = calls
+    # L/N = 1; {} -> 2, {1} -> 1; {} and {1} in one run of three classes
+    assert net == (1, (comb(2, 1), comb(2, 0)), (((0, 1), (1, 1)),), (3,))
 
 
 def test_extend_n3_k2_golden():
@@ -513,10 +534,8 @@ def test_extend_flow_value_and_invariants():
 def test_extend_rejects_complete_state():
     state = initial_state(3, 2)
     state = extend(extend(state))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^all 3 elements already distributed$"):
         extend(state)
-    with pytest.raises(InputError):
-        build_extension_network(state)
 
 
 def test_extend_detects_corrupt_state():
@@ -700,6 +719,40 @@ def test_partition_validation():
         baranyai_partition(40, 20)
     with pytest.raises(ResourceLimitError, match=r"^200000000 edges exceed the bound 1048576$"):
         regular_hypergraph(4, 2, 10**8)
+
+
+def test_size_guard_refuses_huge_binomials_at_once():
+    """The guard never computes a binomial past the bound: C(2 000 000,
+    1 000 000) has about 600 000 digits, and computing it in full takes
+    far longer than a second."""
+    start = time.perf_counter()
+    message = r"^C\(2000000, 1000000\) subsets exceed the bound 1048576$"
+    with pytest.raises(ResourceLimitError, match=message):
+        baranyai_partition(2_000_000, 1_000_000)
+    with pytest.raises(ResourceLimitError, match=message):
+        regular_hypergraph(2_000_000, 1_000_000, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_size_guard_matches_the_binomial():
+    from hyperline.baranyai import _validate_parameters
+
+    def refused(big_n, k):
+        try:
+            _validate_parameters(big_n, k)
+        except ResourceLimitError:
+            return True
+        return False
+
+    for big_n in range(2, 81):
+        for k in range(2, big_n + 1):
+            assert refused(big_n, k) == (comb(big_n, k) > 1 << 20), (big_n, k)
+    # C(N, N-1) = N on each side of the bound
+    assert not refused(1 << 20, (1 << 20) - 1)
+    assert refused((1 << 20) + 1, 1 << 20)
+    # C(1448, 2) = 1 047 628 and C(1449, 2) = 1 049 076, from either end
+    assert not refused(1448, 2) and not refused(1448, 1446)
+    assert refused(1449, 2) and refused(1449, 1447)
 
 
 def test_regular_divisibility_error():

@@ -330,6 +330,11 @@ def test_huge_header_exits_3(args, text, tmp_path, capsys):
     [
         (["baranyai", "-N", "40", "-k", "20"], "error: C(40, 20) subsets exceed the bound 1048576\n"),
         (["regular", "-N", "4", "-k", "2", "-d", "100000000"], "error: 200000000 edges exceed the bound 1048576\n"),
+        (["baranyai", "-N", "2000000", "-k", "1000000"], "error: C(2000000, 1000000) subsets exceed the bound 1048576\n"),
+        (
+            ["regular", "-N", "2000000", "-k", "1000000", "-d", "1"],
+            "error: C(2000000, 1000000) subsets exceed the bound 1048576\n",
+        ),
     ],
 )
 def test_oversized_construction_exits_3_at_once(args, message, capsys):

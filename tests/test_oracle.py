@@ -67,7 +67,7 @@ def test_cover_search_edgeless_graph_has_empty_cover():
 
 
 def test_cover_search_resource_guards():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^graph has 9 vertices, oracle bound is 8$"):
         cover_search(complete_graph(9), 2, 1)
     with pytest.raises(ResourceLimitError):
         cover_search(complete_graph(6), 3, 2, budget=1)

@@ -1,6 +1,7 @@
 """Structure of the package: its public surface and its import graph."""
 
 import ast
+import importlib
 import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -60,6 +61,21 @@ def test_public_surface_is_the_documented_one():
     section = text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
     missing = [name for name in SURFACE if not re.search(rf"\b{name}\b", section)]
     assert not missing, f"not in README's Library surface: {missing}"
+    # every name a submodule bullet lists resolves there, attribute by attribute
+    bullets = re.findall(r"^\* `hyperline\.(\w+)`:(.*?)(?=^\* |^$)", section, re.M | re.S)
+    assert sorted(module for module, _ in bullets) == [
+        "baranyai", "fileio", "graph", "oracle", "recognition", "reconstruction"
+    ]
+    stale = []
+    for module, text in bullets:
+        for name in re.findall(r"`([\w.]+)`", text):
+            obj = importlib.import_module(f"hyperline.{module}")
+            for attr in name.split("."):
+                if not hasattr(obj, attr):
+                    stale.append(f"hyperline.{module}.{name}")
+                    break
+                obj = getattr(obj, attr)
+    assert not stale, f"README lists names its submodules lack: {stale}"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
