@@ -57,6 +57,21 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
 
 
+def _header(
+    text: str, kind: str, form: str
+) -> tuple[int, list[int], list[tuple[int, list[str]]]]:
+    """The header's line number and integers, and the content lines after
+    it, of a `kind` file whose header reads `form`, tag first."""
+    rows = _content_lines(text)
+    if not rows:
+        raise InputError(f"empty {kind} file")
+    lineno, header = rows[0]
+    fields = form.split()
+    if len(header) != len(fields) or header[0] != fields[0]:
+        raise InputError(f"line {lineno}: expected header '{form}'")
+    return lineno, _ints(header[1:], lineno), rows[1:]
+
+
 def _check_vertex_count(n: int, lineno: int) -> None:
     if n > READ_SIZE_BOUND:
         raise ResourceLimitError(
@@ -73,15 +88,8 @@ def write_hypergraph(hg: Hypergraph, notes: tuple[str, ...] = ()) -> str:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    rows = _content_lines(text)
-    if not rows:
-        raise InputError("empty hypergraph file")
-    lineno, header = rows[0]
-    if len(header) != 3 or header[0] != "H":
-        raise InputError(f"line {lineno}: expected header 'H <n> <m>'")
-    n, m = _ints(header[1:], lineno)
+    lineno, (n, m), body = _header(text, "hypergraph", "H <n> <m>")
     _check_vertex_count(n, lineno)
-    body = rows[1:]
     if len(body) != m:
         raise InputError(f"header promises {m} edges, file has {len(body)}")
     edges = []
@@ -190,15 +198,8 @@ def _read_graph_bulk(text: str) -> Graph | None:
 def _read_graph_lines(text: str) -> Graph:
     """The line-by-line reader: checks each line in file order and raises
     on the first problem."""
-    rows = _content_lines(text)
-    if not rows:
-        raise InputError("empty graph file")
-    lineno, header = rows[0]
-    if len(header) != 3 or header[0] != "G":
-        raise InputError(f"line {lineno}: expected header 'G <n> <medges>'")
-    n, m = _ints(header[1:], lineno)
+    lineno, (n, m), body = _header(text, "graph", "G <n> <medges>")
     _check_vertex_count(n, lineno)
-    body = rows[1:]
     if len(body) != m:
         raise InputError(f"header promises {m} edges, file has {len(body)}")
     edges = []
@@ -233,20 +234,13 @@ def write_partition(
 
 
 def read_partition(text: str) -> tuple[int, int, list[list[tuple[int, ...]]]]:
-    rows = _content_lines(text)
-    if not rows:
-        raise InputError("empty partition file")
-    lineno, header = rows[0]
-    if len(header) != 4 or header[0] != "B":
-        raise InputError(f"line {lineno}: expected header 'B <N> <k> <M>'")
-    ground_size, subset_size, class_count = _ints(header[1:], lineno)
-    if min(ground_size, subset_size, class_count) < 0:
+    lineno, header, body = _header(text, "partition", "B <N> <k> <M>")
+    ground_size, subset_size, class_count = header
+    if min(header) < 0:
         raise InputError(f"line {lineno}: header values must be nonnegative")
     classes: list[list[tuple[int, ...]]] = []
     pending = 0
-    pos = 1
-    while pos < len(rows):
-        lineno, tokens = rows[pos]
+    for lineno, tokens in body:
         if tokens[0] == "S":
             if pending:
                 raise InputError(f"line {lineno}: previous class is short {pending} sets")
@@ -271,7 +265,6 @@ def read_partition(text: str) -> tuple[int, int, list[list[tuple[int, ...]]]]:
                 )
             classes[-1].append(tuple(vs))
             pending -= 1
-        pos += 1
     if pending:
         raise InputError(f"last class is short {pending} sets")
     if len(classes) != class_count:

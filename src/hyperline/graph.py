@@ -3,18 +3,23 @@
 Adjacency is stored as one bitmask per vertex, and the hot kernels work
 on those masks directly, each stopping as soon as its outcome is fixed:
 
-- a claw's leaves are grown by recursing over a candidate mask, each
-  step keeping only the candidates outside the chosen leaf's
-  neighborhood; a branch with fewer candidates than leaves still needed
-  ends at once, and one whose candidates, at least twice as many as the
-  leaves still needed, split into fewer cliques than that is dropped
-  (`_least_independent`);
+- a claw's leaves are grown depth first over a candidate mask, on an
+  explicit stack so the recursion limit puts no bound on the leaf
+  count, each step keeping only the candidates outside the chosen
+  leaf's neighborhood; a branch with fewer candidates than leaves still
+  needed ends at once, and one whose candidates, at least twice as many
+  as the leaves still needed, split into fewer cliques than that is
+  dropped (`find_claw`);
 - maximal cliques come from pivoted Bron-Kerbosch run on an explicit
   stack of masks, so the interpreter's recursion limit puts no bound on
-  clique size; branches that cannot reach a requested size are cut, a
-  frame whose candidates already form a clique reports its one maximal
-  clique whole, and one whose candidates an excluded vertex sees in full
-  is dropped, since it holds no maximal clique;
+  clique size; nothing is enumerated when the requested size exceeds
+  n or fewer vertices than that size reach the degree such a clique
+  needs (the degree floor that lets the recognizer's big-clique family
+  cost one comparison on small graphs), branches that cannot reach the
+  requested size are cut, a frame whose candidates already form a
+  clique reports its one maximal clique whole, and one whose candidates
+  an excluded vertex sees in full is dropped, since it holds no maximal
+  clique;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
   (`_met_at_least`), which the recognizer's F1 and F2 checks share.
@@ -256,13 +261,26 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
     isolated vertices show up as singletons.  Each maximal clique is
     found exactly once whatever the pivot and the frame order, and the
     result is sorted, so neither shows in the output.
+
+    Each vertex of a clique of `min_size` vertices has degree at least
+    min_size - 1, so before anything is allocated the list is returned
+    empty when min_size exceeds n, or when fewer than min_size vertices
+    reach that degree.
     """
+    n = g.n
+    if min_size > n:
+        return []
     adj = g._adj
+    heavy = 0
+    for row in adj:
+        if row.bit_count() >= min_size - 1:
+            heavy += 1
+    if heavy < min_size:
+        return []
     found: list[int] = []
     # Each frame is (r, size, p, count, x): the clique so far and its
     # size, the candidates and their count, and the excluded vertices.
-    n = g.n
-    stack = [(0, 0, (1 << n) - 1, n, 0)] if n and n >= min_size else []
+    stack = [(0, 0, (1 << n) - 1, n, 0)] if n else []
     while stack:
         r, size, p, count, x = stack.pop()
         others = count - 1  # neighbors in p of a vertex of p that sees all of p
@@ -319,61 +337,62 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     """First claw with exactly r leaves: lowest center, then lexicographically
     least leaf set.  None if the graph has no such induced star.
 
-    For each center the leaves are grown from its neighborhood mask: take
-    the lowest candidate, recurse on the candidates above it outside its
-    neighborhood, and give up on a branch once fewer candidates remain
-    than leaves still needed, or once its candidates, where there are
-    enough of them for the test to pay, split into fewer cliques than
-    leaves still needed (see `_least_independent`).  Both cuts drop only
-    branches holding no claw, so the claw found is the same as that of a
-    plain search.
+    For each center the leaves are grown depth first from its
+    neighborhood mask, on an explicit stack so the interpreter's
+    recursion limit puts no bound on r.  A level takes its lowest
+    candidate left as a leaf and opens the level below on the candidates
+    above that leaf outside its neighborhood; a level out of candidates
+    hands back to the level above.  When one leaf is still needed the
+    lowest candidate is it.
+
+    A level is never opened on fewer candidates than the leaves it still
+    needs, nor on candidates that split into fewer cliques than that, as
+    a clique holds at most one leaf (the greedy colouring bound of Tomita
+    and Seki's MCQ, taken on the complement).  The bound is tried only on
+    at least twice as many candidates as leaves still needed: below that
+    the plain search settles a level in about as few steps, so on small
+    graphs the bound only adds cost, while on the large neighborhoods of
+    line graphs, which split into few cliques, it cuts nearly every
+    level.  Both cuts drop only levels holding no leaf set, so they change
+    the time, never the claw found.
     """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
     adj = g._adj
     for center, nbrs in enumerate(adj):
         count = nbrs.bit_count()
-        if count >= r:  # a centre needs r neighbours
-            leaves = _least_independent(adj, nbrs, count, r)
-            if leaves is not None:
-                return Claw(center, leaves)
-    return None
-
-
-def _least_independent(
-    adj: tuple[int, ...], cand: int, count: int, need: int
-) -> tuple[int, ...] | None:
-    """Lexicographically least `need` pairwise non-adjacent vertices of cand,
-    which holds `count` >= `need` vertices.  Callers skip a candidate set
-    smaller than the leaves it must supply instead of calling here for a
-    certain None.
-
-    A clique holds at most one of them, so when cand splits into fewer
-    than `need` cliques there are none (the greedy colouring bound of
-    Tomita and Seki's MCQ, taken on the complement).  The bound is tried
-    only where cand holds at least twice as many vertices as leaves still
-    needed.  Below that the plain search settles a branch in about as few
-    steps as the bound takes, so on the neighborhoods of small graphs the
-    bound only adds cost, while on the large neighborhoods of line graphs,
-    which split into few cliques, it cuts nearly every branch.  Either
-    way the bound drops only branches that hold no leaf set, so where it
-    is tried changes the time, never the result.
-    """
-    if need == 1:
-        return ((cand & -cand).bit_length() - 1,)
-    if count >= 2 * need and not _clique_partition_reaches(adj, cand, need):
-        return None
-    while count >= need:
-        low = cand & -cand
-        cand ^= low
-        count -= 1
-        v = low.bit_length() - 1
-        rest = cand & ~adj[v]
-        left = rest.bit_count()
-        if left >= need - 1:
-            leaves = _least_independent(adj, rest, left, need - 1)
-            if leaves is not None:
-                return (v, *leaves)
+        if count < r:  # a centre needs r neighbours
+            continue
+        if r == 1:
+            return Claw(center, ((nbrs & -nbrs).bit_length() - 1,))
+        if count >= 2 * r and not _clique_partition_reaches(adj, nbrs, r):
+            continue
+        # The current level's candidates, their count and the leaves it
+        # still needs; `opened` links the levels above it, innermost
+        # first, as (candidates left, their count, leaf, next level).
+        cand, need, opened = nbrs, r, None
+        while True:
+            while count >= need:
+                low = cand & -cand
+                cand ^= low
+                count -= 1
+                v = low.bit_length() - 1
+                rest = cand & ~adj[v]
+                left = rest.bit_count()
+                if left >= need - 1:
+                    if need == 2:
+                        leaves = [(rest & -rest).bit_length() - 1, v]
+                        while opened is not None:
+                            leaves.append(opened[2])
+                            opened = opened[3]
+                        return Claw(center, tuple(reversed(leaves)))
+                    if left < 2 * need - 2 or _clique_partition_reaches(adj, rest, need - 1):
+                        opened = (cand, count, v, opened)
+                        cand, count, need = rest, left, need - 1
+            if opened is None:
+                break
+            cand, count, _, opened = opened
+            need += 1
     return None
 
 

@@ -11,11 +11,15 @@ degree reaches p*k^3 + (p-3)*k + 1, the family of big maximal cliques is
 a valid cover and certifies membership; below that edge-degree bound the
 verdict is Inconclusive.
 
-The big-clique family lives here with the checks that share it:
-`krausz_cover` certifies it as a cover, and `reconstruct` turns a Member
-verdict into a witness hypergraph.  The cover value, its validation and
-the cover-to-hypergraph step are in `reconstruction`, which imports
-nothing from this module.
+Each check is one function, and `recognize` calls it: `check_f1(g, t)`
+and `check_claw(g, t)` first, then `check_f2(g, t, big)`, `check_f3(t,
+big)` and, for a Member, `krausz_cover(g, t, big)`, where `big` is the
+one list `graph.maximal_cliques(g, t.clique_size_bound)` returned.  That
+enumeration returns at once, having allocated nothing, when the bound
+exceeds n or fewer vertices than the bound reach degree bound - 1.
+`reconstruct` turns a Member verdict into a witness hypergraph.  The
+cover value, its validation and the cover-to-hypergraph step are in
+`reconstruction`, which imports nothing from this module.
 """
 
 from __future__ import annotations
@@ -124,28 +128,15 @@ class Inconclusive:
 Verdict = Union[Member, NonMember, Inconclusive]
 
 
-def _big_cliques(g: Graph, t: Thresholds) -> list[tuple[int, ...]]:
-    """Maximal cliques of size at least the big-clique bound, in
-    lexicographic order.
+def krausz_cover(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> CliqueCover:
+    """The big maximal cliques `big`, as `maximal_cliques(g,
+    t.clique_size_bound)` lists them, certified as a cover.
 
-    Each vertex of such a clique has degree at least bound - 1, so none
-    can exist when the bound exceeds n or when fewer than bound vertices
-    reach that degree, and then nothing is enumerated.
+    Precondition: g passed the four forbidden-structure checks and its
+    minimum edge degree meets the bound in t; under that hypothesis this
+    family is a valid cover, and any validation failure here means the
+    caller broke the precondition.
     """
-    bound = t.clique_size_bound
-    if bound > g.n:
-        return []
-    heavy = 0
-    for row in g._adj:
-        if row.bit_count() >= bound - 1:
-            heavy += 1
-    if heavy < bound:
-        return []
-    return maximal_cliques(g, bound)
-
-
-def _certified_cover(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> CliqueCover:
-    """`krausz_cover` from an already enumerated big-clique family."""
     cover = CliqueCover(g.n, big)
     diag = validate_cover(g, cover, t.k, t.p)
     if not diag:
@@ -156,23 +147,9 @@ def _certified_cover(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> Cli
     return cover
 
 
-def krausz_cover(g: Graph, t: Thresholds) -> CliqueCover:
-    """All maximal cliques of size at least the big-clique bound, in
-    lexicographic order.
-
-    Precondition: g passed the four forbidden-structure checks and its
-    minimum edge degree meets the bound in t; under that hypothesis this
-    family is a valid cover, and any validation failure here means the
-    caller broke the precondition.
-    """
-    return _certified_cover(g, t, _big_cliques(g, t))
-
-
-def check_claw(g: Graph, k: int) -> ClawWitness | None:
+def check_claw(g: Graph, t: Thresholds) -> ClawWitness | None:
     """A claw with k+1 leaves, if any."""
-    if k < 2:
-        raise InputError(f"need k >= 2, got k={k}")
-    claw = find_claw(g, k + 1)
+    claw = find_claw(g, t.k + 1)
     return ClawWitness(claw) if claw is not None else None
 
 
@@ -213,17 +190,15 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     return None
 
 
-def check_f2(g: Graph, t: Thresholds) -> F2Witness | None:
+def check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
     """First outside vertex attached to more than p*k vertices of a big
-    maximal clique."""
-    return _check_f2(g, t, _big_cliques(g, t))
+    maximal clique, `big` being those cliques in lexicographic order.
 
-
-def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:
-    """For each big clique in order, one threshold count over the rows of
+    For each big clique in order, one threshold count over the rows of
     its vertices (`_met_at_least`) gives every vertex attached to enough
     of it; the lowest one outside the clique is the witness.  With no big
-    clique there is nothing to attach to, and no mask is built."""
+    clique there is nothing to attach to, and no mask is built.
+    """
     if not big:
         return None
     needed = t.p * t.k + 1
@@ -238,14 +213,13 @@ def _check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness 
     return None
 
 
-def check_f3(g: Graph, t: Thresholds) -> F3Witness | None:
-    """First pair of big maximal cliques sharing more than p vertices."""
-    return _check_f3(t, _big_cliques(g, t))
+def check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
+    """First pair of big maximal cliques sharing more than p vertices,
+    `big` being those cliques in lexicographic order.
 
-
-def _check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
-    """Every pair of big cliques in order, by one AND of their masks; fewer
-    than two cliques make no pair, and then no mask is built."""
+    Every pair in order, by one AND of their masks; fewer than two
+    cliques make no pair, and then no mask is built.
+    """
     if len(big) < 2:
         return None
     needed = t.p + 1
@@ -268,8 +242,9 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
 
     Checks run in the fixed order F1, claw, F2, F3, so the returned
     witness is deterministic when several structures are present.  The
-    big maximal cliques are enumerated once, after F1 and the claw check
-    pass, and shared by F2, F3 and the certifying cover.
+    big maximal cliques are enumerated once, by `maximal_cliques` after
+    F1 and the claw check pass, and that one list goes to F2, F3 and the
+    certifying cover.
     """
     t = thresholds(k, p)
     if not any(g._adj):
@@ -277,20 +252,20 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
 
     witness: Witness | None = check_f1(g, t)
     if witness is None:
-        witness = check_claw(g, k)
+        witness = check_claw(g, t)
     if witness is not None:
         return NonMember(witness)
 
-    big = _big_cliques(g, t)
-    witness = _check_f2(g, t, big)
+    big = maximal_cliques(g, t.clique_size_bound)
+    witness = check_f2(g, t, big)
     if witness is None:
-        witness = _check_f3(t, big)
+        witness = check_f3(t, big)
     if witness is not None:
         return NonMember(witness)
 
     degree = min_edge_degree(g)
     if degree >= t.edge_degree_bound:
-        return Member(_certified_cover(g, t, big))
+        return Member(krausz_cover(g, t, big))
     return Inconclusive(min_edge_degree=degree, required=t.edge_degree_bound)
 
 

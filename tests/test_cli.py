@@ -52,6 +52,17 @@ def test_recognize_claw_record(claw_graph):
     assert text.splitlines()[0] == "NONMEMBER claw center=0 leaves=1,2,3"
 
 
+def test_recognize_deep_claw_record(tmp_path, capsys):
+    """A 1 200-leaf claw, deeper than the recursion limit, is reported as
+    a NONMEMBER record, not as an exhausted resource."""
+    path = tmp_path / "star.gr"
+    path.write_text(write_graph(Graph(1201, [(0, v) for v in range(1, 1201)])))
+    code, text = run(["recognize", "--in", str(path), "-k", "1199", "-p", "1"])
+    assert (code, capsys.readouterr().err) == (1, "")
+    leaves = ",".join(map(str, range(1, 1201)))
+    assert text.splitlines()[0] == f"NONMEMBER claw center=0 leaves={leaves}"
+
+
 def test_recognize_member_k7(tmp_path):
     path = tmp_path / "k7.gr"
     path.write_text(write_graph(complete_graph(7)))

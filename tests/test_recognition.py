@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from hyperline import (
+    Claw,
     ClawWitness,
     CliqueCover,
     F1Witness,
@@ -21,12 +22,13 @@ from hyperline import (
     validate_cover,
 )
 from hyperline.graph import maximal_cliques
+from hyperline import recognition
 from hyperline.recognition import (
-    _big_cliques,
     check_claw,
     check_f1,
     check_f2,
     check_f3,
+    krausz_cover,
     thresholds,
 )
 
@@ -70,12 +72,17 @@ def test_thresholds_ordering_and_validation():
     assert type(thresholds(2, 1).edge_degree_bound) is int
 
 
+def _big(g: Graph, t) -> list[tuple[int, ...]]:
+    """The big maximal cliques, as `recognize` passes them to the checks."""
+    return maximal_cliques(g, t.clique_size_bound)
+
+
 def test_check_claw():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    w = check_claw(star, 2)
+    w = check_claw(star, thresholds(2, 1))
     assert isinstance(w, ClawWitness) and len(w.claw.leaves) == 3
-    assert check_claw(complete_graph(7), 2) is None
-    assert check_claw(star, 3) is None
+    assert check_claw(complete_graph(7), thresholds(2, 1)) is None
+    assert check_claw(star, thresholds(3, 1)) is None
 
 
 def test_check_f1():
@@ -93,13 +100,13 @@ def test_check_f2():
     k4_attached = Graph(
         5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2)]
     )
-    w = check_f2(k4_attached, t)
+    w = check_f2(k4_attached, t, _big(k4_attached, t))
     assert isinstance(w, F2Witness)
     assert w.clique == (0, 1, 2, 3) and w.vertex == 4
     assert w.attachment == (0, 1, 2)
-    assert check_f2(complete_graph(7), t) is None
+    assert check_f2(complete_graph(7), t, _big(complete_graph(7), t)) is None
     two_attached = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1)])
-    assert check_f2(two_attached, t) is None
+    assert check_f2(two_attached, t, _big(two_attached, t)) is None
 
 
 def test_check_f3():
@@ -108,7 +115,7 @@ def test_check_f3():
         6,
         list(combinations([0, 1, 2, 3], 2)) + list(combinations([2, 3, 4, 5], 2)),
     )
-    w = check_f3(sharing_two, t)
+    w = check_f3(t, _big(sharing_two, t))
     assert isinstance(w, F3Witness)
     assert w.clique_a == (0, 1, 2, 3) and w.clique_b == (2, 3, 4, 5)
     assert w.shared == (2, 3)
@@ -117,13 +124,13 @@ def test_check_f3():
         [(a, b) for a, b in combinations([0, 1, 2, 3], 2)]
         + [(a, b) for a, b in combinations([3, 4, 5, 6], 2)],
     )
-    assert check_f3(sharing_one, t) is None
+    assert check_f3(t, _big(sharing_one, t)) is None
     disjoint = Graph(
         8,
         [(a, b) for a, b in combinations([0, 1, 2, 3], 2)]
         + [(a, b) for a, b in combinations([4, 5, 6, 7], 2)],
     )
-    assert check_f3(disjoint, t) is None
+    assert check_f3(t, _big(disjoint, t)) is None
 
 
 def test_recognize_member_k7():
@@ -151,6 +158,80 @@ def test_recognize_inconclusive_c5():
     verdict = recognize(cycle_graph(5), 2, 1)
     assert isinstance(verdict, Inconclusive)
     assert verdict.min_edge_degree == 0 and verdict.required == 5
+
+
+def test_recognize_deep_claw_is_nonmember():
+    """A star with 1 200 leaves holds a claw far deeper than the
+    interpreter's recursion limit; the leaf search runs on its own stack."""
+    star = Graph(1201, [(0, v) for v in range(1, 1201)])
+    verdict = recognize(star, 1199, 1)
+    assert verdict == NonMember(ClawWitness(Claw(0, tuple(range(1, 1201)))))
+    verify_witness(star, verdict.witness, 1199, 1)
+
+
+def _record_checks(monkeypatch) -> list:
+    """Wrap the checks `recognize` calls, and `maximal_cliques`, so each
+    call is recorded in order as (name, args, result)."""
+    calls = []
+    for name in ("check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3", "krausz_cover"):
+        def wrapper(*args, _name=name, _fn=getattr(recognition, name)):
+            result = _fn(*args)
+            calls.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(recognition, name, wrapper)
+    return calls
+
+
+K4_ATTACHED = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1), (4, 2)])
+TWO_K4_SHARING_TWO = Graph(
+    6, list(combinations([0, 1, 2, 3], 2)) + list(combinations([2, 3, 4, 5], 2))
+)
+
+
+@pytest.mark.parametrize(
+    "g, kind, order",
+    [
+        (complete_bipartite(2, 5), F1Witness, ["check_f1"]),
+        (Graph(4, [(0, 1), (0, 2), (0, 3)]), ClawWitness, ["check_f1", "check_claw"]),
+        (K4_ATTACHED, F2Witness, ["check_f1", "check_claw", "maximal_cliques", "check_f2"]),
+        (
+            TWO_K4_SHARING_TWO,
+            F3Witness,
+            ["check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3"],
+        ),
+        (
+            cycle_graph(5),
+            Inconclusive,
+            ["check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3"],
+        ),
+        (
+            complete_graph(7),
+            Member,
+            ["check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3", "krausz_cover"],
+        ),
+    ],
+)
+def test_recognize_runs_the_documented_checks(g, kind, order, monkeypatch):
+    """`recognize` calls each documented check itself, in the order F1,
+    claw, F2, F3, cover, enumerates the big cliques once, and hands that
+    very list to F2, F3 and the cover."""
+    calls = _record_checks(monkeypatch)
+    verdict = recognize(g, 2, 1)
+    assert isinstance(getattr(verdict, "witness", verdict), kind)
+    assert [name for name, _, _ in calls] == order
+    t = thresholds(2, 1)
+    assert calls[0][1] == (g, t)
+    if len(calls) > 1:
+        assert calls[1][1] == (g, t)
+    if len(calls) > 2:
+        _, args, big = calls[2]
+        assert args == (g, t.clique_size_bound)
+        for name, args, _ in calls[3:]:
+            assert args[-1] is big, name
+            assert args[:-1] == {"check_f2": (g, t), "check_f3": (t,), "krausz_cover": (g, t)}[name]
+    if isinstance(verdict, Member):
+        assert verdict.cover is calls[-1][2]
 
 
 def test_recognize_k25_reports_f1_before_claw():
@@ -282,7 +363,7 @@ def test_check_f2_matches_per_vertex_reference():
     for k, p, g in cases:
         t = thresholds(k, p)
         expected = _f2_reference(g, t)
-        assert check_f2(g, t) == expected, (g, k, p)
+        assert check_f2(g, t, _big(g, t)) == expected, (g, k, p)
         fired += expected is not None
     assert fired >= 100, fired
 
@@ -306,7 +387,8 @@ def test_checks_match_references_on_every_small_graph():
     threshold exceeds the n - 2 common neighbors a pair can have and for
     three of the four (k, p) no clique reaches the big-clique bound, the
     checks that return at once agree with the plain scans, and the
-    big-clique family with the filter of all maximal cliques."""
+    big-clique family, as `maximal_cliques` gives it behind its degree
+    floor, with the filter of all maximal cliques."""
     for n in range(2, 7):
         for g in all_graphs(n):
             if not g.edge_count:
@@ -314,11 +396,11 @@ def test_checks_match_references_on_every_small_graph():
             cliques = maximal_cliques(g)
             for k, p in [(2, 1), (2, 2), (3, 1), (3, 2)]:
                 t = thresholds(k, p)
-                big = [c for c in cliques if len(c) >= t.clique_size_bound]
-                assert _big_cliques(g, t) == big, (g, k, p)
+                big = maximal_cliques(g, t.clique_size_bound)
+                assert big == [c for c in cliques if len(c) >= t.clique_size_bound], (g, k, p)
                 assert check_f1(g, t) == _f1_reference(g, t), (g, k, p)
-                assert check_f2(g, t) == _f2_reference(g, t, cliques), (g, k, p)
-                assert check_f3(g, t) == _f3_reference(g, t, cliques), (g, k, p)
+                assert check_f2(g, t, big) == _f2_reference(g, t, cliques), (g, k, p)
+                assert check_f3(t, big) == _f3_reference(g, t, cliques), (g, k, p)
 
 
 def test_check_f1_fires_at_n_minus_two_common_neighbors():

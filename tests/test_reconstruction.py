@@ -14,6 +14,7 @@ from hyperline import (
     reconstruct,
     validate_cover,
 )
+from hyperline.graph import maximal_cliques
 from hyperline.recognition import krausz_cover, thresholds
 from hyperline.reconstruction import hypergraph_to_cover
 
@@ -57,26 +58,31 @@ def test_validate_cover_rejects_non_clique_entry():
         validate_cover(cycle_graph(4), CliqueCover(4, [(0, 1, 2)]), 2, 1)
 
 
+def _krausz_cover(g, t):
+    """`krausz_cover` on the big-clique family `recognize` would pass it."""
+    return krausz_cover(g, t, maximal_cliques(g, t.clique_size_bound))
+
+
 def test_krausz_cover_goldens():
     t = thresholds(2, 1)
-    assert krausz_cover(complete_graph(7), t).cliques == ((0, 1, 2, 3, 4, 5, 6),)
+    assert _krausz_cover(complete_graph(7), t).cliques == ((0, 1, 2, 3, 4, 5, 6),)
     two = Graph(
         14,
         [(u, v) for u in range(7) for v in range(u + 1, 7)]
         + [(u + 7, v + 7) for u in range(7) for v in range(u + 1, 7)],
     )
-    assert krausz_cover(two, t).cliques == (
+    assert _krausz_cover(two, t).cliques == (
         tuple(range(7)),
         tuple(range(7, 14)),
     )
     k24 = complete_graph(24)
-    cover = krausz_cover(k24, thresholds(3, 1))
+    cover = _krausz_cover(k24, thresholds(3, 1))
     assert cover.cliques == (tuple(range(24)),)
 
 
 def test_krausz_cover_raises_on_violated_precondition():
     with pytest.raises(InternalContradictionError):
-        krausz_cover(cycle_graph(4), thresholds(2, 1))
+        _krausz_cover(cycle_graph(4), thresholds(2, 1))
 
 
 def test_cover_to_hypergraph_triangle_golden():
