@@ -37,12 +37,12 @@ if and only if k divides d*N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress
 from math import comb, lcm
 from operator import itemgetter, mul, sub
 
+from ._value import Value, _set_field
 from .errors import (
     DivisibilityError,
     InputError,
@@ -73,8 +73,7 @@ def _growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int,
     return tuple(sorted(masks))
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Value):
     """Integral feasible flow of one induction step, as `max_flow`
     returns it, held per piece.
 
@@ -92,9 +91,16 @@ class Flow:
     units: tuple[int, ...]
     value: int
 
+    def __init__(
+        self, runs: tuple[int, ...], pieces: tuple[int, ...], units: tuple[int, ...], value: int
+    ):
+        _set_field(self, "runs", runs)
+        _set_field(self, "pieces", pieces)
+        _set_field(self, "units", units)
+        _set_field(self, "value", value)
 
-@dataclass(frozen=True)
-class PartitionState:
+
+class PartitionState(Value):
     """Snapshot of the induction in the flow's own form.
 
     `sets` holds the partial sets that can still grow, as masks over the
@@ -114,6 +120,24 @@ class PartitionState:
     rows: tuple[tuple[tuple[int, int], ...], ...]
     finished: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
+
+    def __init__(
+        self,
+        ground_size: int,
+        subset_size: int,
+        level: int,
+        sets: tuple[int, ...],
+        rows: tuple[tuple[tuple[int, int], ...], ...],
+        finished: tuple[tuple[int, ...], ...],
+        counts: tuple[int, ...],
+    ):
+        _set_field(self, "ground_size", ground_size)
+        _set_field(self, "subset_size", subset_size)
+        _set_field(self, "level", level)
+        _set_field(self, "sets", sets)
+        _set_field(self, "rows", rows)
+        _set_field(self, "finished", finished)
+        _set_field(self, "counts", counts)
 
     @property
     def lcm_value(self) -> int:

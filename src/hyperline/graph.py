@@ -30,9 +30,9 @@ output is that of the plain search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._value import Value, _set_field
 from .errors import InputError
 from .hypergraph import Hypergraph
 
@@ -122,12 +122,15 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-@dataclass(frozen=True)
-class Claw:
+class Claw(Value):
     """Induced star: center adjacent to pairwise non-adjacent leaves."""
 
     center: int
     leaves: tuple[int, ...]
+
+    def __init__(self, center: int, leaves: tuple[int, ...]):
+        _set_field(self, "center", center)
+        _set_field(self, "leaves", leaves)
 
 
 def _met_at_least(adj: tuple[int, ...], members: int, t: int, scope: int) -> int:

@@ -8,10 +8,10 @@ allowed and count separately in all degree queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
+from ._value import Value, _set_field
 from .errors import InputError
 
 
@@ -36,14 +36,13 @@ def _sorted_entries(
     return tuple(normalized)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Value):
     n: int
     edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", _sorted_entries(n, edges, "edge"))
+        _set_field(self, "n", n)
+        _set_field(self, "edges", _sorted_entries(n, edges, "edge"))
 
     @property
     def m(self) -> int:

@@ -9,9 +9,9 @@ realizability criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
+from ._value import Value
 from .baranyai import regular_hypergraph
 from .errors import DivisibilityError, InputError, ResourceLimitError
 from .graph import Graph, _bits
@@ -176,12 +176,21 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     return assign(0)
 
 
-@dataclass
-class ScanReport:
-    """Outcome of the realizability scan; discrepancies should stay empty."""
+class ScanReport(Value):
+    """Outcome of the realizability scan; discrepancies should stay empty.
 
-    cases: int = 0
-    discrepancies: list[str] = field(default_factory=list)
+    Mutable, so unhashable; each report gets its own discrepancy list."""
+
+    cases: int
+    discrepancies: list[str]
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, cases: int = 0, discrepancies: list[str] | None = None):
+        self.cases = cases
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
     @property
     def ok(self) -> bool:

@@ -24,10 +24,10 @@ cover value, its validation and the cover-to-hypergraph step are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
+from ._value import Value, _set_field
 from .errors import InputError, InternalContradictionError, NotAMemberError
 from .graph import (
     Claw,
@@ -43,14 +43,19 @@ from .hypergraph import Hypergraph
 from .reconstruction import CliqueCover, cover_to_hypergraph, validate_cover
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Value):
     """Exact integer bounds derived from (k, p)."""
 
     k: int
     p: int
     edge_degree_bound: int  # p*k^3 + (p-3)*k + 1
     clique_size_bound: int  # p*k^2 + (p-2)*k + 2
+
+    def __init__(self, k: int, p: int, edge_degree_bound: int, clique_size_bound: int):
+        _set_field(self, "k", k)
+        _set_field(self, "p", p)
+        _set_field(self, "edge_degree_bound", edge_degree_bound)
+        _set_field(self, "clique_size_bound", clique_size_bound)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -65,57 +70,80 @@ def thresholds(k: int, p: int) -> Thresholds:
     )
 
 
-@dataclass(frozen=True)
-class ClawWitness:
+class ClawWitness(Value):
     claw: Claw
 
+    def __init__(self, claw: Claw):
+        _set_field(self, "claw", claw)
 
-@dataclass(frozen=True)
-class F1Witness:
+
+class F1Witness(Value):
     """Non-adjacent pair with p*k^2 + 1 listed common neighbors."""
 
     a: int
     b: int
     common: tuple[int, ...]
 
+    def __init__(self, a: int, b: int, common: tuple[int, ...]):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "common", common)
 
-@dataclass(frozen=True)
-class F2Witness:
+
+class F2Witness(Value):
     """Big maximal clique plus an outside vertex attached to p*k + 1 of it."""
 
     clique: tuple[int, ...]
     vertex: int
     attachment: tuple[int, ...]
 
+    def __init__(self, clique: tuple[int, ...], vertex: int, attachment: tuple[int, ...]):
+        _set_field(self, "clique", clique)
+        _set_field(self, "vertex", vertex)
+        _set_field(self, "attachment", attachment)
 
-@dataclass(frozen=True)
-class F3Witness:
+
+class F3Witness(Value):
     """Two big maximal cliques sharing p + 1 listed vertices."""
 
     clique_a: tuple[int, ...]
     clique_b: tuple[int, ...]
     shared: tuple[int, ...]
 
+    def __init__(
+        self, clique_a: tuple[int, ...], clique_b: tuple[int, ...], shared: tuple[int, ...]
+    ):
+        _set_field(self, "clique_a", clique_a)
+        _set_field(self, "clique_b", clique_b)
+        _set_field(self, "shared", shared)
+
 
 Witness = Union[ClawWitness, F1Witness, F2Witness, F3Witness]
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Value):
     cover: CliqueCover
 
+    def __init__(self, cover: CliqueCover):
+        _set_field(self, "cover", cover)
 
-@dataclass(frozen=True)
-class NonMember:
+
+class NonMember(Value):
     witness: Witness
 
+    def __init__(self, witness: Witness):
+        _set_field(self, "witness", witness)
 
-@dataclass(frozen=True)
-class Inconclusive:
+
+class Inconclusive(Value):
     """All four checks passed but the edge-degree bound does not apply."""
 
     min_edge_degree: int
     required: int
+
+    def __init__(self, min_edge_degree: int, required: int):
+        _set_field(self, "min_edge_degree", min_edge_degree)
+        _set_field(self, "required", required)
 
     @property
     def reason(self) -> str:

@@ -14,16 +14,15 @@ which builds on this module and is never imported by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Value, _set_field
 from .errors import InputError
 from .graph import Graph, _mask
 from .hypergraph import Hypergraph, _sorted_entries
 
 
-@dataclass(frozen=True)
-class CliqueCover:
+class CliqueCover(Value):
     """Ordered family of vertex sets of a graph on `n` vertices.
 
     Entries may repeat and singletons are allowed; validity against a
@@ -34,17 +33,20 @@ class CliqueCover:
     cliques: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, cliques: Iterable[Iterable[int]]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cliques", _sorted_entries(n, cliques, "cover entry"))
+        _set_field(self, "n", n)
+        _set_field(self, "cliques", _sorted_entries(n, cliques, "cover entry"))
 
     def __len__(self) -> int:
         return len(self.cliques)
 
 
-@dataclass(frozen=True)
-class CoverDiagnostics:
+class CoverDiagnostics(Value):
     ok: bool
-    failure: str | None = None
+    failure: str | None
+
+    def __init__(self, ok: bool, failure: str | None = None):
+        _set_field(self, "ok", ok)
+        _set_field(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok

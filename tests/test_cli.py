@@ -1,4 +1,5 @@
 import io
+import random
 import subprocess
 import sys
 import time
@@ -363,6 +364,87 @@ def test_exhausted_interpreter_resources_exit_3(exc, claw_graph, monkeypatch, ca
     monkeypatch.setattr("hyperline.cli.recognize", exhausted)
     assert run(["recognize", "--in", str(claw_graph), "-k", "2", "-p", "1"])[0] == 3
     assert capsys.readouterr().err == f"error: resource limit exceeded ({exc.__name__})\n"
+
+
+_SEED_TEXTS = {
+    ".gr": [
+        "G 4 3\n0 1\n0 2\n0 3\n",
+        write_graph(complete_graph(5)),
+        write_graph(cycle_graph(6)),
+        write_graph(complete_bipartite(2, 3)),
+        write_graph(line_graph(Hypergraph(6, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (1, 3, 5)]))),
+    ],
+    ".hg": [
+        write_hypergraph(Hypergraph(3, [(0, 1), (1, 2), (0, 2)])),
+        write_hypergraph(Hypergraph(6, [(0, 1, 2), (2, 3, 4), (0, 4, 5), (1, 3, 5)])),
+        "# comment\nH 4 2\n\n0 1 2\n1 2 3\n",
+    ],
+}
+_NOISE = ["0", "1", "7", "-1", " ", "\n", "#", "G", "H", "x", "_", "\t", "\r", "\u0661", "\u00e9"]
+
+
+def _mutate(rng: random.Random, text: str) -> bytes:
+    """One or two random edits of text: a character dropped or inserted,
+    a number replaced, a line repeated or dropped, a blank or comment line
+    added, or the text cut short; now and then a byte that is no UTF-8."""
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.randrange(7)
+        at = rng.randrange(len(text) + 1)
+        if edit == 0:
+            text = text[:at] + text[at + 1 :]
+        elif edit == 1:
+            text = text[:at] + rng.choice(_NOISE) + text[at:]
+        elif edit == 2:
+            tokens = text.split(" ")
+            i = rng.randrange(len(tokens))
+            tokens[i] = str(rng.choice([0, 1, 2, 3, 9, -2, 2**21, 10**12]))
+            text = " ".join(tokens)
+        elif edit in (3, 4):
+            lines = text.split("\n")
+            i = rng.randrange(len(lines))
+            lines[i : i + 1] = [lines[i]] * (2 if edit == 3 else 0)
+            text = "\n".join(lines)
+        elif edit == 5:
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  "]))
+            text = "\n".join(lines)
+        else:
+            text = text[:at]
+    data = text.encode()
+    if rng.random() < 0.05:
+        data += b"\xff"
+    return data
+
+
+def test_mutated_inputs_never_escape_run_cli(tmp_path, capsys):
+    """Seeded mutations of valid .gr and .hg texts through every reading
+    command: each run ends in a documented exit code, never a traceback."""
+    rng = random.Random(16)
+    pristine = tmp_path / "pristine.gr"
+    pristine.write_text(_SEED_TEXTS[".gr"][4])
+    seen = {}
+    start = time.perf_counter()
+    for case in range(300):
+        suffix = ".gr" if case % 4 else ".hg"
+        path = tmp_path / f"m{case}{suffix}"
+        path.write_bytes(_mutate(rng, rng.choice(_SEED_TEXTS[suffix])))
+        k, p = str(rng.randint(2, 3)), str(rng.randint(1, 2))
+        if suffix == ".hg":
+            args = ["linegraph", "--in", str(path)]
+        else:
+            args = rng.choice([
+                ["recognize", "--in", str(path), "-k", k, "-p", p],
+                ["recognize", "--in", str(path), "-k", k, "-p", p, "--oracle-fallback"],
+                ["reconstruct", "--in", str(path), "-k", k, "-p", p, "--out", str(tmp_path / "out.hg")],
+                ["oracle", "cover", "--in", str(path), "-k", k, "-p", p, "--budget", str(rng.randint(1, 50))],
+                ["oracle", "iso", "--a", str(path), "--b", str(pristine)],
+            ])
+        code, _ = run(args)
+        assert code in (0, 1, 2, 3), (args, path.read_bytes())
+        seen[code] = seen.get(code, 0) + 1
+    capsys.readouterr()
+    assert set(seen) == {0, 1, 2, 3}, seen
+    assert time.perf_counter() - start < 10.0
 
 
 def test_invalid_parameters_exit_2(claw_graph):

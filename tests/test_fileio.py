@@ -64,6 +64,17 @@ def test_graph_format_layout():
     assert write_graph(g) == "G 4 3\n0 1\n0 2\n0 3\n"
 
 
+def test_graph_writer_matches_the_edge_list_at_every_density():
+    """Sparse rows take their heads by splitting the digits at the ones,
+    dense rows by `compress`; both must list the edges in order."""
+    rng = random.Random(5)
+    for density in (0.01, 0.05, 0.12, 0.13, 0.3, 0.9):
+        n = rng.randrange(40, 200)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        expected = f"G {n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges()))
+        assert write_graph(g) == expected
+
+
 def test_graph_rejects_malformed():
     with pytest.raises(InputError):
         read_graph("G 4 1\n1 1\n")

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import inspect
+import os
 import re
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -52,13 +56,42 @@ def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _library_surface() -> str:
+    return README.read_text().split("## Library surface", 1)[1].split("\n## ", 1)[0]
+
+
+def _call_form_mismatch(form: str) -> str | None:
+    """How a documented call form such as `check_f2(g, t, big)` disagrees
+    with the signature of the package function it names, or None.  A
+    plain-name argument must be the parameter's own name; any other
+    argument, such as `t.clique_size_bound`, counts toward arity only, and
+    keywords must bind."""
+    call = ast.parse(form, mode="eval").body
+    name = call.func.id
+    found = {
+        id(fn): fn
+        for module in sorted(p.stem for p in PACKAGE.glob("*.py"))
+        if (fn := getattr(importlib.import_module(f"hyperline.{module}"), name, None))
+    }
+    if len(found) != 1:
+        return f"`{name}` names {len(found)} package functions"
+    signature = inspect.signature(*found.values())
+    try:
+        signature.bind(*call.args, **{keyword.arg: None for keyword in call.keywords})
+    except TypeError as exc:
+        return f"{form!r} does not fit {name}{signature}: {exc}"
+    for arg, param in zip(call.args, signature.parameters):
+        if isinstance(arg, ast.Name) and arg.id != param:
+            return f"{form!r} passes {arg.id!r} where {name}{signature} has {param!r}"
+    return None
+
+
 def test_public_surface_is_the_documented_one():
     assert len(SURFACE) == 27
     assert sorted(hyperline.__all__) == sorted(SURFACE)
     for name in SURFACE:
         assert getattr(hyperline, name) is not None
-    text = README.read_text()
-    section = text.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    section = _library_surface()
     missing = [name for name in SURFACE if not re.search(rf"\b{name}\b", section)]
     assert not missing, f"not in README's Library surface: {missing}"
     # every name a submodule bullet lists resolves there, attribute by attribute
@@ -76,6 +109,35 @@ def test_public_surface_is_the_documented_one():
                     break
                 obj = getattr(obj, attr)
     assert not stale, f"README lists names its submodules lack: {stale}"
+
+
+def test_documented_call_forms_match_the_signatures():
+    prose = re.sub(r"```.*?```", "", _library_surface(), flags=re.S)
+    forms = [" ".join(form.split()) for form in re.findall(r"`(\w+\([^`]*\))`", prose)]
+    assert {form.split("(")[0] for form in forms} >= {
+        "check_f1", "check_claw", "check_f2", "check_f3", "krausz_cover", "thresholds",
+        "maximal_cliques",
+    }
+    assert "maximal_cliques(g, min_size)" in forms  # wrapped across two README lines
+    mismatches = [m for form in forms if (m := _call_form_mismatch(form))]
+    assert not mismatches, mismatches
+    # the check itself sees a renamed parameter, a wrong arity and a stray keyword
+    assert _call_form_mismatch("check_f3(g, big)")
+    assert _call_form_mismatch("check_f2(g, t)")
+    assert _call_form_mismatch("maximal_cliques(g, 4, 5)")
+    assert _call_form_mismatch("thresholds(k, q=1)")
+    assert _call_form_mismatch("maximal_cliques(g, t.clique_size_bound)") is None
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The CLI pays the package import on every command; dataclasses and
+    inspect, which it pulls in, would cost more than the package itself."""
+    probe = "import hyperline, hyperline.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
