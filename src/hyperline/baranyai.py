@@ -37,6 +37,7 @@ if and only if k divides d*N.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress
 from math import comb, lcm
@@ -290,7 +291,21 @@ def _later_phases(
 
     Classes are labelled at odd depths and sets at even ones.  The walk's
     path is the class its source arc enters, then class arcs by flat
-    index, forward (class to set) and reverse (set to class) in turn."""
+    index, forward (class to set) and reverse (set to class) in turn.
+
+    A set's reverse arcs are residual only where they carry flow, so
+    `into[j]` lists, in class order, just the arcs into set j that have
+    carried flow: those the first phase filled, and each arc whose flow
+    leaves 0 in a later phase, listed when that phase ends.  Skipping
+    the arcs without flow skips only arcs the scans would pass over, so
+    every search and walk meets the same arcs in the same order.  An arc
+    that gains flow does so forward, from a class at depth d to a set at
+    depth d+1, so its reverse arc climbs down and is not admissible in
+    the phase that created it; listing it at the phase's end changes no
+    scan, and keeps the set cursors of the phase valid.  An arc whose
+    flow falls back to 0 stays listed and is skipped as without flow.
+    A layer's forward scan stops once every set is labelled: the rest of
+    its classes could label none."""
     rows = list(map(run_rows.__getitem__, runs))  # each piece's row
     multi = [p for p, q in enumerate(pieces) if q > 1]
     if multi:
@@ -308,9 +323,9 @@ def _later_phases(
     fwd = list(map(sub, map(itemgetter(1), chain.from_iterable(rows)), flows))
     tail = [i for i, row in enumerate(rows) for _ in row]
     begin = [0, *accumulate(map(len, rows))]  # class i's arcs: begin[i] to begin[i+1]
-    into: list[list[int]] = [[] for _ in room]  # each set's entering arcs, in class order
-    for arc, j in enumerate(head):
-        into[j].append(arc)
+    into: list[list[int]] = [[] for _ in room]  # each set's arcs that have carried flow
+    for arc in compress(range(len(head)), flows):
+        into[head[arc]].append(arc)
     added = 0
     while True:
         clevel = [-1] * m
@@ -320,7 +335,8 @@ def _later_phases(
             clevel[i] = 1
         depth = 1
         sink_depth = 0
-        while frontier and not sink_depth:
+        unlabelled = len(room)  # sets without a label
+        while frontier and unlabelled and not sink_depth:
             layer = []
             for i in frontier:
                 for arc in range(begin[i], begin[i + 1]):
@@ -329,6 +345,9 @@ def _later_phases(
                         if slevel[j] < 0:
                             slevel[j] = depth + 1
                             layer.append(j)
+                if len(layer) == unlabelled:
+                    break  # every set is labelled
+            unlabelled -= len(layer)
             depth += 2
             frontier = []
             for j in layer:
@@ -350,6 +369,7 @@ def _later_phases(
         ccur = begin[:-1]  # each class's cursor, an arc of its row
         scur = [0] * len(room)  # each set's cursor into `into[j]`; its end is the sink arc
         path: list[int] = []
+        gained: list[int] = []  # arcs whose flow leaves 0 in this phase
         while True:
             n = len(path)
             if not n:  # at the source
@@ -403,6 +423,8 @@ def _later_phases(
                     arc = path[p]
                     if p & 1:
                         fwd[arc] -= push
+                        if not flows[arc]:
+                            gained.append(arc)
                         flows[arc] += push
                         r = fwd[arc]
                     else:
@@ -412,6 +434,11 @@ def _later_phases(
                     if not r and cut == n:
                         cut = p
                 del path[cut:]  # retreat to the tail of the first saturated arc
+        for arc in gained:
+            arcs = into[head[arc]]
+            c = bisect_left(arcs, arc)
+            if c == len(arcs) or arcs[c] != arc:  # not listed since an earlier phase
+                arcs.insert(c, arc)
     return added
 
 
@@ -449,7 +476,9 @@ def extend(state: PartitionState) -> PartitionState:
     Each piece of a run gets its next row by a merge: the row's sets that
     keep copies, in their old order, then its grown sets (mask | new
     bit), in their old order, each reindexed through arrays built once
-    per level.  A set that reaches k elements moves to the finished sets.
+    per level; a pair that carries no flow and whose set keeps its index,
+    as on all but the last k levels, is kept as it is.  A set that
+    reaches k elements moves to the finished sets.
     Consecutive pieces with the same next row and finished sets join
     into one run.
     """
@@ -496,7 +525,8 @@ def extend(state: PartitionState) -> PartitionState:
         done = runs_done[r]
         kept = []
         grown = []
-        for (j, held), units in zip(runs_rows[r], units_of):
+        for pair, units in zip(runs_rows[r], units_of):
+            j, held = pair
             if units:
                 g = grow[j]
                 if g is None:
@@ -505,6 +535,8 @@ def extend(state: PartitionState) -> PartitionState:
                     grown.append((g, units))
                 if held != units:
                     kept.append((stay[j], held - units))
+            elif stay[j] == j:
+                kept.append(pair)  # same set index and multiplicity: no new tuple
             else:
                 kept.append((stay[j], held))
         kept += grown

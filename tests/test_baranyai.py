@@ -35,10 +35,15 @@ class ArcFlow(NamedTuple):
     value: int
 
 
-def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> ArcFlow:
+def _reference_max_flow(
+    node_count: int, arcs, source: int, sink: int, searches: list | None = None
+) -> ArcFlow:
     """Dinic as a single cursor walk per phase on a residual form rebuilt
     from the (tail, head, capacity) arcs, scanned in arc order at every
-    node: the algorithm `max_flow` must reproduce flow for flow."""
+    node: the algorithm `max_flow` must reproduce flow for flow.  When
+    given `searches`, appends to it, per breadth-first search (the last
+    one finds no path), its layers in labelling order and the arc flows
+    it starts from."""
     # residual structure: arc i -> slots 2i (forward) and 2i+1 (reverse)
     to = [0] * (2 * len(arcs))
     residual = [0] * (2 * len(arcs))
@@ -59,6 +64,7 @@ def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> ArcFlo
         level = [-1] * node_count
         level[source] = 0
         frontier = [source]
+        layers = [frontier]
         depth = 0
         while frontier and level[sink] < 0:
             depth += 1
@@ -71,6 +77,9 @@ def _reference_max_flow(node_count: int, arcs, source: int, sink: int) -> ArcFlo
                             level[v] = depth
                             layer.append(v)
             frontier = layer
+            layers.append(layer)
+        if searches is not None:
+            searches.append((layers, tuple(residual[1::2])))
         if level[sink] < 0:
             break
 
@@ -156,6 +165,47 @@ def _arc_flows(net, flow) -> ArcFlow:
 
 def _reference(net) -> ArcFlow:
     return _reference_max_flow(*_arc_form(*net))
+
+
+class LaterPaths(NamedTuple):
+    """What the reference's later phases (those after the first) do that
+    `max_flow`'s per-class later phases handle by a path of their own."""
+
+    listed: int  # class arcs without flow after the first phase that gain some later
+    pushed_back: int  # later phases that take flow back along such an arc
+    early_stops: int  # later searches' class layers that label every set before their last class
+
+
+def _reference_with_paths(net) -> tuple[ArcFlow, LaterPaths]:
+    """The reference flow on `_arc_form(*net)`, and what its later phases
+    do, read from the layers and arc flows of each of its searches."""
+    _, rooms, _, counts = net
+    node_count, arcs, source, sink = _arc_form(*net)
+    searches: list = []
+    flow = _reference_max_flow(node_count, arcs, source, sink, searches)
+    class_arcs = range(sum(counts), len(arcs) - len(rooms))
+    starts = [start for _, start in searches]  # search s starts phase s+1
+    gained = set()
+    pushed_back = 0
+    for before, after in zip(starts[1:], starts[2:]):  # each later phase
+        pushed_back += sum(1 for a in gained if after[a] < before[a])
+        gained.update(a for a in class_arcs if not starts[1][a] and not before[a] and after[a])
+    early_stops = 0
+    for layers, start in searches[1:]:
+        reach: dict[int, list[int]] = {}  # each class node's sets by residual class arcs
+        for a in class_arcs:
+            tail, head, cap = arcs[a]
+            if start[a] < cap:
+                reach.setdefault(tail, []).append(head)
+        labelled: set[int] = set()
+        for d in range(1, len(layers) - 1, 2):  # the class layers whose arcs are scanned
+            for c in [None, *layers[d][:-1]]:  # before the first class, then after each
+                labelled.update(reach.get(c, ()))
+                if len(labelled) == len(rooms):
+                    early_stops += 1
+                    break
+            labelled.update(layers[d + 1])
+    return flow, LaterPaths(len(gained), pushed_back, early_stops)
 
 
 def _count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -249,6 +299,19 @@ def test_max_flow_needs_augmenting_undo(monkeypatch):
     assert later[0] == 2
     assert flow.runs == (0, 0, 1) and flow.pieces == (1, 1, 1)
     assert _arc_flows(net, flow) == _reference(net)
+
+
+def test_max_flow_pushes_back_along_an_arc_a_later_phase_filled():
+    # The greedy fills set 0 from class 0 and leaves a unit to classes 1
+    # and 2.  Phase 2 sends class 1's unit into set 0 and reroutes class
+    # 0's on to set 2, so the arc class 1 -> set 0 first carries flow
+    # there.  Phase 3 places class 2's unit only by taking it back:
+    # class 2 -> set 0 -> class 1 -> set 1 -> class 0 -> set 2.
+    net = _network(2, [((0, 2), (1, 1), (2, 2)), ((0, 2), (1, 2)), ((0, 1),)], [1, 2, 3])
+    reference, paths = _reference_with_paths(net)
+    assert paths == LaterPaths(listed=3, pushed_back=1, early_stops=0)
+    assert reference == ((2, 2, 1, 0, 0, 2, 0, 2, 1, 1, 2, 2), 5)
+    assert _arc_flows(net, max_flow(*net)) == reference
 
 
 def test_max_flow_is_deterministic(monkeypatch):
@@ -359,11 +422,16 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     monkeypatch.setattr(baranyai, "_later_phases", recorded_later)
     rng = random.Random(2024)
     split = split_settled = rerouted = 0
+    listing = pushing_back = early_stops = 0
     for _ in range(3000):
         net = _random_extension_network(rng)
         before = len(added)
         flow = max_flow(*net)
-        assert _arc_flows(net, flow) == _reference(net), net
+        reference, paths = _reference_with_paths(net)
+        assert _arc_flows(net, flow) == reference, net
+        listing += paths.listed > 0
+        pushing_back += paths.pushed_back > 0
+        early_stops += paths.early_stops
         runs = greedy[-1]
         if len(set(runs)) < len(runs):  # the greedy split a run
             split += 1
@@ -376,6 +444,13 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
     # runs of several classes: the greedy splits one where a room runs low,
     # sometimes settling the flow alone, and the later phases reroute
     assert split >= 1200 and split_settled >= 30 and rerouted >= 300, (split, split_settled, rerouted)
+    # arcs that first gain flow in a later phase, some taken back in a later
+    # one still, and searches that label every set before a layer's end
+    assert listing >= 600 and pushing_back >= 10 and early_stops >= 300, (
+        listing,
+        pushing_back,
+        early_stops,
+    )
 
 
 def test_extension_max_flow_matches_reference(monkeypatch):
@@ -383,13 +458,16 @@ def test_extension_max_flow_matches_reference(monkeypatch):
     reference Dinic on the arc network its arguments describe, arc for
     arc, at every level of 2 <= k <= N <= 12, (14, 7) and (30, 3); the
     greedy alone settles a pinned share of them, so both the greedy-only
-    path and the per-class later phases stay covered."""
+    path and the per-class later phases stay covered, and the later
+    searches label every set before the end of a layer often enough to
+    cover the forward scan's early stop."""
     from hyperline import baranyai
 
     later = _count_calls(monkeypatch, baranyai, "_later_phases")
     calls = _record_max_flow(monkeypatch)
     pairs = [(big_n, k) for big_n in range(2, 13) for k in range(2, big_n + 1)]
     greedy_only = {}
+    early_stops = 0
     for big_n, k in pairs + [(14, 7), (30, 3)]:
         state = initial_state(big_n, k)
         settled = 0
@@ -400,13 +478,16 @@ def test_extension_max_flow_matches_reference(monkeypatch):
             settled += later[0] == before
             [(net, flow)] = calls
             calls.clear()
-            assert _arc_flows(net, flow) == _reference(net), (big_n, k, level)
+            reference, paths = _reference_with_paths(net)
+            assert _arc_flows(net, flow) == reference, (big_n, k, level)
             assert flow.value == comb(big_n - 1, k - 1)
+            early_stops += paths.early_stops
         greedy_only[big_n, k] = settled
     assert sum(big_n - 1 for big_n, _ in pairs) == 506
     assert sum(greedy_only[pair] for pair in pairs) == 282
     assert greedy_only[14, 7] == 13  # every level of (14, 7)
     assert greedy_only[30, 3] == 2
+    assert early_stops >= 100, early_stops  # layers that label every set early
 
 
 def test_runs_of_16_8():
