@@ -50,6 +50,7 @@ from .errors import (
     InternalContradictionError,
     ResourceLimitError,
     UnrealizableError,
+    _require_ints,
 )
 from .fileio import READ_SIZE_BOUND
 from .graph import _bits, _mask
@@ -637,6 +638,7 @@ def state_violations(state: PartitionState) -> list[str]:
 
 
 def _validate_parameters(ground_size: int, subset_size: int) -> None:
+    _require_ints(N=ground_size, k=subset_size)
     if subset_size < 2 or subset_size > ground_size:
         raise InputError(
             f"need 2 <= k <= N, got k={subset_size}, N={ground_size}"
@@ -729,6 +731,7 @@ def regular_hypergraph(
     cyclically and edges repeat (rejected if strict_simple is set).
     """
     _validate_parameters(ground_size, subset_size)
+    _require_ints(degree=degree)
     if degree < 1:
         raise InputError(f"degree must be positive, got {degree}")
     if (degree * ground_size) % subset_size != 0:

@@ -28,6 +28,14 @@ class DivisibilityError(UnrealizableError):
     """Constant degree sequence fails the necessary divisibility condition."""
 
 
+def _require_ints(**named: object) -> None:
+    """Raise InputError naming the first argument that is not an int; a
+    bool is not counted as one."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, got {value!r}")
+
+
 class NotAMemberError(InputError):
     """Reconstruction was requested for a graph whose verdict is not Member.
 

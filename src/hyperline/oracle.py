@@ -2,55 +2,77 @@
 
 `cover_search` decides membership by exhaustive backtracking over clique
 covers, independently of the threshold-based recognizer, so the two can
-be played against each other in tests.  Also here: a small-graph
+be played against each other in tests.  Its candidates come from one
+table per (vertex count n, min(p, n)), built once and cached: for each
+vertex pair, every vertex subset holding it, with bitmaps that let one
+AND test whether the subset is a clique of the graph, one AND whether
+it shares more than p vertices with any chosen clique, and one add and
+AND whether it overloads a vertex.  Also here: a small-graph
 isomorphism test and an exhaustive scan of the constant-degree
 realizability criterion.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from ._value import Value
 from .baranyai import regular_hypergraph
-from .errors import DivisibilityError, InputError, ResourceLimitError
-from .graph import Graph, _bits
+from .errors import DivisibilityError, InputError, ResourceLimitError, _require_ints
+from .graph import Graph
 from .reconstruction import CliqueCover
 
 DEFAULT_BUDGET = 2_000_000
 COVER_SIZE_BOUND = 8
 ISO_SIZE_BOUND = 10
 
+# The search keeps each vertex's load, the number of chosen cliques
+# holding it, in a counter of _LOAD_WIDTH bits at bit _LOAD_WIDTH*v, so a
+# clique's load increment bumps all its vertices' counters in one add.
+# A counter starts cap + 1 below its top bit, cap <= C(8, 2) = 28 being
+# the load a vertex may take, so it reaches the top bit exactly when a
+# clique would overload the vertex, and never carries into the next.
+_LOAD_WIDTH = 6
+_LOAD_ONES = tuple(
+    sum(1 << _LOAD_WIDTH * v for v in range(n)) for n in range(COVER_SIZE_BOUND + 1)
+)
 
-def _clique_masks(g: Graph) -> list[tuple[int, int]]:
-    """(vertex mask, edge bitmap) of every clique with at least 2 vertices,
-    largest first and lexicographic within a size.
+# (vertices, pair bitmap, bitmap of its (q+1)-subsets, load increment)
+_Entry = tuple[tuple[int, ...], int, int, int]
 
-    Each clique of size s + 1 extends one of size s, in list order, by a
-    common neighbour above its largest vertex, in increasing order; so
-    every level is lexicographic, starting from the single vertices.
-    Edge (u, v), u < v, is bit u*n + v, which puts the bits in
-    lexicographic edge order; with `spread` the OR of 1 << u*n over the
-    clique's vertices, adding vertex w adds the edges `spread << w`.
+# (n, q) -> {pair bit: entries}; q = min(p, n), since no subset of n
+# vertices holds more than n of them.
+_tables: dict[tuple[int, int], dict[int, list[_Entry]]] = {}
+
+
+def _subset_table(n: int, q: int) -> dict[int, list[_Entry]]:
+    """For each pair bit u*n + v (u < v), every vertex subset of at least 2
+    of n vertices holding u and v, largest first and lexicographic within
+    a size: a graph's cliques holding (u, v), in that order, are the
+    entries whose pair bitmap lies inside the graph's.
+
+    Each (q+1)-subset of the n vertices has its own bit, so two subsets
+    share more than q vertices exactly when their third fields meet.
+    The fourth field holds a 1 in the load counter of each vertex.
     """
-    n = g.n
-    adj = g._adj
-    # (vertex mask, edge bitmap, spread, common neighbours above the last vertex)
-    level = [(1 << u, 0, 1 << u * n, adj[u] >> (u + 1) << (u + 1)) for u in range(n)]
-    levels = []
-    while level:
-        grown = []
-        for mask, bitmap, spread, common in level:
-            while common:
-                low = common & -common
-                common ^= low
-                w = low.bit_length() - 1
-                grown.append(
-                    (mask | low, bitmap | spread << w, spread | 1 << w * n, common & adj[w])
+    table = _tables.get((n, q))
+    if table is None:
+        index = {ws: i for i, ws in enumerate(combinations(range(n), q + 1))}
+        table = {1 << u * n + v: [] for u, v in combinations(range(n), 2)}
+        for size in range(n, 1, -1):
+            for vs in combinations(range(n), size):
+                pairs = [1 << u * n + v for u, v in combinations(vs, 2)]
+                entry = (
+                    vs,
+                    sum(pairs),
+                    sum(1 << index[ws] for ws in combinations(vs, q + 1)),
+                    sum(1 << _LOAD_WIDTH * v for v in vs),
                 )
-        levels.append(grown)
-        level = grown
-    return [(mask, bitmap) for level in reversed(levels) for mask, bitmap, _, _ in level]
+                for pair in pairs:
+                    table[pair].append(entry)
+        _tables[(n, q)] = table
+    return table
 
 
 def cover_search(
@@ -62,67 +84,70 @@ def cover_search(
     """Exhaustive search for a clique cover with vertex load <= k and
     pairwise overlaps <= p; None is a definitive negative.
 
-    Covers the first uncovered edge in lexicographic order; the cliques
-    holding it, listed under its bit, are tried in `_clique_masks` order
-    and the first complete cover wins, so the result is deterministic.
-    `loaded[j]` masks the vertices in more than j chosen cliques, so a
-    clique overloads a vertex iff it meets `loaded[k-1]`.  Each search
-    call is one node; a graph of more than `COVER_SIZE_BOUND` vertices,
-    or a search past the node budget, raises rather than guessing.
+    Covers the first uncovered edge in lexicographic order (edge (u, v),
+    u < v, is bit u*n + v of the graph's pair bitmap); the cliques holding
+    it are tried largest first, lexicographic within a size, and the
+    first complete cover wins, so the result is deterministic.  An edge's
+    cliques are its `_subset_table` entries whose pair bitmap lies inside
+    the graph's, picked out the first time the search reaches that edge.
+    `taken` is the OR of the chosen cliques' (p+1)-subset bitmaps, so a
+    clique shares more than p vertices with a chosen one iff it meets
+    `taken`; `loads` packs the vertex load counters, so a clique
+    overloads a vertex iff adding its increment sets a counter's top bit
+    (`guard`).  Each search call is one node; a graph of more than
+    `COVER_SIZE_BOUND` vertices, or a search past the node budget, raises
+    rather than guessing.
     """
+    _require_ints(k=k, p=p, budget=budget)
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
-    if g.n > COVER_SIZE_BOUND:
+    n = g.n
+    if n > COVER_SIZE_BOUND:
         raise ResourceLimitError(
-            f"graph has {g.n} vertices, oracle bound is {COVER_SIZE_BOUND}"
+            f"graph has {n} vertices, oracle bound is {COVER_SIZE_BOUND}"
         )
 
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for clique in _clique_masks(g):
-        bitmap = clique[1]
-        while bitmap:
-            low = bitmap & -bitmap
-            bitmap ^= low
-            candidates.setdefault(low, []).append(clique)
-    if not candidates:
-        return CliqueCover(g.n, [])
+    edges = 0
+    for u, row in enumerate(g._adj):
+        edges |= row >> u + 1 << u * n + u + 1
+    if not edges:
+        return CliqueCover(n, [])
 
+    table = _subset_table(n, min(p, n))
+    absent = ~edges
+    candidates: dict[int, list[_Entry]] = {}
     # While an edge is uncovered, fewer cliques than edges are chosen, so
-    # only the first edge-count load masks can ever be nonempty.
-    depth = min(k, len(candidates))
-    chosen: list[int] = []
+    # a load cap above the edge count never binds.
+    cap = min(k, edges.bit_count())
+    ones = _LOAD_ONES[n]
+    guard = ones << _LOAD_WIDTH - 1
+    chosen: list[tuple[int, ...]] = []
     nodes = 0
 
-    def search(uncovered: int, loaded: tuple[int, ...]) -> bool:
+    def search(uncovered: int, loads: int, taken: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError(f"cover search exceeded {budget} nodes")
         if not uncovered:
             return True
-        full = loaded[-1]
-        for cmask, bitmap in candidates[uncovered & -uncovered]:
-            if cmask & full:
+        edge = uncovered & -uncovered
+        cliques = candidates.get(edge)
+        if cliques is None:
+            cliques = candidates[edge] = [c for c in table[edge] if not c[1] & absent]
+        for vertices, bitmap, subsets, spread in cliques:
+            if subsets & taken or (loads + spread) & guard:
                 continue
-            for prev in chosen:
-                if (prev & cmask).bit_count() > p:
-                    break
-            else:
-                chosen.append(cmask)
-                below = loaded[0]
-                grown = [below | cmask]
-                for above in loaded[1:]:
-                    grown.append(above | below & cmask)
-                    below = above
-                if search(uncovered & ~bitmap, tuple(grown)):
-                    return True
-                chosen.pop()
+            chosen.append(vertices)
+            if search(uncovered & ~bitmap, loads + spread, taken | subsets):
+                return True
+            chosen.pop()
         return False
 
-    if search(sum(candidates), (0,) * depth):  # the keys are the edge bits
-        return CliqueCover(g.n, [tuple(_bits(cmask)) for cmask in chosen])
+    if search(edges, guard - (cap + 1) * ones, 0):
+        return CliqueCover(n, chosen)
     return None
 
 

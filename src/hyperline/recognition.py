@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Union
 
 from ._value import Value, _set_field
-from .errors import InputError, InternalContradictionError, NotAMemberError
+from .errors import InputError, InternalContradictionError, NotAMemberError, _require_ints
 from .graph import (
     Claw,
     Graph,
@@ -60,6 +60,7 @@ class Thresholds(Value):
 
 @lru_cache(maxsize=None, typed=True)
 def thresholds(k: int, p: int) -> Thresholds:
+    _require_ints(k=k, p=p)
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
     return Thresholds(

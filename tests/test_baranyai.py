@@ -788,6 +788,19 @@ def test_partition_covers_all_subsets():
         assert sorted(seen) == sorted(combinations(range(1, big_n + 1), k))
 
 
+def test_construction_refuses_non_int_sizes():
+    cases = (
+        (baranyai_partition, (8.0, 3), "N", "8.0"),
+        (baranyai_partition, (8, True), "k", "True"),
+        (regular_hypergraph, (6, 3.0, 5), "k", "3.0"),
+        (regular_hypergraph, (6, 3, 5.0), "degree", "5.0"),
+        (regular_hypergraph, (6, 3, False), "degree", "False"),
+    )
+    for build, args, name, shown in cases:
+        with pytest.raises(InputError, match=rf"^{name} must be an int, got {shown}$"):
+            build(*args)
+
+
 def test_partition_validation():
     with pytest.raises(InputError):
         baranyai_partition(3, 4)

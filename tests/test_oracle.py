@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hyperline import (
     Claw,
     ClawWitness,
+    CliqueCover,
     F1Witness,
     F2Witness,
     F3Witness,
@@ -23,7 +24,14 @@ from hyperline import (
     recognize,
     validate_cover,
 )
-from hyperline.oracle import _clique_masks, graphs_isomorphic, scan_regular_realizability
+from hyperline.graph import _bits, _mask
+from hyperline.oracle import (
+    COVER_SIZE_BOUND,
+    _subset_table,
+    _tables,
+    graphs_isomorphic,
+    scan_regular_realizability,
+)
 
 from conftest import (
     all_graphs,
@@ -75,9 +83,25 @@ def test_cover_search_resource_guards():
         cover_search(complete_graph(3), 2, 1, budget=0)
 
 
-def test_clique_masks_match_subset_enumeration():
-    """Every vertex subset that is a clique of size >= 2, ordered largest
-    first then lexicographically, with edge (u, v) as bit u*n + v."""
+def test_cover_search_refuses_non_int_parameters():
+    g = complete_graph(3)
+    cases = (
+        ((2.5, 1), {}, "k", "2.5"),
+        ((2, 1.0), {}, "p", "1.0"),
+        ((True, 1), {}, "k", "True"),
+        ((2, 1), {"budget": 10.0}, "budget", "10.0"),
+        ((2, 1), {"budget": None}, "budget", "None"),
+    )
+    for (k, p), kwargs, name, shown in cases:
+        with pytest.raises(InputError, match=rf"^{name} must be an int, got {shown}$"):
+            cover_search(g, k, p, **kwargs)
+
+
+def test_subset_table_matches_subset_enumeration():
+    """Each pair's table entries, kept where the graph has every pair of
+    the subset, are the cliques holding that pair: every vertex subset of
+    size >= 2 that is a clique, ordered largest first then
+    lexicographically, with edge (u, v) as bit u*n + v."""
     rng = random.Random(31)
     for n in range(9):
         for density in (0.3, 0.6, 0.9):
@@ -89,7 +113,140 @@ def test_clique_masks_match_subset_enumeration():
                         mask = sum(1 << v for v in vs)
                         bitmap = sum(1 << u * n + v for u, v in combinations(vs, 2))
                         expected.append((mask, bitmap))
-            assert _clique_masks(g) == expected
+            edges = sum(1 << u * n + v for u, v in g.edges())
+            for q in range(1, n + 1):
+                table = _subset_table(n, q)
+                assert sorted(table) == [1 << u * n + v for u, v in combinations(range(n), 2)]
+                for pair, entries in table.items():
+                    kept = [
+                        (_mask(vertices), bitmap)
+                        for vertices, bitmap, _, _ in entries
+                        if bitmap & edges == bitmap
+                    ]
+                    assert kept == [c for c in expected if c[1] & pair]
+
+
+def test_subset_table_overlap_and_load_fields():
+    """Two subsets share more than q vertices exactly when their
+    (q+1)-subset bitmaps meet, and a subset's load increment holds a 1 in
+    the 6-bit counter of each of its vertices."""
+    for n in range(2, 7):
+        for q in range(1, n + 1):
+            entries = {entry for entries in _subset_table(n, q).values() for entry in entries}
+            assert len(entries) == 2**n - n - 1
+            for vertices_a, _, subsets_a, spread in entries:
+                assert spread == sum(1 << 6 * v for v in vertices_a)
+                for vertices_b, _, subsets_b, _ in entries:
+                    shared = len(set(vertices_a) & set(vertices_b))
+                    assert (shared > q) == bool(subsets_a & subsets_b)
+
+
+def test_cover_search_refuses_oversized_graph_before_building_a_table():
+    before = dict(_tables)
+    with pytest.raises(ResourceLimitError):
+        cover_search(complete_graph(COVER_SIZE_BOUND + 1), 2, 7)
+    assert _tables == before
+    assert all(n <= COVER_SIZE_BOUND for n, _ in _tables)
+
+
+def test_subset_tables_are_shared_for_p_at_least_n():
+    """Every p >= n uses the one (n, n) table, so the cache holds at most
+    one table per (n, min(p, n))."""
+    for n in range(2, COVER_SIZE_BOUND + 1):
+        for p in (n, n + 1, 2 * n, 100):
+            assert cover_search(complete_graph(n), 2, p).cliques == (tuple(range(n)),)
+        assert [q for m, q in _tables if m == n and q >= n] == [n]
+    assert all(q <= n <= COVER_SIZE_BOUND for n, q in _tables)
+
+
+def _reference_clique_masks(g: Graph) -> list[tuple[int, int]]:
+    """(vertex mask, edge bitmap) of every clique with at least 2 vertices,
+    largest first and lexicographic within a size, grown level by level."""
+    n = g.n
+    adj = g._adj
+    level = [(1 << u, 0, 1 << u * n, adj[u] >> (u + 1) << (u + 1)) for u in range(n)]
+    levels = []
+    while level:
+        grown = []
+        for mask, bitmap, spread, common in level:
+            while common:
+                low = common & -common
+                common ^= low
+                w = low.bit_length() - 1
+                grown.append(
+                    (mask | low, bitmap | spread << w, spread | 1 << w * n, common & adj[w])
+                )
+        levels.append(grown)
+        level = grown
+    return [(mask, bitmap) for level in reversed(levels) for mask, bitmap, _, _ in level]
+
+
+def _reference_cover_search(g: Graph, k: int, p: int):
+    """(cover, nodes) of the search with each candidate's overlaps checked
+    against the chosen cliques one by one, with no node budget; nodes is
+    0 when the graph has no edge and the search does not run."""
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    for clique in _reference_clique_masks(g):
+        bitmap = clique[1]
+        while bitmap:
+            low = bitmap & -bitmap
+            bitmap ^= low
+            candidates.setdefault(low, []).append(clique)
+    if not candidates:
+        return CliqueCover(g.n, []), 0
+
+    depth = min(k, len(candidates))
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(uncovered: int, loaded: tuple[int, ...]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if not uncovered:
+            return True
+        full = loaded[-1]
+        for cmask, bitmap in candidates[uncovered & -uncovered]:
+            if cmask & full:
+                continue
+            for prev in chosen:
+                if (prev & cmask).bit_count() > p:
+                    break
+            else:
+                chosen.append(cmask)
+                below = loaded[0]
+                grown = [below | cmask]
+                for above in loaded[1:]:
+                    grown.append(above | below & cmask)
+                    below = above
+                if search(uncovered & ~bitmap, tuple(grown)):
+                    return True
+                chosen.pop()
+        return False
+
+    if search(sum(candidates), (0,) * depth):
+        return CliqueCover(g.n, [tuple(_bits(cmask)) for cmask in chosen]), nodes
+    return None, nodes
+
+
+def _assert_same_search(g: Graph, k: int, p: int) -> None:
+    """Same cover or None as the reference, found within exactly its node count."""
+    cover, nodes = _reference_cover_search(g, k, p)
+    if nodes == 0:
+        assert cover_search(g, k, p, budget=1) == cover
+        return
+    assert cover_search(g, k, p, budget=nodes) == cover, (g.n, k, p)
+    with pytest.raises(ResourceLimitError, match=rf"^cover search exceeded {nodes - 1} nodes$"):
+        cover_search(g, k, p, budget=nodes - 1)
+
+
+def test_cover_search_matches_reference_search_node_for_node():
+    for n in range(6):
+        for g in all_graphs(n):
+            for k, p in ORACLE_COMBOS + ((2, 9),):
+                _assert_same_search(g, k, p)
+    for g in _seeded_7_and_8_vertex_sample():
+        for k, p in ORACLE_COMBOS:
+            _assert_same_search(g, k, p)
 
 
 def test_cover_search_results_pinned():
@@ -110,23 +267,30 @@ def test_cover_search_budget_raise_point_pinned():
     assert cover_search(g, 3, 1, budget=3868) is None
 
 
-def test_cover_search_agrees_with_recognizer_on_7_and_8_vertices():
+def _seeded_7_and_8_vertex_sample() -> list[Graph]:
+    """25 seeded random graphs with edges per (n, density), n in (7, 8)."""
     rng = random.Random(2024)
-    results = []
+    graphs = []
     for n in (7, 8):
         for density in (0.3, 0.5, 0.7, 0.9):
             for _ in range(25):
                 g = random_graph(rng, n, density)
-                if g.edge_count == 0:
-                    continue
-                for k, p in ORACLE_COMBOS:
-                    cover = cover_search(g, k, p)
-                    results.append(cover)
-                    verdict = recognize(g, k, p)
-                    if isinstance(verdict, (Member, NonMember)):
-                        assert isinstance(verdict, Member) == (cover is not None), (n, k, p)
-                    if cover is not None:
-                        assert validate_cover(g, cover, k, p)
+                if g.edge_count:
+                    graphs.append(g)
+    return graphs
+
+
+def test_cover_search_agrees_with_recognizer_on_7_and_8_vertices():
+    results = []
+    for g in _seeded_7_and_8_vertex_sample():
+        for k, p in ORACLE_COMBOS:
+            cover = cover_search(g, k, p)
+            results.append(cover)
+            verdict = recognize(g, k, p)
+            if isinstance(verdict, (Member, NonMember)):
+                assert isinstance(verdict, Member) == (cover is not None), (g.n, k, p)
+            if cover is not None:
+                assert validate_cover(g, cover, k, p)
     assert len(results) == 800
     assert _digest(results) == "5a8279d972e2a8e822dc02aca461aa3e1aa4f11dbeab33eff65bec282bc47a04"
 

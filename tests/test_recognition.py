@@ -60,16 +60,26 @@ def test_thresholds_ordering_and_validation():
             t = thresholds(k, p)
             assert t.edge_degree_bound >= t.clique_size_bound
     # thresholds is memoised: an invalid pair raises on every call, and
-    # an equal pair of another type gets its own entry
+    # a value equal to an int but of another type is refused, even once
+    # the int's entry is cached
+    assert type(thresholds(2, 1).edge_degree_bound) is int
     for _ in range(2):
         with pytest.raises(InputError):
             thresholds(1, 1)
         with pytest.raises(InputError):
             thresholds(3, 0)
+        with pytest.raises(InputError, match=r"^k must be an int, got 2\.0$"):
+            thresholds(2.0, 1)
+        with pytest.raises(InputError, match=r"^p must be an int, got True$"):
+            thresholds(2, True)
     assert thresholds(3, 2) is thresholds(3, 2)
-    t = thresholds(2.0, 1)
-    assert type(t.k) is float and type(t.edge_degree_bound) is float
-    assert type(thresholds(2, 1).edge_degree_bound) is int
+
+
+def test_recognize_refuses_non_int_sizes():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for k, p, name in ((2.5, 1, "k"), (2, 1.5, "p"), (True, 1, "k"), (2, "1", "p")):
+        with pytest.raises(InputError, match=rf"^{name} must be an int, got "):
+            recognize(g, k, p)
 
 
 def _big(g: Graph, t) -> list[tuple[int, ...]]:
