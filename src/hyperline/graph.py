@@ -3,23 +3,28 @@
 Adjacency is stored as one bitmask per vertex, and the hot kernels work
 on those masks directly, each stopping as soon as its outcome is fixed:
 
-- a claw's leaves are grown depth first over a candidate mask, on an
-  explicit stack so the recursion limit puts no bound on the leaf
-  count, each step keeping only the candidates outside the chosen
-  leaf's neighborhood; a branch with fewer candidates than leaves still
-  needed ends at once, and one whose candidates, at least twice as many
-  as the leaves still needed, split into fewer cliques than that is
-  dropped (`find_claw`);
+- a claw's center is first bounded by partitions of its neighborhood
+  into cliques, as a clique holds at most one leaf: a lowest-first
+  greedy one, and, where that ends one part above what a claw-free
+  neighborhood needs and the search would open wide levels, a
+  highest-first one and one grown by the candidate keeping the most
+  common neighbors; a center still open has its leaves grown depth
+  first over a candidate mask, on an explicit stack so the recursion
+  limit puts no bound on the leaf count, each step keeping only the
+  candidates outside the chosen leaf's neighborhood, and a level with
+  fewer candidates than leaves still needed, or with at least twice as
+  many that split into fewer cliques than that, is never opened
+  (`find_claw`);
 - maximal cliques come from pivoted Bron-Kerbosch run on an explicit
   stack of masks, so the interpreter's recursion limit puts no bound on
   clique size; nothing is enumerated when the requested size exceeds
   n or fewer vertices than that size reach the degree such a clique
   needs (the degree floor that lets the recognizer's big-clique family
   cost one comparison on small graphs), branches that cannot reach the
-  requested size are cut, a frame whose candidates already form a
-  clique reports its one maximal clique whole, and one whose candidates
-  an excluded vertex sees in full is dropped, since it holds no maximal
-  clique;
+  requested size are cut, a frame is dropped as soon as one of its
+  excluded vertices sees all its candidates, since it then holds no
+  maximal clique, before its candidates are scanned, and a frame whose
+  candidates already form a clique reports its one maximal clique whole;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
   (`_met_at_least`), which the recognizer's F1 and F2 checks share.
@@ -33,7 +38,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ._value import Value, _set_field
-from .errors import InputError
+from .errors import InputError, _require_ints
 from .hypergraph import Hypergraph
 
 
@@ -69,6 +74,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        _require_ints(n=n)
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
@@ -245,16 +251,19 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
     Pivoted Bron-Kerbosch on bitmasks, driven by an explicit stack so a
     clique of any size is found without recursion.  A frame holds the
     clique R so far, its candidates P and its excluded vertices X; P|X is
-    every vertex adjacent to all of R.  One scan over P|X counts each
-    vertex's neighbors in P.  It picks the pivot (Tomita-Tanaka-Takahashi:
-    the most neighbors in P), and it tells whether P is already a clique,
-    each vertex of P seeing all the others.  Then:
+    every vertex adjacent to all of R.  Each vertex of P|X has its
+    neighbors in P counted, X first:
 
     - a vertex of X adjacent to all of P extends every clique of R|P, so
-      the frame holds no maximal clique and is dropped;
-    - otherwise, if P is a clique, R|P is the one maximal clique of the
-      frame and is reported whole, where expanding it would walk down one
-      frame per vertex of P;
+      the frame holds no maximal clique and is dropped at once; on line
+      graphs of graphs about half the frames end so, and scanning X
+      first spares them the scan over P;
+    - otherwise the counts of X and P pick the pivot (Tomita-Tanaka-
+      Takahashi: the most neighbors in P), and the scan over P tells
+      whether P is already a clique, each vertex seeing all the others;
+      if so, R|P is the one maximal clique of the frame and is reported
+      whole, where expanding it would walk down one frame per vertex of
+      P;
     - otherwise the frame branches on the vertices of P outside the
       pivot's neighborhood.
 
@@ -286,33 +295,32 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
     stack = [(0, 0, (1 << n) - 1, n, 0)] if n else []
     while stack:
         r, size, p, count, x = stack.pop()
-        others = count - 1  # neighbors in p of a vertex of p that sees all of p
-        clique = True
         best = -1
-        rest = p
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            row = adj[low.bit_length() - 1]
-            seen = (row & p).bit_count()
-            if seen < others:
-                clique = False
-            if seen > best:
-                best = seen
-                pivot = row
         rest = x
         while rest:
             low = rest & -rest
             rest ^= low
             row = adj[low.bit_length() - 1]
-            if row & p == p:
+            seen = (row & p).bit_count()
+            if seen == count:  # this excluded vertex sees all of p
                 break
-            if not clique:
+            if seen > best:
+                best = seen
+                pivot = row
+        else:
+            others = count - 1  # neighbors in p of a vertex of p that sees all of p
+            clique = True
+            rest = p
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
                 seen = (row & p).bit_count()
+                if seen < others:
+                    clique = False
                 if seen > best:
                     best = seen
                     pivot = row
-        else:
             if clique:
                 found.append(r | p)
                 continue
@@ -340,24 +348,41 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     """First claw with exactly r leaves: lowest center, then lexicographically
     least leaf set.  None if the graph has no such induced star.
 
-    For each center the leaves are grown depth first from its
+    A clique holds at most one leaf, so a center whose neighborhood splits
+    into fewer than r cliques has no claw.  A center with at least 2r
+    neighbors is first bounded by a lowest-first greedy partition into
+    cliques (the colouring bound of Tomita and Seki's MCQ, taken on the
+    complement).  Where that partition ends at exactly r parts, one more
+    than a claw-free neighborhood needs, two more partitions are tried
+    (`_fewer_parts`): a highest-first greedy one, then one that grows
+    each part by the candidate keeping the most common neighbors; either
+    finding fewer than r parts settles the center.  The neighborhoods of
+    line graphs are a few cliques joined by stray edges, which lead the
+    lowest-first pass to split one clique too many; the later passes
+    settle nearly all of those centers, each of which the search below
+    would have to walk in full.
+
+    The later passes cost a scan per part, and the last one a scan per
+    vertex, so they are gated twice.  A partition that overshoots by
+    two or more parts, as on dense random graphs, goes straight to the
+    search: the passes seldom close that gap.  And they run only where
+    the lowest neighbor leaves at least 2r - 2 candidates outside its own
+    neighborhood, the width at which the search tries its own bound on
+    the level below: on a dense neighborhood each leaf leaves few
+    candidates and the search ends in a few steps.
+
+    The search grows the leaves depth first from the center's
     neighborhood mask, on an explicit stack so the interpreter's
     recursion limit puts no bound on r.  A level takes its lowest
     candidate left as a leaf and opens the level below on the candidates
     above that leaf outside its neighborhood; a level out of candidates
     hands back to the level above.  When one leaf is still needed the
-    lowest candidate is it.
-
-    A level is never opened on fewer candidates than the leaves it still
-    needs, nor on candidates that split into fewer cliques than that, as
-    a clique holds at most one leaf (the greedy colouring bound of Tomita
-    and Seki's MCQ, taken on the complement).  The bound is tried only on
-    at least twice as many candidates as leaves still needed: below that
-    the plain search settles a level in about as few steps, so on small
-    graphs the bound only adds cost, while on the large neighborhoods of
-    line graphs, which split into few cliques, it cuts nearly every
-    level.  Both cuts drop only levels holding no leaf set, so they change
-    the time, never the claw found.
+    lowest candidate is it.  A level is never opened on fewer candidates
+    than the leaves it still needs, nor on at least twice as many that
+    the lowest-first partition splits into fewer cliques than that:
+    below twice, the plain search settles a level in about as few steps.
+    Every cut drops only centers and levels holding no leaf set, so they
+    change the time, never the claw found.
     """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
@@ -368,8 +393,17 @@ def find_claw(g: Graph, r: int) -> Claw | None:
             continue
         if r == 1:
             return Claw(center, ((nbrs & -nbrs).bit_length() - 1,))
-        if count >= 2 * r and not _clique_partition_reaches(adj, nbrs, r):
-            continue
+        if count >= 2 * r:
+            parts = _clique_parts(adj, nbrs, r + 1)
+            if parts < r:
+                continue
+            if parts == r:
+                low = nbrs & -nbrs
+                rest = (nbrs ^ low) & ~adj[low.bit_length() - 1]
+                if rest.bit_count() >= 2 * r - 2 and (
+                    _fewer_parts(adj, nbrs, r, False) or _fewer_parts(adj, nbrs, r, True)
+                ):
+                    continue
         # The current level's candidates, their count and the leaves it
         # still needs; `opened` links the levels above it, innermost
         # first, as (candidates left, their count, leaf, next level).
@@ -389,7 +423,7 @@ def find_claw(g: Graph, r: int) -> Claw | None:
                             leaves.append(opened[2])
                             opened = opened[3]
                         return Claw(center, tuple(reversed(leaves)))
-                    if left < 2 * need - 2 or _clique_partition_reaches(adj, rest, need - 1):
+                    if left < 2 * need - 2 or _clique_parts(adj, rest, need - 1) == need - 1:
                         opened = (cand, count, v, opened)
                         cand, count, need = rest, left, need - 1
             if opened is None:
@@ -399,12 +433,16 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     return None
 
 
-def _clique_partition_reaches(adj: tuple[int, ...], cand: int, need: int) -> bool:
-    """Whether a greedy partition of cand into cliques has `need` parts or
-    more.  Each part starts at the lowest vertex left and grows by the
-    lowest remaining common neighbor; counting stops at `need`."""
+def _clique_parts(adj: tuple[int, ...], cand: int, cap: int) -> int:
+    """Parts of a greedy partition of cand into cliques, counted up to
+    `cap`: each part starts at the lowest vertex left and grows by the
+    lowest remaining common neighbor, and the count stops as soon as a
+    part numbered `cap` starts, without growing it."""
     parts = 0
     while cand:
+        parts += 1
+        if parts == cap:
+            break
         low = cand & -cand
         cand ^= low
         common = cand & adj[low.bit_length() - 1]
@@ -412,7 +450,35 @@ def _clique_partition_reaches(adj: tuple[int, ...], cand: int, need: int) -> boo
             low = common & -common
             cand ^= low
             common &= adj[low.bit_length() - 1]
+    return parts
+
+
+def _fewer_parts(adj: tuple[int, ...], cand: int, need: int, widest: bool) -> bool:
+    """Whether a greedy partition of cand into cliques has fewer than
+    `need` parts.  Each part starts at the highest vertex left and grows
+    by the highest remaining common neighbor, or, when `widest`, by the
+    one that keeps the most common neighbors (the lowest on ties)."""
+    parts = 0
+    while cand:
         parts += 1
-        if parts >= need:
-            return True
-    return False
+        if parts == need:
+            return False
+        v = cand.bit_length() - 1
+        common = cand
+        while common:
+            cand ^= 1 << v
+            common &= adj[v]
+            if widest:
+                best = -1
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    u = low.bit_length() - 1
+                    kept = (common & adj[u]).bit_count()
+                    if kept > best:
+                        best = kept
+                        v = u
+            else:
+                v = common.bit_length() - 1
+    return True

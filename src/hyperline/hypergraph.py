@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable
 
 from ._value import Value, _set_field
-from .errors import InputError
+from .errors import InputError, _require_ints
 
 
 def _sorted_entries(
@@ -41,6 +41,7 @@ class Hypergraph(Value):
     edges: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
+        _require_ints(n=n)
         _set_field(self, "n", n)
         _set_field(self, "edges", _sorted_entries(n, edges, "edge"))
 

@@ -226,6 +226,7 @@ def scan_regular_realizability(n_max: int, k_max: int) -> ScanReport:
     """Check, for every N <= n_max, k <= k_max, and feasible degree, that
     constant-degree construction succeeds exactly when k divides d*N and
     that the built hypergraph has the right degrees."""
+    _require_ints(n_max=n_max, k_max=k_max)
     if n_max < 2 or n_max > 12 or k_max < 2:
         raise InputError(f"scan bounds out of range: n_max={n_max}, k_max={k_max}")
     report = ScanReport()

@@ -58,8 +58,22 @@ class Thresholds(Value):
         _set_field(self, "clique_size_bound", clique_size_bound)
 
 
-@lru_cache(maxsize=None, typed=True)
 def thresholds(k: int, p: int) -> Thresholds:
+    """The two bounds of the recognizer for uniformity k and multiplicity p.
+
+    Any k or p that is not an int raises InputError, an unhashable one
+    too: the cache hashes its arguments before its own check can run, so
+    its TypeError is turned into that InputError here.
+    """
+    try:
+        return _thresholds(k, p)
+    except TypeError:
+        _require_ints(k=k, p=p)
+        raise
+
+
+@lru_cache(maxsize=None, typed=True)
+def _thresholds(k: int, p: int) -> Thresholds:
     _require_ints(k=k, p=p)
     if k < 2 or p < 1:
         raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
@@ -275,7 +289,10 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     F1 and the claw check pass, and that one list goes to F2, F3 and the
     certifying cover.
     """
-    t = thresholds(k, p)
+    try:
+        t = _thresholds(k, p)  # the cached lookup, without the wrapper's call
+    except TypeError:
+        t = thresholds(k, p)
     if not any(g._adj):
         raise InputError("recognition needs a graph with at least one edge")
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,8 +14,11 @@ from hyperline import (
     regular_hypergraph,
 )
 from hyperline.fileio import write_graph
+from hyperline import graph
 from hyperline.graph import (
     _bits,
+    _clique_parts,
+    _fewer_parts,
     _met_at_least,
     common_neighborhood,
     edge_degree,
@@ -41,6 +45,18 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(InputError):
         Graph(3, [(0, 3)])
+
+
+def test_vertex_counts_must_be_ints():
+    """A vertex count that is not an int, `bool` included, is refused by
+    `Graph` and `Hypergraph` before any edge is read."""
+    for n, shown in ((3.0, "3.0"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(InputError, match=rf"^n must be an int, got {shown}$"):
+            Graph(n, [(0, 1)])
+        with pytest.raises(InputError, match=rf"^n must be an int, got {shown}$"):
+            Hypergraph(n, [(0, 1)])
+    with pytest.raises(InputError, match=r"^n must be an int, got True$"):
+        Graph(True, [])
 
 
 def test_line_graph_of_triangle_is_k3():
@@ -273,6 +289,174 @@ def test_find_claw_matches_first_claw_reference():
             assert find_claw(g, k + 1) == _first_claw_reference(g, k + 1), (g, k)
 
 
+def _independence_below(adj: tuple[int, ...], cand: int, r: int) -> bool:
+    """Whether no r vertices of cand are pairwise non-adjacent."""
+    members = list(_bits(cand))
+    return not any(
+        all(not adj[a] >> b & 1 for a, b in combinations(leaves, 2))
+        for leaves in combinations(members, r)
+    )
+
+
+def test_clique_partition_passes_are_sound():
+    """Whenever a greedy partition of a candidate mask into cliques has
+    fewer than r parts, no r candidates are pairwise non-adjacent, for r
+    up to 5: on the whole vertex set of every graph of at most 6
+    vertices, which covers their neighbourhoods too, since a pass reads
+    only the candidates' adjacency and order, and on each neighbourhood
+    of seeded random graphs at each density."""
+    rng = random.Random(4242)
+    graphs = [g for n in range(2, 7) for g in all_graphs(n)]
+    graphs += [
+        random_graph(rng, rng.randint(2, cap), density)
+        for density, cap in DENSITY_CAPS
+        for _ in range(4)
+    ]
+    checked = 0
+    for g in graphs:
+        adj = g._adj
+        masks = {(1 << g.n) - 1} if g.n <= 6 else set(adj)
+        for cand in masks:
+            for r in range(2, min(cand.bit_count(), 5) + 1):
+                settled = (
+                    _clique_parts(adj, cand, r) < r,
+                    _fewer_parts(adj, cand, r, False),
+                    _fewer_parts(adj, cand, r, True),
+                )
+                if any(settled):
+                    checked += 1
+                    assert _independence_below(adj, cand, r), (g, cand, r, settled)
+    assert checked > 10_000
+
+
+# Centre 0 of each gadget sees two cliques joined by two crossing edges,
+# so it has no 3-claw, but the lowest-first partition of its
+# neighborhood ends at three parts; one of the later passes finds two.
+_HIGH_ONLY_GADGET = Graph(
+    9,
+    [(0, v) for v in range(1, 9)]
+    + list(combinations((1, 7, 8), 2))
+    + list(combinations(range(2, 7), 2))
+    + [(1, 3), (3, 8)],
+)
+_WIDEST_ONLY_GADGET = Graph(
+    8,
+    [(0, v) for v in range(1, 8)]
+    + [(1, 7)]
+    + list(combinations(range(2, 7), 2))
+    + [(1, 3), (5, 7)],
+)
+
+
+def test_claw_gadgets_settled_by_one_later_pass():
+    """One centre only the highest-first pass settles and one only the
+    most-common-neighbours pass settles; `find_claw` agrees with the
+    exhaustive reference on each, with the gadget alone and with a
+    pendant leaf that turns centre 0 into a claw."""
+    for g, high, widest in ((_HIGH_ONLY_GADGET, True, False), (_WIDEST_ONLY_GADGET, False, True)):
+        adj, nbrs = g._adj, g._adj[0]
+        assert _clique_parts(adj, nbrs, 4) == 3
+        assert _fewer_parts(adj, nbrs, 3, False) is high
+        assert _fewer_parts(adj, nbrs, 3, True) is widest
+        assert _first_claw_reference(g, 3) is None
+        pendant = Graph(g.n + 1, list(g.edges()) + [(0, g.n)])
+        for h in (g, pendant):
+            for r in (2, 3, 4):
+                assert find_claw(h, r) == _first_claw_reference(h, r), (h, r)
+
+
+def _bounded_hypergraph(rng: random.Random, nh: int, k: int, p: int, m: int) -> Hypergraph:
+    """m random k-sets of range(nh), each rejected when it would put some
+    vertex pair in more than p edges."""
+    used: dict[tuple[int, ...], int] = {}
+    edges: list[tuple[int, ...]] = []
+    while len(edges) < m:
+        e = tuple(sorted(rng.sample(range(nh), k)))
+        if any(used.get(pair, 0) >= p for pair in combinations(e, 2)):
+            continue
+        for pair in combinations(e, 2):
+            used[pair] = used.get(pair, 0) + 1
+        edges.append(e)
+    return Hypergraph(nh, edges)
+
+
+def _settled_by_pass(g: Graph, r: int) -> Counter:
+    """How each centre of g with at least 2r neighbours is settled for r
+    leaves: by the lowest-first partition, by the highest-first or the
+    most-common-neighbours pass, or not at all."""
+    adj = g._adj
+    tally: Counter = Counter()
+    for nbrs in adj:
+        if nbrs.bit_count() < 2 * r:
+            continue
+        parts = _clique_parts(adj, nbrs, r + 1)
+        if parts < r:
+            tally["lowest"] += 1
+        elif parts > r:
+            tally["over"] += 1
+        elif _fewer_parts(adj, nbrs, r, False):
+            tally["highest"] += 1
+        elif _fewer_parts(adj, nbrs, r, True):
+            tally["widest"] += 1
+        else:
+            tally["open"] += 1
+    return tally
+
+
+def test_find_claw_on_certify_sized_line_graphs():
+    """Line graphs of seeded linear 3-uniform hypergraphs with 100 to 130
+    edges have no 4-claw; this pins how many of their centres each
+    partition settles (too large for the exhaustive reference)."""
+    rng = random.Random(1913)
+    tally: Counter = Counter()
+    for m in (100, 110, 120, 130):
+        g = line_graph(_bounded_hypergraph(rng, 40 + (m - 100) // 6, 3, 1, m))
+        assert find_claw(g, 4) is None
+        tally += _settled_by_pass(g, 4)
+    assert tally["lowest"] >= 332 and tally["highest"] >= 76 and tally["widest"] >= 27, tally
+    assert tally["over"] + tally["open"] <= 25, tally
+
+
+def test_widest_pass_runs_only_after_exactly_r_parts(monkeypatch):
+    """On seeded dense graphs the later passes run only on centres whose
+    lowest-first partition ended at exactly r parts and whose lowest
+    neighbour leaves at least 2r - 2 candidates: of the centres that
+    `find_claw` bounds, those pinned here, a small share."""
+    rng = random.Random(3141)
+    graphs = [
+        random_graph(rng, rng.randint(1, cap), density)
+        for density, cap in DENSITY_CAPS
+        for _ in range(20)
+    ]
+    leaves = 0  # the r of the find_claw call running
+    first: Counter = Counter()
+    calls: Counter = Counter()
+
+    def counted_parts(adj, cand, cap):
+        parts = _clique_parts(adj, cand, cap)
+        if cap == leaves + 1:  # the centre's bound; the search's own use caps below r
+            first[leaves, ("below", "exact", "over")[max(-1, min(parts - leaves, 1)) + 1]] += 1
+        return parts
+
+    def counted_passes(adj, cand, need, widest):
+        assert _clique_parts(adj, cand, need + 1) == need
+        low = cand & -cand
+        assert ((cand ^ low) & ~adj[low.bit_length() - 1]).bit_count() >= 2 * need - 2
+        calls[need, widest] += 1
+        return _fewer_parts(adj, cand, need, widest)
+
+    monkeypatch.setattr(graph, "_clique_parts", counted_parts)
+    monkeypatch.setattr(graph, "_fewer_parts", counted_passes)
+    for g in graphs:
+        for leaves in (3, 4):
+            assert find_claw(g, leaves) == _first_claw_reference(g, leaves), (g, leaves)
+    assert first == {
+        (3, "below"): 51, (3, "exact"): 23, (3, "over"): 29,
+        (4, "below"): 84, (4, "exact"): 29, (4, "over"): 19,
+    }
+    assert calls == {(3, False): 2, (3, True): 2, (4, False): 1, (4, True): 1}
+
+
 def test_maximal_cliques_min_size_matches_filter():
     """On graphs near line graphs, where the size floor cuts most branches,
     it keeps exactly the maximal cliques that reach it."""
@@ -341,11 +525,45 @@ def _pivot(adj: tuple[int, ...], p: int, x: int) -> int:
     return pivot
 
 
+def _planted(rng: random.Random, g: Graph, gadget: list[tuple[int, int]], size: int) -> Graph:
+    """The disjoint union of g and a gadget on `size` vertices, under a
+    random relabelling of all the vertices."""
+    labels = list(range(g.n + size))
+    rng.shuffle(labels)
+    edges = list(g.edges()) + [(g.n + a, g.n + b) for a, b in gadget]
+    return Graph(g.n + size, [(labels[a], labels[b]) for a, b in edges])
+
+
+def _certify_sized_graphs() -> list[tuple[int, Graph]]:
+    """(clique bound, graph) for line graphs of seeded bounded hypergraphs
+    on 100-240 vertices, each alone, with a vertex attached to p*k + 1
+    vertices of a planted clique of the bound's size (F2), and with two
+    planted cliques of that size sharing p + 1 vertices (F3)."""
+    rng = random.Random(2718)
+    out = []
+    for nh, k, p, m in ((30, 2, 1, 105), (48, 2, 1, 240), (40, 3, 1, 100), (45, 3, 1, 130), (14, 2, 2, 126)):
+        g = line_graph(_bounded_hypergraph(rng, nh, k, p, m))
+        bound = thresholds(k, p).clique_size_bound
+        attach = list(combinations(range(bound), 2))
+        attach += [(v, bound) for v in rng.sample(range(bound), p * k + 1)]
+        second = range(bound - p - 1, 2 * bound - p - 1)
+        overlap = list(combinations(range(bound), 2))
+        overlap += [e for e in combinations(second, 2) if e[0] >= bound or e[1] >= bound]
+        out += [
+            (bound, g),
+            (bound, _planted(rng, g, attach, bound + 1)),
+            (bound, _planted(rng, g, overlap, 2 * bound - p - 1)),
+        ]
+    return out
+
+
 def test_maximal_cliques_matches_one_frame_per_vertex_reference():
     """Whole-frame reports against the plain frame walk: every graph on at
     most 6 vertices, seeded random graphs at each density, and the family
     near line graphs, at size floors below, at and above the largest
-    clique."""
+    clique; then certify-sized line graphs, alone and with an F2
+    attachment or an F3 overlap planted at the big-clique size, at size
+    floors 1, the clique bound and the largest clique."""
     rng = random.Random(577)
     graphs = [g for n in range(7) for g in all_graphs(n)]
     graphs += [
@@ -360,6 +578,12 @@ def test_maximal_cliques_matches_one_frame_per_vertex_reference():
         for s in sorted({1, 2, 4, 8, 10, largest, largest + 1}):
             expected = [c for c in cliques if len(c) >= s]
             assert maximal_cliques(g, s) == expected, (g, s)
+    for bound, g in _certify_sized_graphs():
+        cliques = _maximal_cliques_reference(g)
+        largest = max(len(c) for c in cliques)
+        assert 100 <= g.n <= 240 + 2 * bound and largest >= bound
+        for s in sorted({1, bound, largest}):
+            assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g.n, s)
 
 
 def _met_at_least_reference(g: Graph, members: int, t: int, scope: int) -> int:

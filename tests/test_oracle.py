@@ -426,3 +426,6 @@ def test_scan_rejects_bad_bounds():
         scan_regular_realizability(1, 2)
     with pytest.raises(InputError):
         scan_regular_realizability(13, 2)
+    for args, name, shown in (((6.0, 4), "n_max", "6.0"), ((6, True), "k_max", "True"), (([6], 4), "n_max", r"\[6\]")):
+        with pytest.raises(InputError, match=rf"^{name} must be an int, got {shown}$"):
+            scan_regular_realizability(*args)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -80,6 +81,20 @@ def test_recognize_refuses_non_int_sizes():
     for k, p, name in ((2.5, 1, "k"), (2, 1.5, "p"), (True, 1, "k"), (2, "1", "p")):
         with pytest.raises(InputError, match=rf"^{name} must be an int, got "):
             recognize(g, k, p)
+
+
+def test_unhashable_sizes_raise_input_error():
+    """The cache behind `thresholds` hashes its arguments before its int
+    check runs; an unhashable k or p still raises InputError, both through
+    `thresholds` and through `recognize`, on every call."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    for bad in ([2], {2: 1}, {2}):
+        for _ in range(2):
+            for call in (thresholds, lambda k, p: recognize(g, k, p)):
+                with pytest.raises(InputError, match=rf"^k must be an int, got {re.escape(repr(bad))}$"):
+                    call(bad, 1)
+                with pytest.raises(InputError, match=rf"^p must be an int, got {re.escape(repr(bad))}$"):
+                    call(2, bad)
 
 
 def _big(g: Graph, t) -> list[tuple[int, ...]]:
