@@ -5,7 +5,7 @@ A subclass lists its fields as class annotations, in order, and its own
 refusing `__setattr__`, as a frozen dataclass's `__init__` does.  The
 base gives equality within one class only, the hash of the field tuple,
 and a `Name(field=value, ...)` repr.  Instances refuse assignment and
-deletion; a mutable subclass restores both.
+deletion.
 
 The base reads fields by name, never through `self.__dict__`: CPython
 keeps an instance's attributes inline until something asks for its

@@ -3,18 +3,14 @@
 Adjacency is stored as one bitmask per vertex, and the hot kernels work
 on those masks directly, each stopping as soon as its outcome is fixed:
 
-- a claw's center is first bounded by partitions of its neighborhood
-  into cliques, as a clique holds at most one leaf: a lowest-first
-  greedy one, and, where that ends one part above what a claw-free
-  neighborhood needs and the search would open wide levels, a
-  highest-first one and one grown by the candidate keeping the most
-  common neighbors; a center still open has its leaves grown depth
-  first over a candidate mask, on an explicit stack so the recursion
-  limit puts no bound on the leaf count, each step keeping only the
-  candidates outside the chosen leaf's neighborhood, and a level with
-  fewer candidates than leaves still needed, or with at least twice as
-  many that split into fewer cliques than that, is never opened
-  (`find_claw`);
+- a claw's leaves are grown depth first over a candidate mask, on an
+  explicit stack so the recursion limit puts no bound on the leaf
+  count, each step keeping only the candidates outside the chosen
+  leaf's neighborhood; the center and every level below it follow one
+  rule: a level with fewer candidates than leaves still needed is never
+  opened, nor one with at least twice as many that a greedy partition
+  into cliques, highest-first or lowest-first, splits into fewer parts
+  than that, as a clique holds at most one leaf (`find_claw`);
 - maximal cliques come from pivoted Bron-Kerbosch run on an explicit
   stack of masks, so the interpreter's recursion limit puts no bound on
   clique size; nothing is enumerated when the requested size exceeds
@@ -348,41 +344,26 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     """First claw with exactly r leaves: lowest center, then lexicographically
     least leaf set.  None if the graph has no such induced star.
 
-    A clique holds at most one leaf, so a center whose neighborhood splits
-    into fewer than r cliques has no claw.  A center with at least 2r
-    neighbors is first bounded by a lowest-first greedy partition into
-    cliques (the colouring bound of Tomita and Seki's MCQ, taken on the
-    complement).  Where that partition ends at exactly r parts, one more
-    than a claw-free neighborhood needs, two more partitions are tried
-    (`_fewer_parts`): a highest-first greedy one, then one that grows
-    each part by the candidate keeping the most common neighbors; either
-    finding fewer than r parts settles the center.  The neighborhoods of
-    line graphs are a few cliques joined by stray edges, which lead the
-    lowest-first pass to split one clique too many; the later passes
-    settle nearly all of those centers, each of which the search below
-    would have to walk in full.
+    The leaves are grown depth first from the center's neighborhood mask,
+    on an explicit stack so the interpreter's recursion limit puts no
+    bound on r.  A level takes its lowest candidate left as a leaf and
+    opens the level below on the candidates above that leaf outside its
+    neighborhood; a level out of candidates hands back to the level
+    above.  When one leaf is still needed the lowest candidate is it.
+    The center is the level that needs r leaves from its neighborhood.
 
-    The later passes cost a scan per part, and the last one a scan per
-    vertex, so they are gated twice.  A partition that overshoots by
-    two or more parts, as on dense random graphs, goes straight to the
-    search: the passes seldom close that gap.  And they run only where
-    the lowest neighbor leaves at least 2r - 2 candidates outside its own
-    neighborhood, the width at which the search tries its own bound on
-    the level below: on a dense neighborhood each leaf leaves few
-    candidates and the search ends in a few steps.
-
-    The search grows the leaves depth first from the center's
-    neighborhood mask, on an explicit stack so the interpreter's
-    recursion limit puts no bound on r.  A level takes its lowest
-    candidate left as a leaf and opens the level below on the candidates
-    above that leaf outside its neighborhood; a level out of candidates
-    hands back to the level above.  When one leaf is still needed the
-    lowest candidate is it.  A level is never opened on fewer candidates
-    than the leaves it still needs, nor on at least twice as many that
-    the lowest-first partition splits into fewer cliques than that:
-    below twice, the plain search settles a level in about as few steps.
-    Every cut drops only centers and levels holding no leaf set, so they
-    change the time, never the claw found.
+    One rule decides whether a level is opened.  A level that needs t
+    leaves from c candidates is never opened when c < t.  When c >= 2t
+    it is not opened either if a greedy partition of its candidates into
+    cliques has fewer than t parts (`_fewer_parts`, the colouring bound
+    of Tomita and Seki's MCQ taken on the complement): a clique holds at
+    most one leaf.  The highest-first partition is tried first, then the
+    lowest-first one; the neighborhoods of line graphs are a few cliques
+    joined by stray edges, which lead one order or the other to split a
+    clique in two.  Below 2t the plain search settles a level in about
+    as few steps as a partition would take.  Every cut drops only levels
+    holding no leaf set, so the cuts change the time, never the claw
+    found.
     """
     if r < 1:
         raise InputError(f"claw size must be positive, got {r}")
@@ -393,17 +374,8 @@ def find_claw(g: Graph, r: int) -> Claw | None:
             continue
         if r == 1:
             return Claw(center, ((nbrs & -nbrs).bit_length() - 1,))
-        if count >= 2 * r:
-            parts = _clique_parts(adj, nbrs, r + 1)
-            if parts < r:
-                continue
-            if parts == r:
-                low = nbrs & -nbrs
-                rest = (nbrs ^ low) & ~adj[low.bit_length() - 1]
-                if rest.bit_count() >= 2 * r - 2 and (
-                    _fewer_parts(adj, nbrs, r, False) or _fewer_parts(adj, nbrs, r, True)
-                ):
-                    continue
+        if count >= 2 * r and _fewer_parts(adj, nbrs, r):
+            continue
         # The current level's candidates, their count and the leaves it
         # still needs; `opened` links the levels above it, innermost
         # first, as (candidates left, their count, leaf, next level).
@@ -423,7 +395,7 @@ def find_claw(g: Graph, r: int) -> Claw | None:
                             leaves.append(opened[2])
                             opened = opened[3]
                         return Claw(center, tuple(reversed(leaves)))
-                    if left < 2 * need - 2 or _clique_parts(adj, rest, need - 1) == need - 1:
+                    if left < 2 * need - 2 or not _fewer_parts(adj, rest, need - 1):
                         opened = (cand, count, v, opened)
                         cand, count, need = rest, left, need - 1
             if opened is None:
@@ -433,16 +405,31 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     return None
 
 
-def _clique_parts(adj: tuple[int, ...], cand: int, cap: int) -> int:
-    """Parts of a greedy partition of cand into cliques, counted up to
-    `cap`: each part starts at the lowest vertex left and grows by the
-    lowest remaining common neighbor, and the count stops as soon as a
-    part numbered `cap` starts, without growing it."""
-    parts = 0
-    while cand:
-        parts += 1
-        if parts == cap:
+def _fewer_parts(adj: tuple[int, ...], cand: int, need: int) -> bool:
+    """Whether a greedy partition of cand into cliques has fewer than
+    `need` parts.  Each part starts at the highest vertex left and grows
+    by the highest remaining common neighbor; where that gives `need`
+    parts, the parts are grown again from the lowest vertex left by the
+    lowest remaining common neighbor.  Each pass stops as its part
+    numbered `need` starts."""
+    rest, parts = cand, need
+    while rest:
+        parts -= 1
+        if not parts:
             break
+        v = rest.bit_length() - 1
+        common = rest
+        while common:
+            rest ^= 1 << v
+            common &= adj[v]
+            v = common.bit_length() - 1
+    else:
+        return True
+    parts = need
+    while cand:
+        parts -= 1
+        if not parts:
+            return False
         low = cand & -cand
         cand ^= low
         common = cand & adj[low.bit_length() - 1]
@@ -450,35 +437,4 @@ def _clique_parts(adj: tuple[int, ...], cand: int, cap: int) -> int:
             low = common & -common
             cand ^= low
             common &= adj[low.bit_length() - 1]
-    return parts
-
-
-def _fewer_parts(adj: tuple[int, ...], cand: int, need: int, widest: bool) -> bool:
-    """Whether a greedy partition of cand into cliques has fewer than
-    `need` parts.  Each part starts at the highest vertex left and grows
-    by the highest remaining common neighbor, or, when `widest`, by the
-    one that keeps the most common neighbors (the lowest on ties)."""
-    parts = 0
-    while cand:
-        parts += 1
-        if parts == need:
-            return False
-        v = cand.bit_length() - 1
-        common = cand
-        while common:
-            cand ^= 1 << v
-            common &= adj[v]
-            if widest:
-                best = -1
-                rest = common
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    u = low.bit_length() - 1
-                    kept = (common & adj[u]).bit_count()
-                    if kept > best:
-                        best = kept
-                        v = u
-            else:
-                v = common.bit_length() - 1
     return True

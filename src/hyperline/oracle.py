@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
-from ._value import Value
+from ._value import Value, _set_field
 from .baranyai import regular_hypergraph
 from .errors import DivisibilityError, InputError, ResourceLimitError, _require_ints
 from .graph import Graph
@@ -202,20 +203,14 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 class ScanReport(Value):
-    """Outcome of the realizability scan; discrepancies should stay empty.
-
-    Mutable, so unhashable; each report gets its own discrepancy list."""
+    """Outcome of the realizability scan; discrepancies should stay empty."""
 
     cases: int
-    discrepancies: list[str]
+    discrepancies: tuple[str, ...]
 
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, cases: int = 0, discrepancies: list[str] | None = None):
-        self.cases = cases
-        self.discrepancies = [] if discrepancies is None else discrepancies
+    def __init__(self, cases: int = 0, discrepancies: Iterable[str] = ()):
+        _set_field(self, "cases", cases)
+        _set_field(self, "discrepancies", tuple(discrepancies))
 
     @property
     def ok(self) -> bool:
@@ -229,24 +224,25 @@ def scan_regular_realizability(n_max: int, k_max: int) -> ScanReport:
     _require_ints(n_max=n_max, k_max=k_max)
     if n_max < 2 or n_max > 12 or k_max < 2:
         raise InputError(f"scan bounds out of range: n_max={n_max}, k_max={k_max}")
-    report = ScanReport()
+    cases = 0
+    discrepancies: list[str] = []
     for big_n in range(2, n_max + 1):
         for k in range(2, min(k_max, big_n) + 1):
             for d in range(1, comb(big_n - 1, k - 1) + 1):
-                report.cases += 1
+                cases += 1
                 tag = f"N={big_n} k={k} d={d}"
                 expect_ok = (d * big_n) % k == 0
                 try:
                     hg = regular_hypergraph(big_n, k, d)
                 except DivisibilityError:
                     if expect_ok:
-                        report.discrepancies.append(f"{tag}: rejected but k divides dN")
+                        discrepancies.append(f"{tag}: rejected but k divides dN")
                     continue
                 if not expect_ok:
-                    report.discrepancies.append(f"{tag}: built but k does not divide dN")
+                    discrepancies.append(f"{tag}: built but k does not divide dN")
                     continue
                 if not hg.is_k_uniform(k):
-                    report.discrepancies.append(f"{tag}: edges are not {k}-uniform")
+                    discrepancies.append(f"{tag}: edges are not {k}-uniform")
                 if hg.degree_sequence() != [d] * big_n:
-                    report.discrepancies.append(f"{tag}: degree sequence is not constant {d}")
-    return report
+                    discrepancies.append(f"{tag}: degree sequence is not constant {d}")
+    return ScanReport(cases, discrepancies)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ._value import Value, _set_field
-from .errors import InputError
+from .errors import InputError, _require_ints
 from .graph import Graph, _mask
 from .hypergraph import Hypergraph, _sorted_entries
 
@@ -58,6 +58,7 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
     Entries that are not cliques of g at all are an input error, distinct
     from a condition failure.
     """
+    _require_ints(k=k, p=p)
     if k < 1 or p < 1:
         raise InputError(f"need k >= 1 and p >= 1, got k={k}, p={p}")
     if cover.n != g.n:

@@ -801,6 +801,11 @@ def test_construction_refuses_non_int_sizes():
             build(*args)
 
 
+def test_regular_hypergraph_refuses_degree_zero():
+    with pytest.raises(InputError, match=r"^degree must be positive, got 0$"):
+        regular_hypergraph(6, 3, 0)
+
+
 def test_partition_validation():
     with pytest.raises(InputError):
         baranyai_partition(3, 4)

@@ -9,7 +9,7 @@ import pytest
 
 from hyperline.cli import run_cli
 from hyperline.fileio import read_hypergraph, read_partition, write_graph, write_hypergraph
-from hyperline import Graph, Hypergraph, line_graph
+from hyperline import Graph, Hypergraph, InternalContradictionError, line_graph
 
 from conftest import complete_bipartite, complete_graph, cycle_graph, module_env
 
@@ -102,6 +102,18 @@ def test_recognize_oracle_fallback_nonmember(tmp_path):
     )
     assert code == 1
     assert "ORACLE NONMEMBER" in text
+
+
+def test_recognize_oracle_fallback_skips_graphs_above_the_oracle_bound(tmp_path):
+    path = tmp_path / "c9.gr"
+    path.write_text(write_graph(cycle_graph(9)))
+    code, text = run(
+        ["recognize", "--in", str(path), "-k", "2", "-p", "1", "--oracle-fallback"]
+    )
+    assert code == 0
+    assert text.splitlines()[0] == "INCONCLUSIVE min_edge_degree=0 required=5"
+    assert text.splitlines()[-1] == "# oracle fallback skipped: graph exceeds 8 vertices"
+    assert "ORACLE" not in text
 
 
 def test_reconstruct_k7(tmp_path):
@@ -364,6 +376,15 @@ def test_exhausted_interpreter_resources_exit_3(exc, claw_graph, monkeypatch, ca
     monkeypatch.setattr("hyperline.cli.recognize", exhausted)
     assert run(["recognize", "--in", str(claw_graph), "-k", "2", "-p", "1"])[0] == 3
     assert capsys.readouterr().err == f"error: resource limit exceeded ({exc.__name__})\n"
+
+
+def test_internal_contradiction_exits_3(claw_graph, monkeypatch, capsys):
+    def contradicted(*args):
+        raise InternalContradictionError("invariant broken")
+
+    monkeypatch.setattr("hyperline.cli.recognize", contradicted)
+    assert run(["recognize", "--in", str(claw_graph), "-k", "2", "-p", "1"]) == (3, "")
+    assert capsys.readouterr().err == "internal error: invariant broken\n"
 
 
 _SEED_TEXTS = {

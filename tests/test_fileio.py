@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -150,6 +151,22 @@ def test_partition_rejects_malformed():
 )
 def test_partition_rejects_malformed_sets_and_counts(text, lineno):
     with pytest.raises(InputError, match=rf"^line {lineno}: "):
+        read_partition(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("B 4 2 2\nS 0 2\n1 2\nS 1 1\n3 4\n", "line 4: previous class is short 1 sets"),
+        ("B 4 2 1\nS 0\n", "line 2: expected 'S <i> <count>'"),
+        (
+            "B 4 2 3\nS 0 2\n1 2\n3 4\nS 1 2\n1 3\n2 4\n",
+            "header promises 3 classes, file has 2",
+        ),
+    ],
+)
+def test_partition_rejects_short_classes_bad_class_lines_and_missing_classes(text, message):
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
         read_partition(text)
 
 

@@ -17,7 +17,6 @@ from hyperline.fileio import write_graph
 from hyperline import graph
 from hyperline.graph import (
     _bits,
-    _clique_parts,
     _fewer_parts,
     _met_at_least,
     common_neighborhood,
@@ -191,6 +190,11 @@ def test_common_neighborhood():
         common_neighborhood(cycle_graph(4), [])
 
 
+def test_common_neighborhood_refuses_a_vertex_outside_the_graph():
+    with pytest.raises(InputError, match=r"^vertex 3 outside \[0, 3\)$"):
+        common_neighborhood(Graph(3, [(0, 1), (1, 2)]), [0, 3])
+
+
 def test_maximal_cliques_goldens():
     assert maximal_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
     assert maximal_cliques(cycle_graph(4)) == [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -216,6 +220,11 @@ def test_find_claw_goldens():
     assert find_claw(complete_graph(5), 2) is None
     hexagon = find_claw(cycle_graph(6), 2)
     assert hexagon is not None and hexagon.center == 0 and hexagon.leaves == (1, 5)
+
+
+def test_find_claw_refuses_claw_size_below_one():
+    with pytest.raises(InputError, match=r"^claw size must be positive, got 0$"):
+        find_claw(Graph(3, [(0, 1), (1, 2)]), 0)
 
 
 def _claw_oracle(g: Graph, r: int) -> bool:
@@ -299,12 +308,13 @@ def _independence_below(adj: tuple[int, ...], cand: int, r: int) -> bool:
 
 
 def test_clique_partition_passes_are_sound():
-    """Whenever a greedy partition of a candidate mask into cliques has
-    fewer than r parts, no r candidates are pairwise non-adjacent, for r
-    up to 5: on the whole vertex set of every graph of at most 6
-    vertices, which covers their neighbourhoods too, since a pass reads
-    only the candidates' adjacency and order, and on each neighbourhood
-    of seeded random graphs at each density."""
+    """Whenever the greedy partitions of a candidate mask into cliques,
+    highest-first or lowest-first, find fewer than r parts, no r
+    candidates are pairwise non-adjacent, for r up to 5: on the whole
+    vertex set of every graph of at most 6 vertices, which covers their
+    neighbourhoods too, since a pass reads only the candidates' adjacency
+    and order, and on each neighbourhood of seeded random graphs at each
+    density."""
     rng = random.Random(4242)
     graphs = [g for n in range(2, 7) for g in all_graphs(n)]
     graphs += [
@@ -318,20 +328,17 @@ def test_clique_partition_passes_are_sound():
         masks = {(1 << g.n) - 1} if g.n <= 6 else set(adj)
         for cand in masks:
             for r in range(2, min(cand.bit_count(), 5) + 1):
-                settled = (
-                    _clique_parts(adj, cand, r) < r,
-                    _fewer_parts(adj, cand, r, False),
-                    _fewer_parts(adj, cand, r, True),
-                )
-                if any(settled):
+                if _fewer_parts(adj, cand, r):
                     checked += 1
-                    assert _independence_below(adj, cand, r), (g, cand, r, settled)
+                    assert _independence_below(adj, cand, r), (g, cand, r)
     assert checked > 10_000
 
 
 # Centre 0 of each gadget sees two cliques joined by two crossing edges,
-# so it has no 3-claw, but the lowest-first partition of its
-# neighborhood ends at three parts; one of the later passes finds two.
+# so it has no 3-claw.  The highest-first partition of the first
+# gadget's neighbourhood finds the two cliques, so the centre is never
+# opened; both partitions of the second split one clique in two, so the
+# search walks its centre.
 _HIGH_ONLY_GADGET = Graph(
     9,
     [(0, v) for v in range(1, 9)]
@@ -339,7 +346,7 @@ _HIGH_ONLY_GADGET = Graph(
     + list(combinations(range(2, 7), 2))
     + [(1, 3), (3, 8)],
 )
-_WIDEST_ONLY_GADGET = Graph(
+_OPEN_GADGET = Graph(
     8,
     [(0, v) for v in range(1, 8)]
     + [(1, 7)]
@@ -348,16 +355,12 @@ _WIDEST_ONLY_GADGET = Graph(
 )
 
 
-def test_claw_gadgets_settled_by_one_later_pass():
-    """One centre only the highest-first pass settles and one only the
-    most-common-neighbours pass settles; `find_claw` agrees with the
-    exhaustive reference on each, with the gadget alone and with a
-    pendant leaf that turns centre 0 into a claw."""
-    for g, high, widest in ((_HIGH_ONLY_GADGET, True, False), (_WIDEST_ONLY_GADGET, False, True)):
-        adj, nbrs = g._adj, g._adj[0]
-        assert _clique_parts(adj, nbrs, 4) == 3
-        assert _fewer_parts(adj, nbrs, 3, False) is high
-        assert _fewer_parts(adj, nbrs, 3, True) is widest
+def test_claw_gadgets_match_first_claw_reference():
+    """`find_claw` agrees with the exhaustive reference on each gadget,
+    with the gadget alone and with a pendant leaf that turns centre 0
+    into a claw, whether the partitions settle its centre or not."""
+    for g, settled in ((_HIGH_ONLY_GADGET, True), (_OPEN_GADGET, False)):
+        assert _fewer_parts(g._adj, g._adj[0], 3) is settled
         assert _first_claw_reference(g, 3) is None
         pendant = Graph(g.n + 1, list(g.edges()) + [(0, g.n)])
         for h in (g, pendant):
@@ -380,81 +383,67 @@ def _bounded_hypergraph(rng: random.Random, nh: int, k: int, p: int, m: int) -> 
     return Hypergraph(nh, edges)
 
 
-def _settled_by_pass(g: Graph, r: int) -> Counter:
-    """How each centre of g with at least 2r neighbours is settled for r
-    leaves: by the lowest-first partition, by the highest-first or the
-    most-common-neighbours pass, or not at all."""
-    adj = g._adj
+def _tally_bounds(monkeypatch, r: int, graphs) -> Counter:
+    """Run `find_claw(g, r)` on each graph, counting for each call of the
+    partition bound whether it was made for a centre (r leaves needed)
+    or a level below one, and whether it settled it or let it open.  The
+    bound is only ever asked about at least twice as many candidates as
+    leaves needed."""
     tally: Counter = Counter()
-    for nbrs in adj:
-        if nbrs.bit_count() < 2 * r:
-            continue
-        parts = _clique_parts(adj, nbrs, r + 1)
-        if parts < r:
-            tally["lowest"] += 1
-        elif parts > r:
-            tally["over"] += 1
-        elif _fewer_parts(adj, nbrs, r, False):
-            tally["highest"] += 1
-        elif _fewer_parts(adj, nbrs, r, True):
-            tally["widest"] += 1
-        else:
-            tally["open"] += 1
+
+    def counted(adj, cand, need):
+        assert cand.bit_count() >= 2 * need
+        settled = _fewer_parts(adj, cand, need)
+        tally["centre" if need == r else "level", "settled" if settled else "opened"] += 1
+        return settled
+
+    monkeypatch.setattr(graph, "_fewer_parts", counted)
+    for g in graphs:
+        claw = find_claw(g, r)
+        tally["claw" if claw else "none"] += 1
     return tally
 
 
-def test_find_claw_on_certify_sized_line_graphs():
+def test_find_claw_on_certify_sized_line_graphs(monkeypatch):
     """Line graphs of seeded linear 3-uniform hypergraphs with 100 to 130
-    edges have no 4-claw; this pins how many of their centres each
-    partition settles (too large for the exhaustive reference)."""
+    edges have no 4-claw; this pins how many of their centres and levels
+    the partition bound settles and how many it opens (too large for the
+    exhaustive reference)."""
     rng = random.Random(1913)
-    tally: Counter = Counter()
-    for m in (100, 110, 120, 130):
-        g = line_graph(_bounded_hypergraph(rng, 40 + (m - 100) // 6, 3, 1, m))
-        assert find_claw(g, 4) is None
-        tally += _settled_by_pass(g, 4)
-    assert tally["lowest"] >= 332 and tally["highest"] >= 76 and tally["widest"] >= 27, tally
-    assert tally["over"] + tally["open"] <= 25, tally
+    graphs = [
+        line_graph(_bounded_hypergraph(rng, 40 + (m - 100) // 6, 3, 1, m))
+        for m in (100, 110, 120, 130)
+    ]
+    assert _tally_bounds(monkeypatch, 4, graphs) == {
+        "none": 4,
+        ("centre", "settled"): 426, ("centre", "opened"): 34,
+        ("level", "settled"): 458, ("level", "opened"): 21,
+    }
 
 
-def test_widest_pass_runs_only_after_exactly_r_parts(monkeypatch):
-    """On seeded dense graphs the later passes run only on centres whose
-    lowest-first partition ended at exactly r parts and whose lowest
-    neighbour leaves at least 2r - 2 candidates: of the centres that
-    `find_claw` bounds, those pinned here, a small share."""
+def test_one_rule_settles_centres_and_levels(monkeypatch):
+    """On seeded dense graphs the centre and the levels below it share
+    one bound; the claws found match the first-claw reference, and the
+    counts of centres and levels settled and opened are pinned."""
     rng = random.Random(3141)
     graphs = [
         random_graph(rng, rng.randint(1, cap), density)
         for density, cap in DENSITY_CAPS
         for _ in range(20)
     ]
-    leaves = 0  # the r of the find_claw call running
-    first: Counter = Counter()
-    calls: Counter = Counter()
-
-    def counted_parts(adj, cand, cap):
-        parts = _clique_parts(adj, cand, cap)
-        if cap == leaves + 1:  # the centre's bound; the search's own use caps below r
-            first[leaves, ("below", "exact", "over")[max(-1, min(parts - leaves, 1)) + 1]] += 1
-        return parts
-
-    def counted_passes(adj, cand, need, widest):
-        assert _clique_parts(adj, cand, need + 1) == need
-        low = cand & -cand
-        assert ((cand ^ low) & ~adj[low.bit_length() - 1]).bit_count() >= 2 * need - 2
-        calls[need, widest] += 1
-        return _fewer_parts(adj, cand, need, widest)
-
-    monkeypatch.setattr(graph, "_clique_parts", counted_parts)
-    monkeypatch.setattr(graph, "_fewer_parts", counted_passes)
-    for g in graphs:
-        for leaves in (3, 4):
-            assert find_claw(g, leaves) == _first_claw_reference(g, leaves), (g, leaves)
-    assert first == {
-        (3, "below"): 51, (3, "exact"): 23, (3, "over"): 29,
-        (4, "below"): 84, (4, "exact"): 29, (4, "over"): 19,
+    for r in (3, 4):
+        for g in graphs:
+            assert find_claw(g, r) == _first_claw_reference(g, r), (g, r)
+    assert _tally_bounds(monkeypatch, 3, graphs) == {
+        "claw": 77, "none": 43,
+        ("centre", "settled"): 53, ("centre", "opened"): 50,
+        ("level", "opened"): 32,
     }
-    assert calls == {(3, False): 2, (3, True): 2, (4, False): 1, (4, True): 1}
+    assert _tally_bounds(monkeypatch, 4, graphs) == {
+        "claw": 54, "none": 66,
+        ("centre", "settled"): 94, ("centre", "opened"): 38,
+        ("level", "settled"): 1, ("level", "opened"): 26,
+    }
 
 
 def test_maximal_cliques_min_size_matches_filter():

@@ -55,6 +55,13 @@ def test_is_k_uniform():
     assert Hypergraph(4).is_k_uniform(7)
 
 
+def test_refuses_negative_vertex_count_and_uniformity_below_one():
+    with pytest.raises(InputError, match=r"^vertex count must be nonnegative, got -1$"):
+        Hypergraph(-1)
+    with pytest.raises(InputError, match=r"^uniformity must be positive, got 0$"):
+        Hypergraph(3, [(0, 1)]).is_k_uniform(0)
+
+
 def test_degree_sequence(sample):
     assert sample.degree_sequence() == [2, 2, 2, 2, 1]
     all_pairs = Hypergraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

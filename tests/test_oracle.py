@@ -97,6 +97,11 @@ def test_cover_search_refuses_non_int_parameters():
             cover_search(g, k, p, **kwargs)
 
 
+def test_cover_search_refuses_load_below_two():
+    with pytest.raises(InputError, match=r"^need k >= 2 and p >= 1, got k=1, p=1$"):
+        cover_search(Graph(3, [(0, 1), (1, 2)]), 1, 1)
+
+
 def test_subset_table_matches_subset_enumeration():
     """Each pair's table entries, kept where the graph has every pair of
     the subset, are the cliques holding that pair: every vertex subset of

@@ -168,3 +168,43 @@ def test_intra_package_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {exc.args[1]}")
+
+
+def _module_level_private_names(tree: ast.Module):
+    """(name, defining node) for each private function, class or constant
+    a module defines at its top level; dunder names are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_orphan_private_helpers():
+    """Every module-level private helper is named by code somewhere in the
+    package outside its own definition: read as a name or an attribute,
+    not merely imported, so a helper left behind by a rewrite shows."""
+    trees = _modules()
+    orphans = []
+    for module, tree in trees.items():
+        for name, definition in _module_level_private_names(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            used = any(
+                id(node) not in inside
+                and (
+                    isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                )
+                for other in trees.values()
+                for node in ast.walk(other)
+            )
+            if not used:
+                orphans.append(f"{module}.{name}")
+    assert not orphans, f"private helpers nothing in the package uses: {orphans}"

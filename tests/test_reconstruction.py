@@ -58,6 +58,33 @@ def test_validate_cover_rejects_non_clique_entry():
         validate_cover(cycle_graph(4), CliqueCover(4, [(0, 1, 2)]), 2, 1)
 
 
+def test_validate_cover_refuses_load_below_one_and_a_foreign_cover():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match=r"^need k >= 1 and p >= 1, got k=0, p=1$"):
+        validate_cover(g, CliqueCover(3, [(0, 1), (1, 2)]), 0, 1)
+    with pytest.raises(InputError, match=r"^cover is over 4 vertices, graph has 3$"):
+        validate_cover(g, CliqueCover(4, [(0, 1), (1, 2)]), 2, 1)
+
+
+def test_cover_checks_refuse_non_int_sizes():
+    """k and p must be ints, `bool` excluded, for both public cover
+    checks; anything else is an input error naming the parameter."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    cover = CliqueCover(3, [(0, 1), (1, 2)])
+    cases = (
+        ((2.5, 1), "k", "2.5"),
+        ((2, 1.5), "p", "1.5"),
+        ((True, 1), "k", "True"),
+        (([2], 1), "k", r"\[2\]"),
+        ((2, None), "p", "None"),
+    )
+    for check in (validate_cover, cover_to_hypergraph):
+        for (k, p), name, shown in cases:
+            with pytest.raises(InputError, match=rf"^{name} must be an int, got {shown}$"):
+                check(g, cover, k, p)
+    assert validate_cover(g, cover, 2, 1)
+
+
 def _krausz_cover(g, t):
     """`krausz_cover` on the big-clique family `recognize` would pass it."""
     return krausz_cover(g, t, maximal_cliques(g, t.clique_size_bound))
