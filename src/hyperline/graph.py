@@ -85,10 +85,12 @@ class Graph:
         self._adj = tuple(adj)
 
     @classmethod
-    def from_adjacency_masks(cls, masks: tuple[int, ...]) -> "Graph":
+    def from_adjacency_masks(cls, masks: Iterable[int]) -> "Graph":
+        """The graph whose vertex v has neighbourhood mask masks[v]; the
+        masks are trusted to be symmetric and loop-free."""
         g = cls.__new__(cls)
-        g.n = len(masks)
-        g._adj = masks
+        g._adj = tuple(masks)
+        g.n = len(g._adj)
         return g
 
     def adjacency_mask(self, v: int) -> int:

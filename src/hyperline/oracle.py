@@ -7,7 +7,10 @@ table per (vertex count n, min(p, n)), built once and cached: for each
 vertex pair, every vertex subset holding it, with bitmaps that let one
 AND test whether the subset is a clique of the graph, one AND whether
 it shares more than p vertices with any chosen clique, and one add and
-AND whether it overloads a vertex.  Also here: a small-graph
+AND whether it overloads a vertex.  The table is indexed once more by
+each pair's common neighbourhood, so the search reads a reached edge's
+candidates off in one lookup and runs all three tests inline, on an
+explicit stack of candidate iterators.  Also here: a small-graph
 isomorphism test and an exhaustive scan of the constant-degree
 realizability criterion.
 """
@@ -21,7 +24,7 @@ from typing import Iterable
 from ._value import Value, _set_field
 from .baranyai import regular_hypergraph
 from .errors import DivisibilityError, InputError, ResourceLimitError, _require_ints
-from .graph import Graph
+from .graph import Graph, _mask
 from .reconstruction import CliqueCover
 
 DEFAULT_BUDGET = 2_000_000
@@ -45,6 +48,8 @@ _Entry = tuple[tuple[int, ...], int, int, int]
 # (n, q) -> {pair bit: entries}; q = min(p, n), since no subset of n
 # vertices holds more than n of them.
 _tables: dict[tuple[int, int], dict[int, list[_Entry]]] = {}
+# (n, q) -> {pair bit: (u, v, entries by common-neighbourhood mask)}
+_indexes: dict[tuple[int, int], dict[int, tuple[int, int, list]]] = {}
 
 
 def _subset_table(n: int, q: int) -> dict[int, list[_Entry]]:
@@ -76,6 +81,34 @@ def _subset_table(n: int, q: int) -> dict[int, list[_Entry]]:
     return table
 
 
+def _pair_index(n: int, q: int) -> dict[int, tuple[int, int, list]]:
+    """For each pair bit u*n + v: (u, v, by_common), where by_common[cn],
+    for each mask cn of vertices other than u and v, lists the pair's
+    `_subset_table(n, q)` entries whose other vertices all lie in cn, in
+    table order (slots whose mask holds u or v are None).  Each entry is
+    appended to every superset of its other-vertex mask, 3^(n-2) appends
+    per pair, and the lists share the table's entry tuples.
+    """
+    index = _indexes.get((n, q))
+    if index is None:
+        index = {}
+        for pair, entries in _subset_table(n, q).items():
+            u, v = divmod(pair.bit_length() - 1, n)
+            ends = 1 << u | 1 << v
+            by_common: list = [None if cn & ends else [] for cn in range(1 << n)]
+            for entry in entries:
+                other = _mask(entry[0]) ^ ends
+                rest = sub = (1 << n) - 1 ^ ends ^ other
+                while True:  # sub runs over every subset of rest
+                    by_common[other | sub].append(entry)
+                    if not sub:
+                        break
+                    sub = sub - 1 & rest
+            index[pair] = (u, v, by_common)
+        _indexes[(n, q)] = index
+    return index
+
+
 def cover_search(
     g: Graph,
     k: int,
@@ -89,15 +122,20 @@ def cover_search(
     u < v, is bit u*n + v of the graph's pair bitmap); the cliques holding
     it are tried largest first, lexicographic within a size, and the
     first complete cover wins, so the result is deterministic.  An edge's
-    cliques are its `_subset_table` entries whose pair bitmap lies inside
-    the graph's, picked out the first time the search reaches that edge.
-    `taken` is the OR of the chosen cliques' (p+1)-subset bitmaps, so a
-    clique shares more than p vertices with a chosen one iff it meets
-    `taken`; `loads` packs the vertex load counters, so a clique
-    overloads a vertex iff adding its increment sets a counter's top bit
-    (`guard`).  Each search call is one node; a graph of more than
-    `COVER_SIZE_BOUND` vertices, or a search past the node budget, raises
-    rather than guessing.
+    candidates are `_pair_index`'s list for the edge and its ends' common
+    neighbourhood: every subset S of N(u) & N(v) with u and v added.
+    Such a subset is a clique exactly when S is one, that is when its
+    pair bitmap misses the graph's absent pairs, and that test runs with
+    the other two: `taken` is the OR of the chosen cliques' (p+1)-subset
+    bitmaps, so a clique shares more than p vertices with a chosen one
+    iff it meets `taken`; `loads` packs the vertex load counters, so a
+    clique overloads a vertex iff adding its increment sets a counter's
+    top bit (`guard`).  The search runs on an explicit stack with one
+    frame per chosen clique: the level's candidate iterator, its
+    uncovered, loads and taken, and the clique.  The root and each
+    clique chosen is one node; a graph of more than `COVER_SIZE_BOUND`
+    vertices, or a search past the node budget, raises rather than
+    guessing.
     """
     _require_ints(k=k, p=p, budget=budget)
     if k < 2 or p < 1:
@@ -110,46 +148,52 @@ def cover_search(
             f"graph has {n} vertices, oracle bound is {COVER_SIZE_BOUND}"
         )
 
-    edges = 0
-    for u, row in enumerate(g._adj):
-        edges |= row >> u + 1 << u * n + u + 1
-    if not edges:
+    adj = g._adj
+    uncovered = 0
+    for u, row in enumerate(adj):
+        uncovered |= row >> u + 1 << u * n + u + 1
+    if not uncovered:
         return CliqueCover(n, [])
 
-    table = _subset_table(n, min(p, n))
-    absent = ~edges
-    candidates: dict[int, list[_Entry]] = {}
+    index = _pair_index(n, min(p, n))
+    # Nonnegative, as an AND with a negative int takes a slower path.
+    absent = (1 << n * n) - 1 ^ uncovered
     # While an edge is uncovered, fewer cliques than edges are chosen, so
     # a load cap above the edge count never binds.
-    cap = min(k, edges.bit_count())
+    cap = min(k, uncovered.bit_count())
     ones = _LOAD_ONES[n]
     guard = ones << _LOAD_WIDTH - 1
-    chosen: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def search(uncovered: int, loads: int, taken: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(f"cover search exceeded {budget} nodes")
-        if not uncovered:
-            return True
-        edge = uncovered & -uncovered
-        cliques = candidates.get(edge)
-        if cliques is None:
-            cliques = candidates[edge] = [c for c in table[edge] if not c[1] & absent]
-        for vertices, bitmap, subsets, spread in cliques:
-            if subsets & taken or (loads + spread) & guard:
+    loads = guard - (cap + 1) * ones
+    taken = 0
+    u, v, by_common = index[uncovered & -uncovered]
+    cliques = iter(by_common[adj[u] & adj[v]])
+    frames: list[tuple] = []
+    nodes = 1
+    while True:
+        # Descend into the first clique left that passes all three tests;
+        # when none does, back up to the frame that chose this level's.
+        # Fields are read by position, so that a candidate the first test
+        # drops costs one subscript rather than a four-way unpack.
+        for entry in cliques:
+            if entry[2] & taken or entry[1] & absent or (loads + entry[3]) & guard:
                 continue
-            chosen.append(vertices)
-            if search(uncovered & ~bitmap, loads + spread, taken | subsets):
-                return True
-            chosen.pop()
-        return False
-
-    if search(edges, guard - (cap + 1) * ones, 0):
-        return CliqueCover(n, chosen)
-    return None
+            vertices, bitmap, subsets, spread = entry
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(f"cover search exceeded {budget} nodes")
+            frames.append((cliques, uncovered, loads, taken, vertices))
+            uncovered &= ~bitmap
+            if not uncovered:
+                return CliqueCover(n, [frame[4] for frame in frames])
+            loads += spread
+            taken |= subsets
+            u, v, by_common = index[uncovered & -uncovered]
+            cliques = iter(by_common[adj[u] & adj[v]])
+            break
+        else:
+            if not frames:
+                return None
+            cliques, uncovered, loads, taken, _ = frames.pop()
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -58,6 +58,15 @@ def test_vertex_counts_must_be_ints():
         Graph(True, [])
 
 
+def test_from_adjacency_masks_stores_a_tuple():
+    """A list of masks makes the same hashable value as the edge list."""
+    g = Graph.from_adjacency_masks([2, 1])
+    assert g == Graph(2, [(0, 1)]) and g.n == 2
+    assert hash(g) == hash(Graph(2, [(0, 1)]))
+    masks = (6, 5, 3)
+    assert Graph.from_adjacency_masks(masks)._adj is masks
+
+
 def test_line_graph_of_triangle_is_k3():
     assert line_graph(Hypergraph(3, [(0, 1), (1, 2), (0, 2)])) == complete_graph(3)
 

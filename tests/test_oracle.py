@@ -27,6 +27,8 @@ from hyperline import (
 from hyperline.graph import _bits, _mask
 from hyperline.oracle import (
     COVER_SIZE_BOUND,
+    _indexes,
+    _pair_index,
     _subset_table,
     _tables,
     graphs_isomorphic,
@@ -147,11 +149,49 @@ def test_subset_table_overlap_and_load_fields():
 
 
 def test_cover_search_refuses_oversized_graph_before_building_a_table():
-    before = dict(_tables)
+    before, indexes_before = dict(_tables), dict(_indexes)
     with pytest.raises(ResourceLimitError):
         cover_search(complete_graph(COVER_SIZE_BOUND + 1), 2, 7)
     assert _tables == before
+    assert _indexes == indexes_before
     assert all(n <= COVER_SIZE_BOUND for n, _ in _tables)
+    assert all(n <= COVER_SIZE_BOUND for n, _ in _indexes)
+
+
+def _assert_index_slot(n: int, q: int, pair: int, common: int) -> None:
+    """The index's list for `pair` and common-neighbourhood mask `common`
+    is the pair's table entries, the same tuples in the same order, whose
+    vertices other than the pair's two lie in `common`."""
+    u, v, by_common = _pair_index(n, q)[pair]
+    assert pair == 1 << u * n + v
+    expected = [e for e in _subset_table(n, q)[pair] if set(e[0]) - {u, v} <= set(_bits(common))]
+    listed = by_common[common]
+    assert listed == expected
+    assert all(a is b for a, b in zip(listed, expected))
+
+
+def test_pair_index_lists_each_pairs_entries_inside_its_common_neighbourhood():
+    for n in range(2, 7):
+        for q in range(1, n + 1):
+            index = _pair_index(n, q)
+            assert sorted(index) == sorted(_subset_table(n, q))
+            for pair, (u, v, by_common) in index.items():
+                assert len(by_common) == 1 << n
+                for common in range(1 << n):
+                    if common & (1 << u | 1 << v):
+                        assert by_common[common] is None
+                    else:
+                        _assert_index_slot(n, q, pair, common)
+    rng = random.Random(7)
+    for n in (7, 8):
+        for q in (1, 2, n):
+            pairs = sorted(_pair_index(n, q))
+            for pair in rng.sample(pairs, 6):
+                u, v, _ = _pair_index(n, q)[pair]
+                others = (1 << n) - 1 ^ (1 << u | 1 << v)
+                for common in (0, others, *(rng.getrandbits(n) & others for _ in range(6))):
+                    _assert_index_slot(n, q, pair, common)
+    assert _indexes[(8, 1)] is _pair_index(8, 1)
 
 
 def test_subset_tables_are_shared_for_p_at_least_n():

@@ -85,6 +85,14 @@ def test_cover_checks_refuse_non_int_sizes():
     assert validate_cover(g, cover, 2, 1)
 
 
+def test_clique_cover_refuses_non_int_vertex_count():
+    """A cover's n is an int, `bool` excluded, like a Graph's."""
+    for n, cliques, shown in ((3.0, [(0, 1)], "3.0"), (True, [(0,)], "True"), ("3", [], "'3'")):
+        with pytest.raises(InputError, match=rf"^n must be an int, got {shown}$"):
+            CliqueCover(n, cliques)
+    assert CliqueCover(3, [(0, 1)]).n == 3
+
+
 def _krausz_cover(g, t):
     """`krausz_cover` on the big-clique family `recognize` would pass it."""
     return krausz_cover(g, t, maximal_cliques(g, t.clique_size_bound))
