@@ -289,10 +289,7 @@ def run_cli(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int
     except UnrealizableError as exc:
         out.write(f"{exc}\n")
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -119,7 +119,7 @@ def write_graph(g: Graph) -> str:
     names = [str(v) for v in range(n)]
     rows = [f"G {n} {g.edge_count}\n"]
     for u in range(n):
-        above = g.adjacency_mask(u) >> (u + 1)  # bit j stands for vertex u+1+j
+        above = g._adj[u] >> (u + 1)  # bit j stands for vertex u+1+j
         if above:
             width = above.bit_length()
             if 8 * above.bit_count() >= width:

@@ -93,16 +93,26 @@ class Graph:
         g.n = len(g._adj)
         return g
 
+    def _check_vertex(self, v: int) -> None:
+        """Raise InputError unless v is an int in [0, n); a bool is not one."""
+        if type(v) is not int or not 0 <= v < self.n:
+            raise InputError(f"vertex {v} outside [0, {self.n})")
+
     def adjacency_mask(self, v: int) -> int:
+        self._check_vertex(v)
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return u != v and bool(self._adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
         return tuple(_bits(self._adj[v]))
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return self._adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -202,7 +212,7 @@ def edge_degree(g: Graph, u: int, v: int) -> int:
     """Number of triangles containing the edge uv."""
     if not g.has_edge(u, v):
         raise InputError(f"({u}, {v}) is not an edge")
-    return (g.adjacency_mask(u) & g.adjacency_mask(v)).bit_count()
+    return (g._adj[u] & g._adj[v]).bit_count()
 
 
 def min_edge_degree(g: Graph) -> int:
@@ -235,9 +245,8 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     mask = (1 << g.n) - 1
     own = 0
     for w in witness:
-        if not 0 <= w < g.n:
-            raise InputError(f"vertex {w} outside [0, {g.n})")
-        mask &= g.adjacency_mask(w)
+        g._check_vertex(w)
+        mask &= g._adj[w]
         own |= 1 << w
     return frozenset(_bits(mask & ~own))
 

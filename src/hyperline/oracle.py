@@ -3,16 +3,17 @@
 `cover_search` decides membership by exhaustive backtracking over clique
 covers, independently of the threshold-based recognizer, so the two can
 be played against each other in tests.  Its candidates come from one
-table per (vertex count n, min(p, n)), built once and cached: for each
-vertex pair, every vertex subset holding it, with bitmaps that let one
-AND test whether the subset is a clique of the graph, one AND whether
-it shares more than p vertices with any chosen clique, and one add and
-AND whether it overloads a vertex.  The table is indexed once more by
-each pair's common neighbourhood, so the search reads a reached edge's
-candidates off in one lookup and runs all three tests inline, on an
-explicit stack of candidate iterators.  Also here: a small-graph
-isomorphism test and an exhaustive scan of the constant-degree
-realizability criterion.
+index per (vertex count n, min(p, n)), built once and cached: for each
+vertex pair and each mask of other vertices, every vertex subset
+holding the pair whose other vertices lie in the mask, with bitmaps
+that let one AND test whether the subset is a clique of the graph, one
+AND whether it shares more than p vertices with any chosen clique, and
+one add and AND whether it overloads a vertex.  So the search reads a
+reached edge's candidates off in one lookup, by the edge and its ends'
+common neighbourhood, and runs all three tests inline, on an explicit
+stack of candidate iterators.  Also here: an isomorphism test for
+small graphs, by backtracking on the adjacency masks, and an
+exhaustive scan of the constant-degree realizability criterion.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 from ._value import Value, _set_field
 from .baranyai import regular_hypergraph
 from .errors import DivisibilityError, InputError, ResourceLimitError, _require_ints
-from .graph import Graph, _mask
+from .graph import Graph, _bits, _mask
 from .reconstruction import CliqueCover
 
 DEFAULT_BUDGET = 2_000_000
@@ -42,69 +43,55 @@ _LOAD_ONES = tuple(
     sum(1 << _LOAD_WIDTH * v for v in range(n)) for n in range(COVER_SIZE_BOUND + 1)
 )
 
-# (vertices, pair bitmap, bitmap of its (q+1)-subsets, load increment)
-_Entry = tuple[tuple[int, ...], int, int, int]
-
-# (n, q) -> {pair bit: entries}; q = min(p, n), since no subset of n
-# vertices holds more than n of them.
-_tables: dict[tuple[int, int], dict[int, list[_Entry]]] = {}
-# (n, q) -> {pair bit: (u, v, entries by common-neighbourhood mask)}
+# (n, q) -> {pair bit: (u, v, entries by common-neighbourhood mask)};
+# q = min(p, n), since no subset of n vertices holds more than n of them.
 _indexes: dict[tuple[int, int], dict[int, tuple[int, int, list]]] = {}
 
 
-def _subset_table(n: int, q: int) -> dict[int, list[_Entry]]:
-    """For each pair bit u*n + v (u < v), every vertex subset of at least 2
-    of n vertices holding u and v, largest first and lexicographic within
-    a size: a graph's cliques holding (u, v), in that order, are the
-    entries whose pair bitmap lies inside the graph's.
+def _pair_index(n: int, q: int) -> dict[int, tuple[int, int, list]]:
+    """For each pair bit u*n + v (u < v): (u, v, by_common), where
+    by_common[cn], for each mask cn of vertices other than u and v, lists
+    every vertex subset holding u and v whose other vertices all lie in
+    cn, largest first and lexicographic within a size (slots whose mask
+    holds u or v are None).  A graph's cliques holding (u, v), in that
+    order, are the entries of its common-neighbourhood slot whose pair
+    bitmap lies inside the graph's.
 
-    Each (q+1)-subset of the n vertices has its own bit, so two subsets
-    share more than q vertices exactly when their third fields meet.
-    The fourth field holds a 1 in the load counter of each vertex.
+    An entry is (vertices, pair bitmap, bitmap of its (q+1)-subsets, load
+    increment).  Each (q+1)-subset of the n vertices has its own bit, so
+    two subsets share more than q vertices exactly when their third
+    fields meet; the fourth holds a 1 in the load counter of each vertex.
+    Each subset's entry is built once and appended, for each of its
+    pairs, to every slot whose mask holds its other vertices: 3^(n-2)
+    appends per pair.
     """
-    table = _tables.get((n, q))
-    if table is None:
-        index = {ws: i for i, ws in enumerate(combinations(range(n), q + 1))}
-        table = {1 << u * n + v: [] for u, v in combinations(range(n), 2)}
+    index = _indexes.get((n, q))
+    if index is None:
+        index = {}
+        for u, v in combinations(range(n), 2):
+            ends = 1 << u | 1 << v
+            index[1 << u * n + v] = (u, v, [None if cn & ends else [] for cn in range(1 << n)])
+        bit = {ws: i for i, ws in enumerate(combinations(range(n), q + 1))}
         for size in range(n, 1, -1):
             for vs in combinations(range(n), size):
                 pairs = [1 << u * n + v for u, v in combinations(vs, 2)]
                 entry = (
                     vs,
                     sum(pairs),
-                    sum(1 << index[ws] for ws in combinations(vs, q + 1)),
+                    sum(1 << bit[ws] for ws in combinations(vs, q + 1)),
                     sum(1 << _LOAD_WIDTH * v for v in vs),
                 )
+                mask = _mask(vs)
+                rest = (1 << n) - 1 ^ mask
                 for pair in pairs:
-                    table[pair].append(entry)
-        _tables[(n, q)] = table
-    return table
-
-
-def _pair_index(n: int, q: int) -> dict[int, tuple[int, int, list]]:
-    """For each pair bit u*n + v: (u, v, by_common), where by_common[cn],
-    for each mask cn of vertices other than u and v, lists the pair's
-    `_subset_table(n, q)` entries whose other vertices all lie in cn, in
-    table order (slots whose mask holds u or v are None).  Each entry is
-    appended to every superset of its other-vertex mask, 3^(n-2) appends
-    per pair, and the lists share the table's entry tuples.
-    """
-    index = _indexes.get((n, q))
-    if index is None:
-        index = {}
-        for pair, entries in _subset_table(n, q).items():
-            u, v = divmod(pair.bit_length() - 1, n)
-            ends = 1 << u | 1 << v
-            by_common: list = [None if cn & ends else [] for cn in range(1 << n)]
-            for entry in entries:
-                other = _mask(entry[0]) ^ ends
-                rest = sub = (1 << n) - 1 ^ ends ^ other
-                while True:  # sub runs over every subset of rest
-                    by_common[other | sub].append(entry)
-                    if not sub:
-                        break
-                    sub = sub - 1 & rest
-            index[pair] = (u, v, by_common)
+                    u, v, by_common = index[pair]
+                    other = mask ^ (1 << u | 1 << v)
+                    sub = rest
+                    while True:  # sub runs over every subset of rest
+                        by_common[other | sub].append(entry)
+                        if not sub:
+                            break
+                        sub = sub - 1 & rest
         _indexes[(n, q)] = index
     return index
 
@@ -122,8 +109,9 @@ def cover_search(
     u < v, is bit u*n + v of the graph's pair bitmap); the cliques holding
     it are tried largest first, lexicographic within a size, and the
     first complete cover wins, so the result is deterministic.  An edge's
-    candidates are `_pair_index`'s list for the edge and its ends' common
-    neighbourhood: every subset S of N(u) & N(v) with u and v added.
+    candidates are the `_pair_index(n, min(p, n))` slot of the edge and
+    its ends' common neighbourhood: every subset S of N(u) & N(v) with u
+    and v added, in that order.
     Such a subset is a clique exactly when S is one, that is when its
     pair bitmap misses the graph's absent pairs, and that test runs with
     the other two: `taken` is the OR of the chosen cliques' (p+1)-subset
@@ -197,53 +185,46 @@ def cover_search(
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Adjacency-preserving bijection test by pruned backtracking."""
+    """Adjacency-preserving bijection test by pruned backtracking on the
+    adjacency masks.  Vertices are matched only within classes of equal
+    (degree, sorted neighbour degrees), and a candidate image is taken
+    only when its row agrees with the vertex's row on every vertex
+    already placed, which one AND and one comparison decide."""
     if g1.n > ISO_SIZE_BOUND or g2.n > ISO_SIZE_BOUND:
         raise ResourceLimitError(f"isomorphism bound is {ISO_SIZE_BOUND} vertices")
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
+    adj1, adj2 = g1._adj, g2._adj
+    n = len(adj1)
+    if n != len(adj2):
         return False
-    n = g1.n
 
-    def signature(g: Graph, v: int) -> tuple:
-        return (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
+    def signatures(adj: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        degrees = [row.bit_count() for row in adj]
+        return [(d, tuple(sorted(degrees[w] for w in _bits(row)))) for d, row in zip(degrees, adj)]
 
-    sig1 = [signature(g1, v) for v in range(n)]
-    sig2 = [signature(g2, v) for v in range(n)]
+    sig1, sig2 = signatures(adj1), signatures(adj2)
     if sorted(sig1) != sorted(sig2):
         return False
 
     pools = {s: [v for v in range(n) if sig2[v] == s] for s in set(sig1)}
     order = sorted(range(n), key=lambda v: (len(pools[sig1[v]]), v))
-    mapping = [-1] * n
-    used = [False] * n
+    mapping = [0] * n
 
-    def assign(idx: int) -> bool:
+    def assign(idx: int, placed: int, used: int) -> bool:
+        # placed: the vertices of g1 mapped so far; used: their images
         if idx == n:
             return True
         u = order[idx]
+        image = 0  # the images of u's placed neighbours
+        for w in _bits(adj1[u] & placed):
+            image |= 1 << mapping[w]
         for v in pools[sig1[u]]:
-            if used[v]:
-                continue
-            ok = True
-            for w in g1.neighbors(u):
-                if mapping[w] != -1 and not g2.has_edge(v, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                for w in range(n):
-                    if mapping[w] != -1 and not g1.has_edge(u, w) and g2.has_edge(v, mapping[w]):
-                        ok = False
-                        break
-            if ok:
+            if not used >> v & 1 and adj2[v] & used == image:
                 mapping[u] = v
-                used[v] = True
-                if assign(idx + 1):
+                if assign(idx + 1, placed | 1 << u, used | 1 << v):
                     return True
-                mapping[u] = -1
-                used[v] = False
         return False
 
-    return assign(0)
+    return assign(0, 0, 0)
 
 
 class ScanReport(Value):

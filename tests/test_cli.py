@@ -7,8 +7,10 @@ from itertools import combinations
 
 import pytest
 
+from hyperline import cli, selftest
 from hyperline.cli import run_cli
 from hyperline.fileio import read_hypergraph, read_partition, write_graph, write_hypergraph
+from hyperline.oracle import ScanReport
 from hyperline import Graph, Hypergraph, InternalContradictionError, line_graph
 
 from conftest import complete_bipartite, complete_graph, cycle_graph, module_env
@@ -269,6 +271,37 @@ def test_oracle_scan():
     assert code == 0
     assert text.splitlines()[-1].startswith("SCAN cases=")
     assert "discrepancies=0" in text
+
+
+def test_oracle_scan_prints_discrepancies_and_exits_3(monkeypatch):
+    lines = ("N=2 k=2 d=1: rejected but k divides dN", "N=3 k=3 d=1: edges are not 3-uniform")
+    report = ScanReport(5, lines)
+    monkeypatch.setattr(cli, "scan_regular_realizability", lambda n_max, k_max: report)
+    code, text = run(["oracle", "scan", "--n-max", "3", "--k-max", "3"])
+    assert code == 3
+    assert text == (
+        "DISCREPANCY N=2 k=2 d=1: rejected but k divides dN\n"
+        "DISCREPANCY N=3 k=3 d=1: edges are not 3-uniform\n"
+        "SCAN cases=5 discrepancies=2\n"
+    )
+
+
+def test_selftest_reports_a_failing_check_and_exits_3(monkeypatch):
+    def failing():
+        selftest._expect(False, "expected 2 cliques")
+
+    checks = [(name, lambda: None) for name, _ in selftest.CHECKS]
+    checks[2] = (checks[2][0], failing)
+    monkeypatch.setattr(selftest, "CHECKS", tuple(checks))
+    code, text = run(["selftest"])
+    assert code == 3
+    assert text == (
+        "ok member-round-trip\n"
+        "ok nonmember-witness\n"
+        "FAIL partition-invariants: expected 2 cliques\n"
+        "ok file-round-trips\n"
+        "SELFTEST FAIL checks=4 failures=1\n"
+    )
 
 
 def test_selftest_passes():

@@ -202,6 +202,31 @@ def test_common_neighborhood():
 def test_common_neighborhood_refuses_a_vertex_outside_the_graph():
     with pytest.raises(InputError, match=r"^vertex 3 outside \[0, 3\)$"):
         common_neighborhood(Graph(3, [(0, 1), (1, 2)]), [0, 3])
+    with pytest.raises(InputError, match=r"^vertex True outside \[0, 3\)$"):
+        common_neighborhood(Graph(3, [(0, 1), (1, 2)]), [True])
+
+
+@pytest.mark.parametrize(
+    "query, at_one",
+    [
+        (lambda g, v: g.has_edge(v, 0), True),
+        (lambda g, v: g.has_edge(0, v), True),
+        (lambda g, v: g.adjacency_mask(v), 0b101),
+        (lambda g, v: g.neighbors(v), (0, 2)),
+        (lambda g, v: g.degree(v), 2),
+        (lambda g, v: edge_degree(g, v, 0), 1),
+    ],
+    ids=["has_edge-first", "has_edge-second", "adjacency_mask", "neighbors", "degree", "edge_degree"],
+)
+def test_vertex_queries_refuse_a_vertex_outside_the_graph(query, at_one):
+    """On a triangle, negative vertices, vertices past the end and
+    vertices that are not ints, `bool` included, are refused rather than
+    indexed; vertex 1 gets its answer."""
+    triangle = complete_graph(3)
+    for v, shown in ((-1, "-1"), (3, "3"), (5, "5"), (True, "True"), (1.0, "1.0"), ("0", "0")):
+        with pytest.raises(InputError, match=rf"^vertex {shown} outside \[0, 3\)$"):
+            query(triangle, v)
+    assert query(triangle, 1) == at_one
 
 
 def test_maximal_cliques_goldens():

@@ -6,10 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyperline import oracle
 from hyperline import (
     Claw,
     ClawWitness,
     CliqueCover,
+    DivisibilityError,
     F1Witness,
     F2Witness,
     F3Witness,
@@ -24,13 +26,11 @@ from hyperline import (
     recognize,
     validate_cover,
 )
-from hyperline.graph import _bits, _mask
+from hyperline.graph import _bits
 from hyperline.oracle import (
     COVER_SIZE_BOUND,
     _indexes,
     _pair_index,
-    _subset_table,
-    _tables,
     graphs_isomorphic,
     scan_regular_realizability,
 )
@@ -104,42 +104,63 @@ def test_cover_search_refuses_load_below_two():
         cover_search(Graph(3, [(0, 1), (1, 2)]), 1, 1)
 
 
-def test_subset_table_matches_subset_enumeration():
-    """Each pair's table entries, kept where the graph has every pair of
-    the subset, are the cliques holding that pair: every vertex subset of
-    size >= 2 that is a clique, ordered largest first then
-    lexicographically, with edge (u, v) as bit u*n + v."""
+def _subsets_holding(n: int, u: int, v: int) -> list[tuple[int, ...]]:
+    """Every vertex subset of n vertices holding u and v, largest first
+    and lexicographic within a size, by filtering all subsets."""
+    return [
+        vs
+        for size in range(n, 1, -1)
+        for vs in combinations(range(n), size)
+        if u in vs and v in vs
+    ]
+
+
+def test_pair_index_full_slot_lists_every_subset_holding_the_pair():
+    """A pair's slot for all other vertices lists every vertex subset
+    holding the pair, largest first then lexicographically, with edge
+    (u, v) as bit u*n + v of the pair bitmap; kept where the graph has
+    every pair of the subset, they are the cliques holding that pair."""
     rng = random.Random(31)
     for n in range(9):
         for density in (0.3, 0.6, 0.9):
             g = random_graph(rng, n, density)
-            expected = []
-            for size in range(n, 1, -1):
-                for vs in combinations(range(n), size):
-                    if all(g.has_edge(u, v) for u, v in combinations(vs, 2)):
-                        mask = sum(1 << v for v in vs)
-                        bitmap = sum(1 << u * n + v for u, v in combinations(vs, 2))
-                        expected.append((mask, bitmap))
             edges = sum(1 << u * n + v for u, v in g.edges())
             for q in range(1, n + 1):
-                table = _subset_table(n, q)
-                assert sorted(table) == [1 << u * n + v for u, v in combinations(range(n), 2)]
-                for pair, entries in table.items():
-                    kept = [
-                        (_mask(vertices), bitmap)
+                index = _pair_index(n, q)
+                assert sorted(index) == [1 << u * n + v for u, v in combinations(range(n), 2)]
+                for pair, (u, v, by_common) in index.items():
+                    assert pair == 1 << u * n + v
+                    entries = by_common[(1 << n) - 1 ^ (1 << u | 1 << v)]
+                    assert [e[0] for e in entries] == _subsets_holding(n, u, v)
+                    for vertices, bitmap, _, _ in entries:
+                        assert bitmap == sum(1 << a * n + b for a, b in combinations(vertices, 2))
+                    cliques = [
+                        vertices
                         for vertices, bitmap, _, _ in entries
                         if bitmap & edges == bitmap
                     ]
-                    assert kept == [c for c in expected if c[1] & pair]
+                    assert cliques == [
+                        vs
+                        for vs in _subsets_holding(n, u, v)
+                        if all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+                    ]
 
 
-def test_subset_table_overlap_and_load_fields():
-    """Two subsets share more than q vertices exactly when their
-    (q+1)-subset bitmaps meet, and a subset's load increment holds a 1 in
-    the 6-bit counter of each of its vertices."""
+def test_pair_index_overlap_and_load_fields():
+    """Each vertex subset has one entry tuple, shared by all its pairs'
+    slots.  Two subsets share more than q vertices exactly when their
+    (q+1)-subset bitmaps meet, and a subset's load increment holds a 1
+    in the 6-bit counter of each of its vertices."""
     for n in range(2, 7):
         for q in range(1, n + 1):
-            entries = {entry for entries in _subset_table(n, q).values() for entry in entries}
+            listed = [
+                entry
+                for _, _, by_common in _pair_index(n, q).values()
+                for entries in by_common
+                if entries is not None
+                for entry in entries
+            ]
+            entries = {id(entry): entry for entry in listed}.values()
             assert len(entries) == 2**n - n - 1
             for vertices_a, _, subsets_a, spread in entries:
                 assert spread == sum(1 << 6 * v for v in vertices_a)
@@ -149,32 +170,33 @@ def test_subset_table_overlap_and_load_fields():
 
 
 def test_cover_search_refuses_oversized_graph_before_building_a_table():
-    before, indexes_before = dict(_tables), dict(_indexes)
+    before = dict(_indexes)
     with pytest.raises(ResourceLimitError):
         cover_search(complete_graph(COVER_SIZE_BOUND + 1), 2, 7)
-    assert _tables == before
-    assert _indexes == indexes_before
-    assert all(n <= COVER_SIZE_BOUND for n, _ in _tables)
+    assert _indexes == before
     assert all(n <= COVER_SIZE_BOUND for n, _ in _indexes)
 
 
 def _assert_index_slot(n: int, q: int, pair: int, common: int) -> None:
     """The index's list for `pair` and common-neighbourhood mask `common`
-    is the pair's table entries, the same tuples in the same order, whose
-    vertices other than the pair's two lie in `common`."""
+    is the pair's full slot, the same tuples in the same order, kept
+    where the vertices other than the pair's two lie in `common`."""
     u, v, by_common = _pair_index(n, q)[pair]
     assert pair == 1 << u * n + v
-    expected = [e for e in _subset_table(n, q)[pair] if set(e[0]) - {u, v} <= set(_bits(common))]
+    full = by_common[(1 << n) - 1 ^ (1 << u | 1 << v)]
+    expected = [e for e in full if set(e[0]) - {u, v} <= set(_bits(common))]
     listed = by_common[common]
     assert listed == expected
     assert all(a is b for a, b in zip(listed, expected))
+    assert [e[0] for e in listed] == [
+        vs for vs in _subsets_holding(n, u, v) if set(vs) - {u, v} <= set(_bits(common))
+    ]
 
 
 def test_pair_index_lists_each_pairs_entries_inside_its_common_neighbourhood():
     for n in range(2, 7):
         for q in range(1, n + 1):
             index = _pair_index(n, q)
-            assert sorted(index) == sorted(_subset_table(n, q))
             for pair, (u, v, by_common) in index.items():
                 assert len(by_common) == 1 << n
                 for common in range(1 << n):
@@ -194,14 +216,14 @@ def test_pair_index_lists_each_pairs_entries_inside_its_common_neighbourhood():
     assert _indexes[(8, 1)] is _pair_index(8, 1)
 
 
-def test_subset_tables_are_shared_for_p_at_least_n():
-    """Every p >= n uses the one (n, n) table, so the cache holds at most
-    one table per (n, min(p, n))."""
+def test_pair_indexes_are_shared_for_p_at_least_n():
+    """Every p >= n uses the one (n, n) index, so the cache holds at most
+    one index per (n, min(p, n))."""
     for n in range(2, COVER_SIZE_BOUND + 1):
         for p in (n, n + 1, 2 * n, 100):
             assert cover_search(complete_graph(n), 2, p).cliques == (tuple(range(n)),)
-        assert [q for m, q in _tables if m == n and q >= n] == [n]
-    assert all(q <= n <= COVER_SIZE_BOUND for n, q in _tables)
+        assert [q for m, q in _indexes if m == n and q >= n] == [n]
+    assert all(q <= n <= COVER_SIZE_BOUND for n, q in _indexes)
 
 
 def _reference_clique_masks(g: Graph) -> list[tuple[int, int]]:
@@ -466,6 +488,35 @@ def test_scan_regular_realizability_clean():
     )
 
 
+def test_scan_reports_each_kind_of_discrepancy(monkeypatch):
+    """A construction that goes wrong in each of the four ways the scan
+    checks is reported once per case, in scan order.  With n_max = 3 and
+    k_max = 3 the cases are (N, k, d) = (2, 2, 1), (3, 2, 1), (3, 2, 2)
+    and (3, 3, 1); only (3, 2, 1) has k not dividing dN."""
+    wrong = {
+        (2, 2, 1): DivisibilityError("refused"),
+        (3, 2, 1): Hypergraph(3, [(0, 1)]),
+        (3, 2, 2): Hypergraph(3, [(0, 1, 2), (0, 1, 2)]),  # degree 2, not 2-uniform
+        (3, 3, 1): Hypergraph(3, [(0, 1, 2), (0, 1, 2)]),  # 3-uniform, degree 2
+    }
+
+    def regular_hypergraph(big_n, k, d):
+        result = wrong[(big_n, k, d)]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(oracle, "regular_hypergraph", regular_hypergraph)
+    report = scan_regular_realizability(3, 3)
+    assert report.cases == 4 and not report.ok
+    assert report.discrepancies == (
+        "N=2 k=2 d=1: rejected but k divides dN",
+        "N=3 k=2 d=1: built but k does not divide dN",
+        "N=3 k=2 d=2: edges are not 2-uniform",
+        "N=3 k=3 d=1: degree sequence is not constant 1",
+    )
+
+
 def test_scan_rejects_bad_bounds():
     with pytest.raises(InputError):
         scan_regular_realizability(1, 2)
@@ -474,3 +525,64 @@ def test_scan_rejects_bad_bounds():
     for args, name, shown in (((6.0, 4), "n_max", "6.0"), ((6, True), "k_max", "True"), (([6], 4), "n_max", r"\[6\]")):
         with pytest.raises(InputError, match=rf"^{name} must be an int, got {shown}$"):
             scan_regular_realizability(*args)
+
+
+def _double_edge_swap(rng: random.Random, g: Graph) -> Graph | None:
+    """g with edges (a, b), (c, d) replaced by (a, d), (c, b), for a seeded
+    choice where that keeps the graph simple; None when no swap is found."""
+    edges = list(g.edges())
+    present = set(edges)
+    for _ in range(20):
+        if len(edges) < 2:
+            return None
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if len({a, b, c, d}) == 4 and not present & set(new):
+            kept = present - {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+            return Graph(g.n, sorted(kept | set(new)))
+    return None
+
+
+def test_graphs_isomorphic_matches_networkx():
+    """Seeded pairs of up to 10 vertices: relabelled copies, degree-
+    preserving double-edge swaps (with C6 against two triangles), and
+    independent graphs with equal edge counts."""
+    nx = pytest.importorskip("networkx")
+
+    def as_networkx(g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(22)
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    pairs = [(cycle_graph(6), two_triangles, "swap")]
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        pairs.append((g, relabelled, "relabel"))
+        swapped = _double_edge_swap(rng, relabelled)
+        if swapped is not None:
+            pairs.append((g, swapped, "swap"))
+        chosen = rng.sample(list(combinations(range(n), 2)), g.edge_count)
+        pairs.append((g, Graph(n, chosen), "random"))
+    outcomes = set()
+    for g, h, kind in pairs:
+        expected = nx.is_isomorphic(as_networkx(g), as_networkx(h))
+        assert graphs_isomorphic(g, h) == expected, (g, h)
+        assert graphs_isomorphic(h, g) == expected, (h, g)
+        outcomes.add((kind, expected))
+    # Relabelled copies are always isomorphic; the other two kinds give both answers.
+    assert outcomes == {
+        ("relabel", True),
+        ("swap", True),
+        ("swap", False),
+        ("random", True),
+        ("random", False),
+    }
