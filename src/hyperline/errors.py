@@ -1,8 +1,16 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the argument rules
+that raise its `InputError`.
 
 The CLI maps these onto process exit codes: bad input is 2, blown
 resource guards and broken internal guarantees are 3, and negative
 mathematical outcomes (an unrealizable degree sequence) are 1.
+
+The argument rules live here too.  A size or a vertex count is an
+`int` (`_require_ints`).  A vertex of an n-vertex graph, hypergraph or
+clique cover is an `int` in [0, n) (`_require_vertex`): every vertex
+query calls it, and the constructors apply the same rule to their
+edges and entries under messages of their own.  Neither rule counts a
+`bool`, or any other subclass of `int`, as an `int`.
 """
 
 from __future__ import annotations
@@ -34,6 +42,13 @@ def _require_ints(**named: object) -> None:
     for name, value in named.items():
         if type(value) is not int:
             raise InputError(f"{name} must be an int, got {value!r}")
+
+
+def _require_vertex(v: object, n: int) -> None:
+    """Raise InputError unless v is a vertex of an n-vertex object: an int
+    in [0, n), a bool not counted as one."""
+    if type(v) is not int or not 0 <= v < n:
+        raise InputError(f"vertex {v} outside [0, {n})")
 
 
 class NotAMemberError(InputError):

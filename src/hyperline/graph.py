@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ._value import Value, _set_field
-from .errors import InputError, _require_ints
+from .errors import InputError, _require_ints, _require_vertex
 from .hypergraph import Hypergraph
 
 
@@ -75,7 +75,7 @@ class Graph:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
@@ -93,26 +93,21 @@ class Graph:
         g.n = len(g._adj)
         return g
 
-    def _check_vertex(self, v: int) -> None:
-        """Raise InputError unless v is an int in [0, n); a bool is not one."""
-        if type(v) is not int or not 0 <= v < self.n:
-            raise InputError(f"vertex {v} outside [0, {self.n})")
-
     def adjacency_mask(self, v: int) -> int:
-        self._check_vertex(v)
+        _require_vertex(v, self.n)
         return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        _require_vertex(u, self.n)
+        _require_vertex(v, self.n)
         return u != v and bool(self._adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
+        _require_vertex(v, self.n)
         return tuple(_bits(self._adj[v]))
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        _require_vertex(v, self.n)
         return self._adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -245,7 +240,7 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     mask = (1 << g.n) - 1
     own = 0
     for w in witness:
-        g._check_vertex(w)
+        _require_vertex(w, g.n)
         mask &= g._adj[w]
         own |= 1 << w
     return frozenset(_bits(mask & ~own))
@@ -376,7 +371,8 @@ def find_claw(g: Graph, r: int) -> Claw | None:
     holding no leaf set, so the cuts change the time, never the claw
     found.
     """
-    if r < 1:
+    if type(r) is not int or r < 1:
+        _require_ints(r=r)
         raise InputError(f"claw size must be positive, got {r}")
     adj = g._adj
     for center, nbrs in enumerate(adj):

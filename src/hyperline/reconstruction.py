@@ -33,7 +33,6 @@ class CliqueCover(Value):
     cliques: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, cliques: Iterable[Iterable[int]]):
-        _require_ints(n=n)
         _set_field(self, "n", n)
         _set_field(self, "cliques", _sorted_entries(n, cliques, "cover entry"))
 

@@ -261,6 +261,15 @@ def test_find_claw_refuses_claw_size_below_one():
         find_claw(Graph(3, [(0, 1), (1, 2)]), 0)
 
 
+def test_find_claw_refuses_a_claw_size_that_is_not_an_int():
+    """`True` would be taken as 1 and 3.0 as 3."""
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for r, shown in ((True, "True"), (3.0, "3.0"), ("3", "'3'")):
+        with pytest.raises(InputError, match=rf"^r must be an int, got {shown}$"):
+            find_claw(star, r)
+    assert find_claw(star, 3) == Claw(0, (1, 2, 3))
+
+
 def _claw_oracle(g: Graph, r: int) -> bool:
     """Exhaustive search over centers and r-subsets of neighborhoods."""
     for center in range(g.n):

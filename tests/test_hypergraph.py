@@ -62,6 +62,15 @@ def test_refuses_negative_vertex_count_and_uniformity_below_one():
         Hypergraph(3, [(0, 1)]).is_k_uniform(0)
 
 
+def test_is_k_uniform_refuses_a_uniformity_that_is_not_an_int():
+    """`2.0` would compare equal to every edge size 2 and `True` to none."""
+    hg = Hypergraph(3, [(0, 1), (1, 2)])
+    for k, shown in ((2.0, "2.0"), (True, "True")):
+        with pytest.raises(InputError, match=rf"^k must be an int, got {shown}$"):
+            hg.is_k_uniform(k)
+    assert hg.is_k_uniform(2)
+
+
 def test_degree_sequence(sample):
     assert sample.degree_sequence() == [2, 2, 2, 2, 1]
     all_pairs = Hypergraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])

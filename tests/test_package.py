@@ -208,3 +208,22 @@ def test_no_orphan_private_helpers():
             if not used:
                 orphans.append(f"{module}.{name}")
     assert not orphans, f"private helpers nothing in the package uses: {orphans}"
+
+
+def test_the_vertex_rule_has_one_home():
+    """Only `errors` raises the text `vertex v outside [0, n)`, whatever
+    names it formats, and no class keeps a vertex check of its own."""
+    raising, methods = [], []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and re.search(
+                r"vertex \{[\w.]+\} outside \[0, \{[\w.]+\}\)", ast.unparse(node)
+            ):
+                raising.append(module)
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    f"{module}.{node.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "_check_vertex"
+                ]
+    assert raising == ["errors"], raising
+    assert not methods, methods
