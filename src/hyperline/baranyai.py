@@ -39,12 +39,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, chain, compress
 from math import comb, lcm
 from operator import itemgetter, mul, sub
 
 from ._value import Value, _set_field
 from .errors import (
+    READ_SIZE_BOUND,
     DivisibilityError,
     InputError,
     InternalContradictionError,
@@ -52,27 +53,13 @@ from .errors import (
     UnrealizableError,
     _require_ints,
 )
-from .fileio import READ_SIZE_BOUND
-from .graph import _bits, _mask
+from .graph import _bits
 from .hypergraph import Hypergraph
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:
     """Bitmask over bits 0..N-1 to a sorted tuple of 1-based elements."""
     return tuple(b + 1 for b in _bits(mask))
-
-
-def _growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int, ...]:
-    """Every mask over the first `level` bits whose size lies in
-    [max(0, k-(N-level)), k-1], in increasing order: the partial sets
-    that can still grow at that level."""
-    low = max(0, subset_size - (ground_size - level))
-    masks = [
-        _mask(combo)
-        for size in range(low, subset_size)
-        for combo in combinations(range(level), size)
-    ]
-    return tuple(sorted(masks))
 
 
 class Flow(Value):
@@ -140,22 +127,6 @@ class PartitionState(Value):
         _set_field(self, "rows", rows)
         _set_field(self, "finished", finished)
         _set_field(self, "counts", counts)
-
-    @property
-    def lcm_value(self) -> int:
-        return lcm(self.ground_size, self.subset_size)
-
-    @property
-    def class_count(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def sets_per_class(self) -> int:
-        return self.lcm_value // self.subset_size
-
-    @property
-    def element_uses_per_class(self) -> int:
-        return self.lcm_value // self.ground_size
 
 
 def max_flow(
@@ -450,9 +421,10 @@ def initial_state(ground_size: int, subset_size: int) -> PartitionState:
     big = lcm(ground_size, subset_size)
     class_count = subset_size * comb(ground_size, subset_size) // big
     singles = big // ground_size
-    empties = big // subset_size - singles
-    sets = _growable_sets(ground_size, subset_size, 1)  # (0, 1), or (1,) when k = N
-    row = tuple((sets.index(mask), count) for mask, count in ((0, empties), (1, singles)) if count)
+    if subset_size < ground_size:  # {} and {1}
+        sets, row = (0, 1), ((0, big // subset_size - singles), (1, singles))
+    else:  # only {1} can grow, and no class holds an empty set
+        sets, row = (1,), ((0, 1),)
     return PartitionState(
         ground_size=ground_size,
         subset_size=subset_size,
@@ -502,7 +474,7 @@ def extend(state: PartitionState) -> PartitionState:
                     )
     room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
     rooms = tuple(room_of_size[mask.bit_count()] for mask in sets)
-    flow = max_flow(state.element_uses_per_class, rooms, runs_rows, runs_counts)
+    flow = max_flow(lcm(big_n, k) // big_n, rooms, runs_rows, runs_counts)
     expected = comb(big_n - 1, k - 1)
     if flow.value != expected:
         raise InternalContradictionError(
@@ -562,79 +534,6 @@ def extend(state: PartitionState) -> PartitionState:
         finished=tuple(finished),
         counts=tuple(counts),
     )
-
-
-def state_violations(state: PartitionState) -> list[str]:
-    """All invariant violations of the state; empty when healthy.
-
-    Checked: the growable sets against their formula; one row, finished
-    list and count per run, each count at least 1; per run, row indices
-    in range and strictly increasing, positive multiplicities, finished
-    sets of k distributed elements, the set total and every element's
-    occurrence count; and the global multiplicity of every partial set
-    over the distributed elements, each run weighted by its count.
-    """
-    big_n, k, ell = state.ground_size, state.subset_size, state.level
-    problems: list[str] = []
-    sets = state.sets
-    if sets != _growable_sets(big_n, k, ell):
-        problems.append(
-            f"growable sets are not every set of {max(0, k - (big_n - ell))} to {k - 1} "
-            f"of the first {ell} elements, in increasing order"
-        )
-    if not len(state.rows) == len(state.finished) == len(state.counts):
-        problems.append(
-            f"{len(state.rows)} rows, {len(state.finished)} finished lists "
-            f"and {len(state.counts)} counts"
-        )
-    distributed = (1 << ell) - 1
-    totals: dict[int, int] = {}
-    for r, (row, done, classes) in enumerate(zip(state.rows, state.finished, state.counts)):
-        if classes < 1:
-            problems.append(f"run {r}: count {classes} below 1")
-        held = [(mask, 1) for mask in done]
-        last = -1
-        for j, count in row:
-            if not last < j < len(sets):
-                problems.append(f"run {r}: set index {j} after {last} or past {len(sets) - 1}")
-                continue
-            last = j
-            if count < 1:
-                problems.append(
-                    f"run {r}: nonpositive multiplicity {count} for {_mask_to_set(sets[j])}"
-                )
-            held.append((sets[j], count))
-        for mask in done:
-            if mask.bit_count() != k or mask & ~distributed:
-                problems.append(
-                    f"run {r}: finished set {_mask_to_set(mask)} is not {k} distributed elements"
-                )
-        element_uses = [0] * ell
-        for mask, count in held:
-            for b in _bits(mask & distributed):
-                element_uses[b] += count
-            totals[mask] = totals.get(mask, 0) + count * classes
-        total = sum(count for _, count in held)
-        if total != state.sets_per_class:
-            problems.append(
-                f"run {r}: holds {total} sets, expected {state.sets_per_class}"
-            )
-        for b in range(ell):
-            if element_uses[b] != state.element_uses_per_class:
-                problems.append(
-                    f"run {r}: element {b + 1} occurs {element_uses[b]} times, "
-                    f"expected {state.element_uses_per_class}"
-                )
-    for size in range(min(k, ell) + 1):
-        for combo in combinations(range(ell), size):
-            mask = _mask(combo)
-            expected = comb(big_n - ell, k - size)
-            if totals.get(mask, 0) != expected:
-                problems.append(
-                    f"set {_mask_to_set(mask)} occurs {totals.get(mask, 0)} times "
-                    f"globally, expected {expected}"
-                )
-    return problems
 
 
 def _validate_parameters(ground_size: int, subset_size: int) -> None:

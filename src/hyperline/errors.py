@@ -6,7 +6,10 @@ resource guards and broken internal guarantees are 3, and negative
 mathematical outcomes (an unrealizable degree sequence) are 1.
 
 The argument rules live here too.  A size or a vertex count is an
-`int` (`_require_ints`).  A vertex of an n-vertex graph, hypergraph or
+`int` (`_require_ints`), and nothing the readers or the Baranyai
+construction build may hold more than `READ_SIZE_BOUND` vertices,
+subsets or edges.  An edge, entry or vertex list is iterable
+(`_iterate`).  A vertex of an n-vertex graph, hypergraph or
 clique cover is an `int` in [0, n) (`_require_vertex`): every vertex
 query calls it, and the constructors apply the same rule to their
 edges and entries under messages of their own.  Neither rule counts a
@@ -14,6 +17,10 @@ edges and entries under messages of their own.  Neither rule counts a
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+READ_SIZE_BOUND = 1 << 20
 
 
 class InputError(ValueError):
@@ -42,6 +49,15 @@ def _require_ints(**named: object) -> None:
     for name, value in named.items():
         if type(value) is not int:
             raise InputError(f"{name} must be an int, got {value!r}")
+
+
+def _iterate(what: str, values: Iterable) -> Iterator:
+    """An iterator over values; InputError naming `what` when values is
+    not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {values!r}") from None
 
 
 def _require_vertex(v: object, n: int) -> None:

@@ -24,15 +24,12 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-import re
 from itertools import compress
 from operator import add, lt
 
-from .errors import InputError, ResourceLimitError
+from .errors import READ_SIZE_BOUND, InputError, ResourceLimitError
 from .graph import Graph
 from .hypergraph import Hypergraph
-
-READ_SIZE_BOUND = 1 << 20
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -45,16 +42,16 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 def _ints(tokens: list[str], lineno: int) -> list[int]:
+    """The tokens as integers.  On ASCII tokens with no "_", `int` takes
+    exactly `[+-]?[0-9]+`, the rule `_read_graph_bulk` screens for too."""
+    line = " ".join(tokens)
     try:
-        if all(map(_INTEGER.fullmatch, tokens)):
+        if line.isascii() and "_" not in line:
             return list(map(int, tokens))
-    except ValueError:  # more digits than int() converts
+    except ValueError:  # not an integer, or more digits than int() converts
         pass
-    raise InputError(f"line {lineno}: expected integers, got {' '.join(tokens)}")
+    raise InputError(f"line {lineno}: expected integers, got {line}")
 
 
 def _header(

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ._value import Value, _set_field
-from .errors import InputError, _require_ints, _require_vertex
+from .errors import InputError, _iterate, _require_ints, _require_vertex
 from .hypergraph import Hypergraph
 
 
@@ -74,7 +74,11 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
-        for u, v in edges:
+        for edge in _iterate("edge list", edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge} is not a pair") from None
             if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) has a vertex outside [0, {n})")
             if u == v:
@@ -234,7 +238,7 @@ def min_edge_degree(g: Graph) -> int:
 
 def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """Vertices adjacent to every vertex of the given set, excluding the set itself."""
-    witness = list(vertices)
+    witness = list(_iterate("vertex list", vertices))
     if not witness:
         raise InputError("common neighborhood of an empty set is undefined")
     mask = (1 << g.n) - 1

@@ -12,7 +12,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from ._value import Value, _set_field
-from .errors import InputError, _require_ints, _require_vertex
+from .errors import InputError, _iterate, _require_ints, _require_vertex
 
 
 def _sorted_entries(
@@ -20,7 +20,7 @@ def _sorted_entries(
 ) -> tuple[tuple[int, ...], ...]:
     """Each entry as a sorted tuple of distinct vertices of an n-vertex
     object, n an int; an error names the offending entry as `<noun>
-    <position>`.
+    <position>`, or entries that are not iterable as `<noun> list`.
 
     Each entry is checked in turn for emptiness, a repeat and a value
     outside [0, n).  The vertex rule of `errors._require_vertex` is then
@@ -33,7 +33,7 @@ def _sorted_entries(
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     normalized = []
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(_iterate(f"{noun} list", entries)):
         try:
             vs = sorted(entry)
             if not vs:

@@ -312,7 +312,7 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     degree = min_edge_degree(g)
     if degree >= t.edge_degree_bound:
         return Member(krausz_cover(g, t, big))
-    return Inconclusive(min_edge_degree=degree, required=t.edge_degree_bound)
+    return Inconclusive(degree, t.edge_degree_bound)
 
 
 def reconstruct(g: Graph, k: int, p: int) -> Hypergraph:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from itertools import combinations
+from math import comb, lcm
 from pathlib import Path
 
 import hyperline
@@ -16,6 +17,7 @@ from hyperline import (
     Hypergraph,
     line_graph,
 )
+from hyperline.baranyai import PartitionState, _mask_to_set
 from hyperline.graph import maximal_cliques
 
 
@@ -158,3 +160,92 @@ def line_graph_family() -> list[tuple[int, int, Graph]]:
             graphs.append(Graph(g.n, [e for e in edges if e != drop]))
         family += [(k, p, h) for h in graphs if h.edge_count]
     return family
+
+
+def growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int, ...]:
+    """Every mask over the first `level` bits whose size lies in
+    [max(0, k-(N-level)), k-1], in increasing order: the partial sets
+    that can still grow at that level."""
+    low = max(0, subset_size - (ground_size - level))
+    masks = [
+        sum(1 << b for b in combo)
+        for size in range(low, subset_size)
+        for combo in combinations(range(level), size)
+    ]
+    return tuple(sorted(masks))
+
+
+def state_violations(state: PartitionState) -> list[str]:
+    """All invariant violations of a Baranyai induction state; empty when
+    healthy.
+
+    Checked: the growable sets against their formula; one row, finished
+    list and count per run, each count at least 1; per run, row indices
+    in range and strictly increasing, positive multiplicities, finished
+    sets of k distributed elements, the set total (L/k) and every
+    element's occurrence count (L/N); and the global multiplicity of
+    every partial set over the distributed elements, each run weighted
+    by its count.
+    """
+    big_n, k, ell = state.ground_size, state.subset_size, state.level
+    sets_per_class = lcm(big_n, k) // k
+    element_uses_per_class = lcm(big_n, k) // big_n
+    problems: list[str] = []
+    sets = state.sets
+    if sets != growable_sets(big_n, k, ell):
+        problems.append(
+            f"growable sets are not every set of {max(0, k - (big_n - ell))} to {k - 1} "
+            f"of the first {ell} elements, in increasing order"
+        )
+    if not len(state.rows) == len(state.finished) == len(state.counts):
+        problems.append(
+            f"{len(state.rows)} rows, {len(state.finished)} finished lists "
+            f"and {len(state.counts)} counts"
+        )
+    distributed = (1 << ell) - 1
+    totals: dict[int, int] = {}
+    for r, (row, done, classes) in enumerate(zip(state.rows, state.finished, state.counts)):
+        if classes < 1:
+            problems.append(f"run {r}: count {classes} below 1")
+        held = [(mask, 1) for mask in done]
+        last = -1
+        for j, count in row:
+            if not last < j < len(sets):
+                problems.append(f"run {r}: set index {j} after {last} or past {len(sets) - 1}")
+                continue
+            last = j
+            if count < 1:
+                problems.append(
+                    f"run {r}: nonpositive multiplicity {count} for {_mask_to_set(sets[j])}"
+                )
+            held.append((sets[j], count))
+        for mask in done:
+            if mask.bit_count() != k or mask & ~distributed:
+                problems.append(
+                    f"run {r}: finished set {_mask_to_set(mask)} is not {k} distributed elements"
+                )
+        element_uses = [0] * ell
+        for mask, count in held:
+            for b in range(ell):
+                if mask >> b & 1:
+                    element_uses[b] += count
+            totals[mask] = totals.get(mask, 0) + count * classes
+        total = sum(count for _, count in held)
+        if total != sets_per_class:
+            problems.append(f"run {r}: holds {total} sets, expected {sets_per_class}")
+        for b in range(ell):
+            if element_uses[b] != element_uses_per_class:
+                problems.append(
+                    f"run {r}: element {b + 1} occurs {element_uses[b]} times, "
+                    f"expected {element_uses_per_class}"
+                )
+    for size in range(min(k, ell) + 1):
+        for combo in combinations(range(ell), size):
+            mask = sum(1 << b for b in combo)
+            expected = comb(big_n - ell, k - size)
+            if totals.get(mask, 0) != expected:
+                problems.append(
+                    f"set {_mask_to_set(mask)} occurs {totals.get(mask, 0)} times "
+                    f"globally, expected {expected}"
+                )
+    return problems

@@ -26,7 +26,7 @@ from hyperline import (
     validate_cover,
 )
 from hyperline import baranyai
-from hyperline.baranyai import extend, initial_state, state_violations
+from hyperline.baranyai import extend, initial_state
 from hyperline.oracle import scan_regular_realizability
 from hyperline.recognition import thresholds
 
@@ -36,6 +36,7 @@ from conftest import (
     complete_graph,
     module_env,
     random_bounded_hypergraph,
+    state_violations,
 )
 
 NECESSITY_COMBOS = [(k, p) for k in (2, 3, 4) for p in (1, 2, 3)]

@@ -23,9 +23,10 @@ from hyperline.baranyai import (
     extend,
     initial_state,
     max_flow,
-    state_violations,
 )
 from hyperline.fileio import write_partition
+
+from conftest import state_violations
 
 
 class ArcFlow(NamedTuple):
@@ -497,7 +498,7 @@ def test_runs_of_16_8():
     runs = steps = 0
     while state.level < 16:
         runs += len(state.rows)
-        steps += state.class_count
+        steps += sum(state.counts)
         keys = list(zip(state.rows, state.finished))
         assert all(a != b for a, b in zip(keys, keys[1:])), state.level
         state = extend(state)
@@ -553,11 +554,11 @@ def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
 
 def test_initial_state_shape():
     state = initial_state(4, 2)
-    assert state.class_count == 3
-    assert state.sets_per_class == 2
-    assert state.element_uses_per_class == 1
+    assert sum(state.counts) == 3
     assert state.sets == (0, 1)  # {} and {1}
     assert state.rows == (((0, 1), (1, 1)),)  # one run of three classes alike
+    assert sum(held for _, held in state.rows[0]) == lcm(4, 2) // 2  # L/k sets per class
+    assert dict(state.rows[0])[1] == lcm(4, 2) // 4  # element 1 occurs L/N times, in {1}
     assert state.finished == ((),)
     assert state.counts == (3,)
     assert not state_violations(state)
@@ -568,7 +569,7 @@ def test_initial_state_shape():
 
 def test_extension_network_structure_n3_k2(monkeypatch):
     state = initial_state(3, 2)
-    assert state.class_count == 1
+    assert sum(state.counts) == 1
     assert state.rows == (((0, 1), (1, 2)),) and state.counts == (1,)  # {}: 1, {1}: 2
     assert state.sets == (0, 1)
     calls = _record_max_flow(monkeypatch)
@@ -694,7 +695,7 @@ def test_state_violations_weighs_runs_by_count():
         **{**fields, "rows": tuple(r for r, _ in one_each), "finished": tuple(d for _, d in one_each)},
         counts=(1,) * len(one_each),
     )
-    assert spread.class_count == state.class_count == 10
+    assert sum(spread.counts) == sum(state.counts) == 10
     assert not state_violations(spread)
     # a count below 1 is rejected, and a count moved between runs of
     # different rows breaks the global multiplicities

@@ -299,6 +299,9 @@ def test_integer_beyond_the_conversion_limit_is_an_input_error():
         (read_hypergraph, "H 11 1\n0 1_0\n"),
         (read_partition, "B 4 2 1\nS 0 1\n1 \uff12\n"),
         (read_partition, "B 4 2 1\nS 0 1\n1 +_2\n"),
+        (read_hypergraph, "H 3 1\n0 0x1\n"),
+        (read_graph, "G 3 1\n0 1e3\n"),
+        (read_partition, "B 4 2 1\nS 0 1\n1 --1\n"),
     ],
 )
 def test_integer_tokens_are_ascii_decimal(reader, text):

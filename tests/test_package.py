@@ -170,6 +170,20 @@ def test_intra_package_imports_are_acyclic():
         pytest.fail(f"import cycle: {exc.args[1]}")
 
 
+def test_only_the_cli_and_the_self_test_import_the_file_formats():
+    """The library builds its values without the readers and writers:
+    only `cli` and `selftest` import `fileio`."""
+    importers = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "fileio" or node.module is None and any(
+                    alias.name == "fileio" for alias in node.names
+                ):
+                    importers.append(module)
+    assert sorted(importers) == ["cli", "selftest"], importers
+
+
 def _module_level_private_names(tree: ast.Module):
     """(name, defining node) for each private function, class or constant
     a module defines at its top level; dunder names are left out."""

@@ -75,11 +75,14 @@ def _draw_vertex(rng, n, junk=0.15):
 
 def _draw_family(rng, n, arity=None):
     """Up to four entries, each a tuple of drawn vertices (pairs when
-    `arity` is 2), or now and then an entry that is no tuple of vertices."""
+    `arity` is 2), or now and then an entry that is no tuple of vertices
+    (no pair when `arity` is 2); or, seldom, no list at all."""
+    if rng.random() < 0.05:
+        return rng.choice([5, None, 2.5])
     family = []
     for _ in range(rng.randint(0, 4)):
-        if arity is None and rng.random() < 0.08:
-            family.append(rng.choice([5, None, 2.5, "01", ()]))
+        if rng.random() < 0.08:
+            family.append(rng.choice([5, None, 2.5, "01", ()] if arity is None else [5, None, (0,), (0, 1, 2), "01"]))
         else:
             family.append(tuple(_draw_vertex(rng, n) for _ in range(arity or rng.randint(1, 3))))
     return family
@@ -87,7 +90,10 @@ def _draw_family(rng, n, arity=None):
 
 def _brute_entries(n, family):
     """What `Hypergraph` and `CliqueCover` store: each entry sorted, or
-    None when some entry is not a nonempty set of distinct vertices."""
+    None when the family is no list or some entry is not a nonempty set
+    of distinct vertices."""
+    if not isinstance(family, list):
+        return None
     out = []
     for entry in family:
         if not isinstance(entry, tuple) or not entry:
@@ -99,8 +105,11 @@ def _brute_entries(n, family):
 
 
 def _brute_edges(n, family):
-    """A `Graph`'s edge list in lexicographic order, or None when some pair
-    is a self-loop or holds a value that is not a vertex."""
+    """A `Graph`'s edge list in lexicographic order, or None when the family
+    is no list of pairs, or some pair is a self-loop or holds a value that
+    is not a vertex."""
+    if not isinstance(family, list) or not all(isinstance(e, tuple) and len(e) == 2 for e in family):
+        return None
     if not all(_is_vertex(u, n) and _is_vertex(v, n) and u != v for u, v in family):
         return None
     return sorted({(min(u, v), max(u, v)) for u, v in family})
@@ -138,6 +147,32 @@ def test_malformed_constructor_arguments_never_escape_as_anything_but_input_erro
                 assert (built.n, stored(built)) == (n, want), (cls, n, entries)
                 seen["built"] += 1
     assert min(seen.values()) > 1000, seen
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Hypergraph(3, 5), "edge list must be iterable, got 5"),
+        (lambda: CliqueCover(3, None), "cover entry list must be iterable, got None"),
+        (lambda: Graph(3, 5), "edge list must be iterable, got 5"),
+        (lambda: common_neighborhood(Graph(3), 5), "vertex list must be iterable, got 5"),
+        (lambda: Graph(3, [5]), "edge 5 is not a pair"),
+        (lambda: Graph(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair"),
+        (lambda: Graph(3, [(0, 1), (1,)]), "edge (1,) is not a pair"),
+    ],
+    ids=[
+        "Hypergraph-non-iterable",
+        "CliqueCover-non-iterable",
+        "Graph-non-iterable",
+        "common_neighborhood-non-iterable",
+        "Graph-non-iterable-edge",
+        "Graph-triple",
+        "Graph-single",
+    ],
+)
+def test_lists_that_are_not_lists_of_entries_are_named(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def _queries(g, hg):
