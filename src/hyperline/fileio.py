@@ -28,7 +28,7 @@ from itertools import compress
 from operator import add, lt
 
 from .errors import READ_SIZE_BOUND, InputError, ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _digits
 from .hypergraph import Hypergraph
 
 
@@ -98,10 +98,6 @@ def read_hypergraph(text: str) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
-# The binary digits of a mask as the bytes 0 and 1, for `compress`.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def write_graph(g: Graph) -> str:
     """The .gr text of g.  A row whose set bits fill at least an eighth of
     its width takes its heads by `compress` over its binary digits; a
@@ -120,7 +116,7 @@ def write_graph(g: Graph) -> str:
         if above:
             width = above.bit_length()
             if 8 * above.bit_count() >= width:
-                picks = format(above, "b").encode().translate(_DIGIT_BYTES)[::-1]
+                picks = _digits(above)
                 heads = compress(names[u + 1 : u + 1 + width], picks)
             else:
                 gaps = format(above, "b")[::-1].split("1")  # gaps[i]: zeros just below bit i

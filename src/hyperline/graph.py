@@ -23,7 +23,12 @@ on those masks directly, each stopping as soon as its outcome is fixed:
   candidates already form a clique reports its one maximal clique whole;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
-  (`_met_at_least`), which the recognizer's F1 and F2 checks share.
+  (`_met_at_least`), which the recognizer's F2 check uses;
+- a mask's binary digits come out as the bytes 0 and 1 (`_digits`), a
+  selector for `itertools.compress`, or spread each bit to a field of
+  one or more bytes (`_fields`), so that one addition of such ints adds
+  every field at once: the recognizer's F1 check counts common
+  neighbours so.
 
 Each exit drops only work that cannot change the result, so every
 output is that of the plain search.
@@ -62,6 +67,27 @@ def _first_bits(mask: int, count: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+# The binary digits of a mask as the bytes 0 and 1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of mask, lowest first, as the bytes 0 and 1: a
+    selector for `itertools.compress` that stops at its highest set bit."""
+    return format(mask, "b").encode().translate(_DIGIT_BYTES)[::-1]
+
+
+def _fields(mask: int, width: int) -> int:
+    """mask with each bit i moved to the low bit of field i, a field being
+    `width` bytes."""
+    raw = format(mask, "b").encode().translate(_DIGIT_BYTES)  # highest first
+    if width > 1:
+        wide = bytearray(width * len(raw))
+        wide[width - 1 :: width] = raw
+        raw = wide
+    return int.from_bytes(raw, "big")
 
 
 class Graph:
@@ -148,7 +174,8 @@ class Claw(Value):
 
 def _met_at_least(adj: tuple[int, ...], members: int, t: int, scope: int) -> int:
     """Mask of the vertices of scope adjacent to at least t (>= 1) vertices
-    of members.
+    of members; the recognizer's F2 check counts attachments to a clique
+    with it.
 
     Counts are kept bit-sliced: plane i holds bit i of every vertex's
     count, so adding a member's row, cut to scope, is one ripple-carry add
@@ -283,8 +310,10 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
     Each vertex of a clique of `min_size` vertices has degree at least
     min_size - 1, so before anything is allocated the list is returned
     empty when min_size exceeds n, or when fewer than min_size vertices
-    reach that degree.
+    reach that degree.  A min_size that is not an int raises InputError.
     """
+    if type(min_size) is not int:
+        _require_ints(min_size=min_size)
     n = g.n
     if min_size > n:
         return []

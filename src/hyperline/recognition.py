@@ -25,6 +25,7 @@ cover value, its validation and the cover-to-hypergraph step are in
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 from typing import Union
 
 from ._value import Value, _set_field
@@ -32,6 +33,8 @@ from .errors import InputError, InternalContradictionError, NotAMemberError, _re
 from .graph import (
     Claw,
     Graph,
+    _digits,
+    _fields,
     _first_bits,
     _mask,
     _met_at_least,
@@ -196,41 +199,88 @@ def check_claw(g: Graph, t: Thresholds) -> ClawWitness | None:
     return ClawWitness(claw) if claw is not None else None
 
 
+# The rows of one block of F1's count fields fit in this many bytes.
+_F1_BUDGET = 1 << 24
+
+
 def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     """First non-adjacent pair with more than p*k^2 common neighbors.
 
-    Both vertices of such a pair have degree at least p*k^2 + 1, since
-    their common neighbors lie in each neighborhood.  So only such heavy
-    vertices head a pair, and for each head `a`, in increasing order, one
-    threshold count over the rows of N(a) (`_met_at_least`), kept to the
-    heavy non-neighbors above `a`, gives every partner with that many
-    common neighbors; the lowest one completes the first pair.
+    Both vertices of such a pair have degree at least needed = p*k^2 + 1,
+    since their common neighbors lie in each neighborhood.  So only such
+    heavy vertices head a pair, and only their rows and those of their
+    neighbors are made into fields: each such row becomes an int with one
+    field of `width` bytes per vertex (`_fields`).  For each head `a`, in
+    increasing order, one `sum` over the rows of N(a) leaves in field v
+    the common neighbors of a and v.  No count exceeds the largest
+    degree, which `width` keeps below a field's top bit, so no carry
+    crosses from one field into the next.  The sum starts from 2**(top
+    bit) - needed in every field outside N(a), so the top bit is set
+    exactly in the non-neighbors with needed common neighbors or more; a
+    vertex that is not heavy has too few.  Past a's own field, the lowest
+    such bit gives a's first partner.
+
+    One block of every vertex would hold n**2 bytes of fields or more,
+    144 MB at 12 000 vertices against 18 MB of masks.  So the partners
+    are scanned in blocks of consecutive vertices, lowest first, whose
+    rows fit _F1_BUDGET bytes; a pair found in one block leaves the later
+    blocks only the heads below its own.
 
     A pair has at most n - 2 common neighbors, so when the threshold
-    exceeds that no pair can meet it and nothing is scanned.
+    exceeds that no pair can meet it and nothing is built.
     """
     needed = t.p * t.k**2 + 1
     if needed > g.n - 2:
         return None
+    n = g.n
     adj = g._adj
-    heavy = 0
+    heavy = reach = top = 0
     for v, nv in enumerate(adj):
-        if nv.bit_count() >= needed:
+        d = nv.bit_count()
+        if d >= needed:
             heavy |= 1 << v
-    heads = heavy
-    while heads:
-        low = heads & -heads
-        heads ^= low
-        a = low.bit_length() - 1
-        na = adj[a]
-        partners = heavy & ~na & ~(low | (low - 1))  # heavy, not adjacent, above a
-        if not partners:
+            reach |= nv
+            if d > top:
+                top = d
+    reach |= heavy  # the rows a head sums, and its own
+    width = (top.bit_length() + 8) // 8  # bytes per field: top < 2**(8*width - 1)
+    bits = 8 * width
+    lift = (1 << (bits - 1)) - needed  # takes a count of needed or more to the top bit
+    # A row int of B field bytes takes 16B/15 bytes (30 bits in each 4-byte
+    # digit); its header, its list slot and a share of the head's own
+    # temporaries take less than 128 bytes more.
+    span = max(1, (_F1_BUDGET // n - 128) * 15 // (16 * width))
+    best_a, best_b = n, -1
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
+        # heads with room for a partner above them here, below any pair found
+        heads = heavy & ((1 << min(hi - 1, best_a)) - 1)
+        if not heads:
             continue
-        partners = _met_at_least(adj, na, needed, partners)
-        if partners:
-            b = (partners & -partners).bit_length() - 1
-            return F1Witness(a, b, _first_bits(na & adj[b], needed))
-    return None
+        cut = (1 << (hi - lo)) - 1
+        rows = [0] * n
+        for u in compress(count(), _digits(reach)):
+            rows[u] = _fields(adj[u] >> lo & cut, width)
+        ones = _fields(cut, width)
+        bias = ones * lift
+        tops = ones << (bits - 1)
+        scope = heavy & cut << lo
+        for a in compress(count(), _digits(heads)):
+            if not scope & ~adj[a] & -(2 << a):  # no heavy non-neighbor above a here
+                continue
+            ra = rows[a]
+            # In a block of every vertex, rows[a] is all of N(a) already.
+            picks = ra.to_bytes(n * width, "little")[::width] if span >= n else _digits(adj[a])
+            met = (sum(compress(rows, picks), bias) - lift * ra) & tops
+            if a >= lo:
+                met >>= bits * (a + 1 - lo)  # a, whose own field counts its degree, and below
+            if met:
+                best_a, best_b = a, max(lo, a + 1) + ((met & -met).bit_length() - 1) // bits
+                break
+        del rows  # so that two blocks' rows are never held at once
+    if best_b < 0:
+        return None
+    return F1Witness(best_a, best_b, _first_bits(adj[best_a] & adj[best_b], needed))
 
 
 def check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:

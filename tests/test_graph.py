@@ -246,6 +246,16 @@ def test_maximal_cliques_goldens():
     assert maximal_cliques(Graph(3), 2) == []
 
 
+def test_maximal_cliques_refuses_a_min_size_that_is_not_an_int():
+    """`True` would be taken as 1 and 2.5 compared as a number; '3' and
+    None would escape as a bare TypeError from the comparison."""
+    path = Graph(3, [(0, 1), (1, 2)])
+    for min_size, shown in (("3", "'3'"), (None, "None"), (2.5, "2.5"), (True, "True")):
+        with pytest.raises(InputError, match=rf"^min_size must be an int, got {shown}$"):
+            maximal_cliques(path, min_size)
+    assert maximal_cliques(path, 2) == [(0, 1), (1, 2)]
+
+
 def test_find_claw_goldens():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert find_claw(star, 3) == find_claw(star, 3)

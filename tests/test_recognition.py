@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from hyperline import (
     F2Witness,
     F3Witness,
     Graph,
+    Hypergraph,
     Inconclusive,
     InputError,
     Member,
@@ -441,6 +443,111 @@ def test_check_f1_fires_at_n_minus_two_common_neighbors():
     assert recognize(g, 2, 1) == NonMember(w)
 
 
+def test_check_f1_with_fields_wider_than_a_byte():
+    """A vertex of degree 128 or more takes F1's counts to two-byte fields.
+    Vertex 1 sees every other vertex, so the hub 0 and its neighbor 1
+    share the hub's 129 other neighbors: in a one-byte field that count
+    alone would reach the top bit, and 1 would pass for 0's partner ahead
+    of 131.  Then seeded random graphs with such hubs."""
+    n = 132
+    edges = [(0, v) for v in range(1, n - 1)] + [(1, v) for v in range(2, n)]
+    edges += [(c, n - 1) for c in range(2, 6)]
+    g = Graph(n, edges)
+    assert g.degree(0) >= 128
+    t = thresholds(2, 1)
+    assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(0, n - 1, (1, 2, 3, 4, 5))
+    rng = random.Random(1280)
+    fired = 0
+    for _ in range(6):
+        n = rng.randint(140, 170)
+        base = random_graph(rng, n, 0.05)
+        hubs = rng.sample(range(n), 2)
+        extra = [(min(h, v), max(h, v)) for h in hubs for v in rng.sample(range(n), 130) if v != h]
+        g = Graph(n, set(base.edges()) | set(extra))
+        assert max(g.degree(v) for v in range(n)) >= 128
+        for k, p in [(2, 1), (2, 2), (3, 1)]:
+            t = thresholds(k, p)
+            expected = _f1_reference(g, t)
+            assert check_f1(g, t) == expected, (g, k, p)
+            fired += expected is not None
+    assert fired >= 6, fired
+
+
+def test_check_f1_partner_next_to_its_head_and_at_the_last_vertex():
+    """The first pair's partner is the vertex right after its head, then
+    the last vertex: the lowest and the highest field a head can read."""
+    t = thresholds(2, 1)
+    # 0-2 light; 3 and 4 share 5..9, and no lower vertex heads a pair
+    g = Graph(10, [(a, c) for a in (3, 4) for c in range(5, 10)] + [(0, 1), (1, 2)])
+    assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(3, 4, (5, 6, 7, 8, 9))
+    # 0 sees every vertex but 11, and 11 sees 1..5
+    g = Graph(12, [(0, v) for v in range(1, 11)] + [(c, 11) for c in range(1, 6)])
+    assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(0, 11, (1, 2, 3, 4, 5))
+
+
+def test_check_f1_across_partner_blocks(monkeypatch):
+    """With F1's block budget cut down, partners are scanned in several
+    blocks.  Head 1 finds its partner 3 in an early block, but head 0,
+    which sees every vertex except 20, pairs only with 20 in a later one,
+    and (0, 20) is the first pair.  Seeded random graphs follow, at a
+    budget of one vertex per block and at budgets of a few."""
+    edges = [(0, v) for v in range(1, 24) if v != 20]
+    edges += [(c, 20) for c in range(10, 15)] + [(a, c) for a in (1, 3) for c in range(5, 10)]
+    g = Graph(24, edges)
+    t = thresholds(2, 1)
+    expected = F1Witness(0, 20, (10, 11, 12, 13, 14))
+    assert _f1_reference(g, t) == expected
+    rng = random.Random(4096)
+    cases = [random_graph(rng, rng.randint(8, 40), rng.choice((0.2, 0.4, 0.6))) for _ in range(40)]
+    for budget in (0, 3_000, 6_000):
+        monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
+        assert check_f1(g, t) == expected, budget
+        for case in cases:
+            for k, p in [(2, 1), (2, 2), (3, 1)]:
+                t2 = thresholds(k, p)
+                assert check_f1(case, t2) == _f1_reference(case, t2), (budget, case, k, p)
+
+
+def test_check_f1_holds_no_more_than_its_block_budget(monkeypatch):
+    """On a 1 500-vertex line graph with no F1 pair, every head is
+    scanned; with the budget cut to 512 KiB, below the n**2 bytes one
+    block of every vertex would take, F1's peak allocation stays within
+    it and the answer is unchanged."""
+    rng = random.Random(1500)
+    pairs = set()
+    while len(pairs) < 1500:
+        u, v = rng.sample(range(120), 2)
+        pairs.add((min(u, v), max(u, v)))
+    g = line_graph(Hypergraph(120, sorted(pairs)))
+    t = thresholds(2, 1)
+    assert check_f1(g, t) is None
+    budget = 1 << 19
+    assert budget < g.n**2
+    monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        assert check_f1(g, t) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, peak
+
+
+def test_check_f1_builds_no_fields_below_its_threshold(monkeypatch):
+    """On every graph of at most 6 vertices, at (k, p) = (2, 1), (2, 2),
+    (3, 1) and (3, 2), F1 asks for more common neighbors than a pair can
+    have and returns before any row becomes fields."""
+
+    def refuse(mask, width):
+        raise AssertionError("fields built")
+
+    monkeypatch.setattr(recognition, "_fields", refuse)
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            for k, p in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+                assert check_f1(g, thresholds(k, p)) is None
+
+
 def _first_uncovered_reference(g: Graph, cliques) -> str | None:
     for u, v in g.edges():
         if not any(u in c and v in c for c in cliques):
@@ -459,3 +566,4 @@ def test_validate_cover_reports_first_uncovered_edge():
                 diag = validate_cover(g, CliqueCover(g.n, kept), len(cliques), g.n)
                 assert diag.failure == _first_uncovered_reference(g, kept), (g, drop)
                 assert diag.ok == (diag.failure is None)
+
