@@ -222,9 +222,11 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
 
     One block of every vertex would hold n**2 bytes of fields or more,
     144 MB at 12 000 vertices against 18 MB of masks.  So the partners
-    are scanned in blocks of consecutive vertices, lowest first, whose
-    rows fit _F1_BUDGET bytes; a pair found in one block leaves the later
-    blocks only the heads below its own.
+    are scanned in blocks of consecutive vertices, lowest first, made as
+    wide as the rows of the heavy vertices and their neighbors allow within
+    _F1_BUDGET bytes.  A block with no heavy vertex above the lowest head
+    is passed over before any row is built, and a pair found in one block
+    leaves the later blocks only the heads below its own.
 
     A pair has at most n - 2 common neighbors, so when the threshold
     exceeds that no pair can meet it and nothing is built.
@@ -246,10 +248,12 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
     width = (top.bit_length() + 8) // 8  # bytes per field: top < 2**(8*width - 1)
     bits = 8 * width
     lift = (1 << (bits - 1)) - needed  # takes a count of needed or more to the top bit
-    # A row int of B field bytes takes 16B/15 bytes (30 bits in each 4-byte
-    # digit); its header, its list slot and a share of the head's own
-    # temporaries take less than 128 bytes more.
-    span = max(1, (_F1_BUDGET // n - 128) * 15 // (16 * width))
+    # Each vertex takes a list slot and a few selector bytes, less than 12
+    # bytes in all.  The rest holds the rows of `reach` and a dozen of the
+    # head's temporaries of the same size, each under 64 bytes of header
+    # and 16B/15 bytes for B field bytes (30 bits in each 4-byte digit).
+    room = (_F1_BUDGET - 12 * n) // (reach.bit_count() + 12) - 64
+    span = max(1, room * 15 // (16 * width))
     best_a, best_b = n, -1
     for lo in range(0, n, span):
         hi = min(lo + span, n)
@@ -258,18 +262,21 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
         if not heads:
             continue
         cut = (1 << (hi - lo)) - 1
+        scope = heavy & cut << lo & -((heads & -heads) << 1)  # partners here for some head
+        if not scope:
+            continue
         rows = [0] * n
         for u in compress(count(), _digits(reach)):
             rows[u] = _fields(adj[u] >> lo & cut, width)
         ones = _fields(cut, width)
         bias = ones * lift
         tops = ones << (bits - 1)
-        scope = heavy & cut << lo
         for a in compress(count(), _digits(heads)):
             if not scope & ~adj[a] & -(2 << a):  # no heavy non-neighbor above a here
                 continue
             ra = rows[a]
-            # In a block of every vertex, rows[a] is all of N(a) already.
+            # In a block of every vertex, rows[a] is all of N(a), and the low
+            # bytes of its fields are the selector already.
             picks = ra.to_bytes(n * width, "little")[::width] if span >= n else _digits(adj[a])
             met = (sum(compress(rows, picks), bias) - lift * ra) & tops
             if a >= lo:

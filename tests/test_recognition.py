@@ -508,6 +508,32 @@ def test_check_f1_across_partner_blocks(monkeypatch):
                 assert check_f1(case, t2) == _f1_reference(case, t2), (budget, case, k, p)
 
 
+def test_check_f1_builds_rows_only_for_blocks_with_a_partner(monkeypatch):
+    """On a sparse graph whose only heavy vertex is 0, no vertex above it
+    can be its partner, so no row becomes fields: on 200 000 vertices at
+    the full budget, and on 3 000 at a budget of one vertex per block.  A
+    second heavy vertex, 2 990, sharing four of 0's neighbors, makes its
+    own block, and only that one, build the rows of the eight vertices
+    that heavy vertices reach, and the block's field mask."""
+    built = []
+    fields = recognition._fields
+
+    def counted(mask, width):
+        built.append(mask)
+        return fields(mask, width)
+
+    monkeypatch.setattr(recognition, "_fields", counted)
+    t = thresholds(2, 1)
+    star = [(0, v) for v in range(1, 6)]
+    for n, budget in ((200_000, recognition._F1_BUDGET), (3_000, 0)):
+        monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
+        assert check_f1(Graph(n, star), t) is None
+        assert built == [], n
+    g = Graph(3_000, star + [(c, 2_990) for c in range(1, 5)] + [(2_990, 2_991)])
+    assert check_f1(g, t) is None
+    assert len(built) == 9, len(built)
+
+
 def test_check_f1_holds_no_more_than_its_block_budget(monkeypatch):
     """On a 1 500-vertex line graph with no F1 pair, every head is
     scanned; with the budget cut to 512 KiB, below the n**2 bytes one
