@@ -23,12 +23,13 @@ on those masks directly, each stopping as soon as its outcome is fixed:
   candidates already form a clique reports its one maximal clique whole;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
-  (`_met_at_least`), which the recognizer's F2 check uses;
+  (`_met_at_least`), which the recognizer's F2 check uses, and its F1
+  check on graphs whose byte fields would pass its memory budget;
 - a mask's binary digits come out as the bytes 0 and 1 (`_digits`), a
-  selector for `itertools.compress`, or spread each bit to a field of
-  one or more bytes (`_fields`), so that one addition of such ints adds
-  every field at once: the recognizer's F1 check counts common
-  neighbours so.
+  selector for `itertools.compress`, or spread each bit to a byte of its
+  own (`_fields`), so that one addition of such ints adds every byte at
+  once: the recognizer's F1 check counts common neighbours so while its
+  rows fit its budget.
 
 Each exit drops only work that cannot change the result, so every
 output is that of the plain search.
@@ -79,15 +80,11 @@ def _digits(mask: int) -> bytes:
     return format(mask, "b").encode().translate(_DIGIT_BYTES)[::-1]
 
 
-def _fields(mask: int, width: int) -> int:
-    """mask with each bit i moved to the low bit of field i, a field being
-    `width` bytes."""
-    raw = format(mask, "b").encode().translate(_DIGIT_BYTES)  # highest first
-    if width > 1:
-        wide = bytearray(width * len(raw))
-        wide[width - 1 :: width] = raw
-        raw = wide
-    return int.from_bytes(raw, "big")
+def _fields(mask: int) -> int:
+    """mask with each bit i moved to the low bit of byte i: one one-byte
+    field per vertex, so that adding such ints counts, in each byte, the
+    masks that hold its vertex, as long as no count reaches 256."""
+    return int.from_bytes(format(mask, "b").encode().translate(_DIGIT_BYTES), "big")
 
 
 class Graph:
@@ -175,7 +172,8 @@ class Claw(Value):
 def _met_at_least(adj: tuple[int, ...], members: int, t: int, scope: int) -> int:
     """Mask of the vertices of scope adjacent to at least t (>= 1) vertices
     of members; the recognizer's F2 check counts attachments to a clique
-    with it.
+    with it, and its F1 check common neighbours once byte fields would
+    pass its memory budget.
 
     Counts are kept bit-sliced: plane i holds bit i of every vertex's
     count, so adding a member's row, cut to scope, is one ripple-carry add

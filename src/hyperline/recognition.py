@@ -199,8 +199,9 @@ def check_claw(g: Graph, t: Thresholds) -> ClawWitness | None:
     return ClawWitness(claw) if claw is not None else None
 
 
-# The rows of one block of F1's count fields fit in this many bytes.
-_F1_BUDGET = 1 << 24
+# F1 counts in one-byte fields while the rows it builds, with their
+# temporaries, fit in this many bytes; past it, bit-sliced counters.
+_F1_BUDGET = 1 << 19
 
 
 def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
@@ -208,25 +209,27 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
 
     Both vertices of such a pair have degree at least needed = p*k^2 + 1,
     since their common neighbors lie in each neighborhood.  So only such
-    heavy vertices head a pair, and only their rows and those of their
-    neighbors are made into fields: each such row becomes an int with one
-    field of `width` bytes per vertex (`_fields`).  For each head `a`, in
-    increasing order, one `sum` over the rows of N(a) leaves in field v
-    the common neighbors of a and v.  No count exceeds the largest
-    degree, which `width` keeps below a field's top bit, so no carry
-    crosses from one field into the next.  The sum starts from 2**(top
-    bit) - needed in every field outside N(a), so the top bit is set
-    exactly in the non-neighbors with needed common neighbors or more; a
-    vertex that is not heavy has too few.  Past a's own field, the lowest
-    such bit gives a's first partner.
+    heavy vertices head a pair, and only those with a heavy non-neighbor
+    above them are scanned, in increasing order; with none, nothing is
+    built.  For each head `a`, one count over the rows of N(a) gives, in
+    every heavy non-neighbor above `a`, its common neighbors with `a`,
+    and the lowest one that reaches needed completes the first pair.  The
+    count runs on one of two kernels, chosen from the input:
 
-    One block of every vertex would hold n**2 bytes of fields or more,
-    144 MB at 12 000 vertices against 18 MB of masks.  So the partners
-    are scanned in blocks of consecutive vertices, lowest first, made as
-    wide as the rows of the heavy vertices and their neighbors allow within
-    _F1_BUDGET bytes.  A block with no heavy vertex above the lowest head
-    is passed over before any row is built, and a pair found in one block
-    leaves the later blocks only the heads below its own.
+    - one-byte fields, when every degree is below 128 and the rows of the
+      heavy vertices and their neighbors fit in _F1_BUDGET bytes: each
+      such row becomes an int with one byte per vertex (`_fields`), and
+      one C-level `sum` over the rows of N(a) leaves in byte v the common
+      neighbors of a and v.  No count reaches 128, so no carry crosses
+      into the next byte.  The sum starts from 128 - needed in every
+      byte outside N(a), so bit 7 is set exactly in the non-neighbors
+      with needed common neighbors or more; a vertex that is not heavy
+      has too few;
+    - bit-sliced counters kept to the heavy non-neighbors above `a`
+      (`_met_at_least`, as F2 uses), for every other graph.  They hold a
+      few masks of n bits where the fields hold n bytes per row, and on
+      sparse line graphs they are also the faster kernel from about 700
+      vertices, where the budget of 512 KiB runs out.
 
     A pair has at most n - 2 common neighbors, so when the threshold
     exceeds that no pair can meet it and nothing is built.
@@ -244,50 +247,37 @@ def check_f1(g: Graph, t: Thresholds) -> F1Witness | None:
             reach |= nv
             if d > top:
                 top = d
+    heads = 0  # a mask: a list would take 36 bytes a head
+    for a in compress(count(), _digits(heavy)):
+        if heavy & ~adj[a] & -(2 << a):
+            heads |= 1 << a
+    if not heads:
+        return None
     reach |= heavy  # the rows a head sums, and its own
-    width = (top.bit_length() + 8) // 8  # bytes per field: top < 2**(8*width - 1)
-    bits = 8 * width
-    lift = (1 << (bits - 1)) - needed  # takes a count of needed or more to the top bit
-    # Each vertex takes a list slot and a few selector bytes, less than 12
-    # bytes in all.  The rest holds the rows of `reach` and a dozen of the
-    # head's temporaries of the same size, each under 64 bytes of header
-    # and 16B/15 bytes for B field bytes (30 bits in each 4-byte digit).
-    room = (_F1_BUDGET - 12 * n) // (reach.bit_count() + 12) - 64
-    span = max(1, room * 15 // (16 * width))
-    best_a, best_b = n, -1
-    for lo in range(0, n, span):
-        hi = min(lo + span, n)
-        # heads with room for a partner above them here, below any pair found
-        heads = heavy & ((1 << min(hi - 1, best_a)) - 1)
-        if not heads:
-            continue
-        cut = (1 << (hi - lo)) - 1
-        scope = heavy & cut << lo & -((heads & -heads) << 1)  # partners here for some head
-        if not scope:
-            continue
+    # The rows and a dozen temporaries of their size each take n bytes
+    # (16/15 of that in 30-bit digits) and a header; each vertex takes a
+    # list slot and under 4 bytes of selectors and digit strings.
+    rows = None
+    if top < 128 and (reach.bit_count() + 12) * (n * 16 // 15 + 64) + 12 * n <= _F1_BUDGET:
         rows = [0] * n
         for u in compress(count(), _digits(reach)):
-            rows[u] = _fields(adj[u] >> lo & cut, width)
-        ones = _fields(cut, width)
+            rows[u] = _fields(adj[u])
+        ones = _fields((1 << n) - 1)
+        lift = 128 - needed  # takes a count of needed or more to bit 7
         bias = ones * lift
-        tops = ones << (bits - 1)
-        for a in compress(count(), _digits(heads)):
-            if not scope & ~adj[a] & -(2 << a):  # no heavy non-neighbor above a here
-                continue
+        tops = ones << 7
+    for a in compress(count(), _digits(heads)):
+        if rows is None:
+            met = _met_at_least(adj, adj[a], needed, heavy & ~adj[a] & -(2 << a))
+            b = (met & -met).bit_length() - 1
+        else:
             ra = rows[a]
-            # In a block of every vertex, rows[a] is all of N(a), and the low
-            # bytes of its fields are the selector already.
-            picks = ra.to_bytes(n * width, "little")[::width] if span >= n else _digits(adj[a])
-            met = (sum(compress(rows, picks), bias) - lift * ra) & tops
-            if a >= lo:
-                met >>= bits * (a + 1 - lo)  # a, whose own field counts its degree, and below
-            if met:
-                best_a, best_b = a, max(lo, a + 1) + ((met & -met).bit_length() - 1) // bits
-                break
-        del rows  # so that two blocks' rows are never held at once
-    if best_b < 0:
-        return None
-    return F1Witness(best_a, best_b, _first_bits(adj[best_a] & adj[best_b], needed))
+            # the bytes up to a's own, which counts its degree, shifted out
+            met = ((sum(compress(rows, ra.to_bytes(n, "little")), bias) - lift * ra) & tops) >> 8 * a + 8
+            b = a + (met & -met).bit_length() // 8
+        if met:
+            return F1Witness(a, b, _first_bits(adj[a] & adj[b], needed))
+    return None
 
 
 def check_f2(g: Graph, t: Thresholds, big: list[tuple[int, ...]]) -> F2Witness | None:

@@ -443,12 +443,48 @@ def test_check_f1_fires_at_n_minus_two_common_neighbors():
     assert recognize(g, 2, 1) == NonMember(w)
 
 
-def test_check_f1_with_fields_wider_than_a_byte():
-    """A vertex of degree 128 or more takes F1's counts to two-byte fields.
-    Vertex 1 sees every other vertex, so the hub 0 and its neighbor 1
-    share the hub's 129 other neighbors: in a one-byte field that count
-    alone would reach the top bit, and 1 would pass for 0's partner ahead
-    of 131.  Then seeded random graphs with such hubs."""
+def _refuse_fields(mask):
+    raise AssertionError("fields built")
+
+
+def _sparse_line_graph(seed: int, edges: int, vertices: int) -> Graph:
+    """Line graph of `edges` seeded random pairs on `vertices` vertices; two
+    disjoint pairs share at most 4 common neighbors, so at (k, p) = (2, 1)
+    it has no F1 pair and F1 scans every head."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < edges:
+        u, v = rng.sample(range(vertices), 2)
+        pairs.add((min(u, v), max(u, v)))
+    return line_graph(Hypergraph(vertices, sorted(pairs)))
+
+
+def _count_f1_kernels(monkeypatch) -> Counter:
+    """Count F1's `_fields` and `_met_at_least` calls from here on."""
+    calls = Counter()
+    fields, met_at_least = recognition._fields, recognition._met_at_least
+
+    def counted_fields(mask):
+        calls["fields"] += 1
+        return fields(mask)
+
+    def counted_met_at_least(*args):
+        calls["met_at_least"] += 1
+        return met_at_least(*args)
+
+    monkeypatch.setattr(recognition, "_fields", counted_fields)
+    monkeypatch.setattr(recognition, "_met_at_least", counted_met_at_least)
+    return calls
+
+
+def test_check_f1_with_degrees_of_a_byte_or_more(monkeypatch):
+    """A head of degree 128 or more could carry out of a one-byte field, so
+    F1 builds no fields and counts on bit-sliced counters.  Vertex 1 sees
+    every other vertex, so the hub 0 and its neighbor 1 share the hub's
+    129 other neighbors, and 131 is still 0's first partner.  Then seeded
+    random graphs with such hubs."""
+    calls = _count_f1_kernels(monkeypatch)
+    monkeypatch.setattr(recognition, "_fields", _refuse_fields)
     n = 132
     edges = [(0, v) for v in range(1, n - 1)] + [(1, v) for v in range(2, n)]
     edges += [(c, n - 1) for c in range(2, 6)]
@@ -456,6 +492,7 @@ def test_check_f1_with_fields_wider_than_a_byte():
     assert g.degree(0) >= 128
     t = thresholds(2, 1)
     assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(0, n - 1, (1, 2, 3, 4, 5))
+    assert calls["met_at_least"] == 1
     rng = random.Random(1280)
     fired = 0
     for _ in range(6):
@@ -471,6 +508,7 @@ def test_check_f1_with_fields_wider_than_a_byte():
             assert check_f1(g, t) == expected, (g, k, p)
             fired += expected is not None
     assert fired >= 6, fired
+    assert calls["met_at_least"] >= 1 + fired
 
 
 def test_check_f1_partner_next_to_its_head_and_at_the_last_vertex():
@@ -485,71 +523,105 @@ def test_check_f1_partner_next_to_its_head_and_at_the_last_vertex():
     assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(0, 11, (1, 2, 3, 4, 5))
 
 
-def test_check_f1_across_partner_blocks(monkeypatch):
-    """With F1's block budget cut down, partners are scanned in several
-    blocks.  Head 1 finds its partner 3 in an early block, but head 0,
-    which sees every vertex except 20, pairs only with 20 in a later one,
-    and (0, 20) is the first pair.  Seeded random graphs follow, at a
-    budget of one vertex per block and at budgets of a few."""
+def test_check_f1_on_bit_sliced_counters(monkeypatch):
+    """With F1's budget at 0 no row becomes fields, and every head counts
+    on bit-sliced counters.  Head 1 has its partner 3, but head 0, which
+    sees every vertex except 20, pairs only with 20, and (0, 20) is the
+    first pair.  Then seeded random graphs."""
+    monkeypatch.setattr(recognition, "_F1_BUDGET", 0)
+    monkeypatch.setattr(recognition, "_fields", _refuse_fields)
     edges = [(0, v) for v in range(1, 24) if v != 20]
     edges += [(c, 20) for c in range(10, 15)] + [(a, c) for a in (1, 3) for c in range(5, 10)]
     g = Graph(24, edges)
     t = thresholds(2, 1)
-    expected = F1Witness(0, 20, (10, 11, 12, 13, 14))
-    assert _f1_reference(g, t) == expected
+    assert check_f1(g, t) == _f1_reference(g, t) == F1Witness(0, 20, (10, 11, 12, 13, 14))
     rng = random.Random(4096)
-    cases = [random_graph(rng, rng.randint(8, 40), rng.choice((0.2, 0.4, 0.6))) for _ in range(40)]
-    for budget in (0, 3_000, 6_000):
-        monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
-        assert check_f1(g, t) == expected, budget
-        for case in cases:
-            for k, p in [(2, 1), (2, 2), (3, 1)]:
-                t2 = thresholds(k, p)
-                assert check_f1(case, t2) == _f1_reference(case, t2), (budget, case, k, p)
+    fired = 0
+    for _ in range(40):
+        case = random_graph(rng, rng.randint(8, 40), rng.choice((0.2, 0.4, 0.6)))
+        for k, p in [(2, 1), (2, 2), (3, 1)]:
+            t = thresholds(k, p)
+            expected = _f1_reference(case, t)
+            assert check_f1(case, t) == expected, (case, k, p)
+            fired += expected is not None
+    assert fired >= 20, fired
 
 
-def test_check_f1_builds_rows_only_for_blocks_with_a_partner(monkeypatch):
+def test_check_f1_builds_rows_only_with_a_head(monkeypatch):
     """On a sparse graph whose only heavy vertex is 0, no vertex above it
-    can be its partner, so no row becomes fields: on 200 000 vertices at
-    the full budget, and on 3 000 at a budget of one vertex per block.  A
-    second heavy vertex, 2 990, sharing four of 0's neighbors, makes its
-    own block, and only that one, build the rows of the eight vertices
-    that heavy vertices reach, and the block's field mask."""
+    can be its partner, so F1 returns before any row becomes fields: on
+    200 000 vertices at the default budget and at 0.  A second heavy
+    vertex, 2 990, sharing four of 0's neighbors, makes 0 a head; at the
+    default budget exactly the rows of the eight vertices that heavy
+    vertices reach become fields, in vertex order, and then the mask of
+    every vertex."""
+    default = recognition._F1_BUDGET
     built = []
     fields = recognition._fields
 
-    def counted(mask, width):
+    def counted(mask):
         built.append(mask)
-        return fields(mask, width)
+        return fields(mask)
 
     monkeypatch.setattr(recognition, "_fields", counted)
     t = thresholds(2, 1)
     star = [(0, v) for v in range(1, 6)]
-    for n, budget in ((200_000, recognition._F1_BUDGET), (3_000, 0)):
+    for budget in (default, 0):
         monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
-        assert check_f1(Graph(n, star), t) is None
-        assert built == [], n
+        assert check_f1(Graph(200_000, star), t) is None
+        assert built == [], budget
+    monkeypatch.setattr(recognition, "_F1_BUDGET", default)
     g = Graph(3_000, star + [(c, 2_990) for c in range(1, 5)] + [(2_990, 2_991)])
     assert check_f1(g, t) is None
-    assert len(built) == 9, len(built)
+    reach = [0, 1, 2, 3, 4, 5, 2_990, 2_991]
+    assert built == [g.adjacency_mask(u) for u in reach] + [(1 << g.n) - 1]
 
 
-def test_check_f1_holds_no_more_than_its_block_budget(monkeypatch):
+def test_check_f1_counts_in_fields_on_a_240_vertex_line_graph(monkeypatch):
+    """A 240-vertex line graph with every degree below 128, the size of
+    the largest graphs the workloads recognize, fits F1's budget: each
+    row that a head sums or reads, and the mask of every vertex, becomes
+    fields once, and no bit-sliced count runs."""
+    g = _sparse_line_graph(240, 240, 40)
+    assert g.n == 240 and max(g.degree(v) for v in range(g.n)) < 128
+    t = thresholds(2, 1)
+    reach = 0
+    for v in range(g.n):
+        if g.degree(v) >= t.p * t.k**2 + 1:
+            reach |= g.adjacency_mask(v) | 1 << v
+    calls = _count_f1_kernels(monkeypatch)
+    assert check_f1(g, t) is None
+    assert calls == Counter(fields=reach.bit_count() + 1)
+
+
+def test_check_f1_holds_no_more_than_its_block_budget():
     """On a 1 500-vertex line graph with no F1 pair, every head is
-    scanned; with the budget cut to 512 KiB, below the n**2 bytes one
-    block of every vertex would take, F1's peak allocation stays within
-    it and the answer is unchanged."""
-    rng = random.Random(1500)
-    pairs = set()
-    while len(pairs) < 1500:
-        u, v = rng.sample(range(120), 2)
-        pairs.add((min(u, v), max(u, v)))
-    g = line_graph(Hypergraph(120, sorted(pairs)))
+    scanned; its fields would take n**2 bytes, past the budget, so F1
+    counts on bit-sliced counters, and its peak allocation stays within
+    the budget."""
+    g = _sparse_line_graph(1500, 1500, 120)
+    assert recognition._F1_BUDGET < g.n**2
     t = thresholds(2, 1)
     assert check_f1(g, t) is None
-    budget = 1 << 19
-    assert budget < g.n**2
-    monkeypatch.setattr(recognition, "_F1_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        assert check_f1(g, t) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= recognition._F1_BUDGET, peak
+
+
+def test_check_f1_fields_just_inside_the_budget_hold_no_more(monkeypatch):
+    """A 660-vertex line graph whose fields fit F1's budget but not 95% of
+    it: at the budget F1 counts in fields, and its peak allocation stays
+    within the budget; at 95% of it F1 counts on bit-sliced counters."""
+    g = _sparse_line_graph(660, 660, 70)
+    t = thresholds(2, 1)
+    budget = recognition._F1_BUDGET
+    calls = _count_f1_kernels(monkeypatch)
+    assert check_f1(g, t) is None
+    assert calls["fields"] and not calls["met_at_least"], calls
     tracemalloc.start()
     try:
         assert check_f1(g, t) is None
@@ -557,17 +629,17 @@ def test_check_f1_holds_no_more_than_its_block_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= budget, peak
+    calls.clear()
+    monkeypatch.setattr(recognition, "_F1_BUDGET", budget * 19 // 20)
+    assert check_f1(g, t) is None
+    assert calls["met_at_least"] and not calls["fields"], calls
 
 
 def test_check_f1_builds_no_fields_below_its_threshold(monkeypatch):
     """On every graph of at most 6 vertices, at (k, p) = (2, 1), (2, 2),
     (3, 1) and (3, 2), F1 asks for more common neighbors than a pair can
     have and returns before any row becomes fields."""
-
-    def refuse(mask, width):
-        raise AssertionError("fields built")
-
-    monkeypatch.setattr(recognition, "_fields", refuse)
+    monkeypatch.setattr(recognition, "_fields", _refuse_fields)
     for n in range(1, 7):
         for g in all_graphs(n):
             for k, p in [(2, 1), (2, 2), (3, 1), (3, 2)]:
