@@ -57,11 +57,6 @@ from .graph import _bits
 from .hypergraph import Hypergraph
 
 
-def _mask_to_set(mask: int) -> tuple[int, ...]:
-    """Bitmask over bits 0..N-1 to a sorted tuple of 1-based elements."""
-    return tuple(b + 1 for b in _bits(mask))
-
-
 class Flow(Value):
     """Integral feasible flow of one induction step, as `max_flow`
     returns it, held per piece.
@@ -253,11 +248,11 @@ def _later_phases(
     units: list[int],
     spare: list[int],
     room: list[int],
-) -> int:
+) -> None:
     """Dinic's phases after the first, run per class on the runs' rows
     `run_rows` from the flow `runs`, `pieces`, `units`, `spare` and
     `room` describe (as `_first_phase` returns them), which they update
-    in place; returns the value they add.  First every piece splits into
+    in place.  First every piece splits into
     its classes, so that class i is piece i and its arcs are its stretch
     of `units`.
 
@@ -298,7 +293,6 @@ def _later_phases(
     into: list[list[int]] = [[] for _ in room]  # each set's arcs that have carried flow
     for arc in compress(range(len(head)), flows):
         into[head[arc]].append(arc)
-    added = 0
     while True:
         clevel = [-1] * m
         slevel = [-1] * len(room)
@@ -387,7 +381,6 @@ def _later_phases(
                     r = fwd[path[p]] if p & 1 else flows[path[p]]
                     if r < push:
                         push = r
-                added += push
                 room[j] -= push
                 src[first] -= push
                 cut = 0 if not src[first] else n  # first saturated arc; n: the sink arc
@@ -411,7 +404,6 @@ def _later_phases(
             c = bisect_left(arcs, arc)
             if c == len(arcs) or arcs[c] != arc:  # not listed since an earlier phase
                 arcs.insert(c, arc)
-    return added
 
 
 def initial_state(ground_size: int, subset_size: int) -> PartitionState:
@@ -469,11 +461,12 @@ def extend(state: PartitionState) -> PartitionState:
             for j, held in row:
                 if held < 0:
                     raise InputError(
-                        f"run {r} holds set {_mask_to_set(sets[j])} "
+                        f"run {r} holds set {tuple(b + 1 for b in _bits(sets[j]))} "
                         f"with negative multiplicity {held}"
                     )
-    room_of_size = [comb(big_n - 1 - ell, k - size - 1) for size in range(k)]
-    rooms = tuple(room_of_size[mask.bit_count()] for mask in sets)
+    sizes = list(map(int.bit_count, sets))
+    room_of_size = {size: comb(big_n - 1 - ell, k - size - 1) for size in set(sizes)}
+    rooms = tuple(map(room_of_size.__getitem__, sizes))
     flow = max_flow(lcm(big_n, k) // big_n, rooms, runs_rows, runs_counts)
     expected = comb(big_n - 1, k - 1)
     if flow.value != expected:
@@ -542,16 +535,19 @@ def _validate_parameters(ground_size: int, subset_size: int) -> None:
         raise InputError(
             f"need 2 <= k <= N, got k={subset_size}, N={ground_size}"
         )
-    # C(N, j) grows with j up to N/2, so stepping it to min(k, N-k) stops
-    # within a few dozen small products once it passes the bound, where
-    # the full binomial of a large N takes seconds to compute.
-    count = 1
-    for j in range(min(subset_size, ground_size - subset_size)):
-        count = count * (ground_size - j) // (j + 1)
-        if count > READ_SIZE_BOUND:
-            raise ResourceLimitError(
-                f"C({ground_size}, {subset_size}) subsets exceed the bound {READ_SIZE_BOUND}"
-            )
+    # The induction runs N - 1 levels over N-bit masks whatever k is, so N
+    # is bounded too: C(N, 2) <= 2^20, that is N <= 1448.  As C(N, k) >=
+    # C(N, 2) for 2 <= k <= N - 2, this refuses more only for k >= N - 1,
+    # and it keeps C(N, k) cheap to compute.
+    pairs = comb(ground_size, 2)
+    if pairs > READ_SIZE_BOUND and subset_size >= ground_size - 1:
+        raise ResourceLimitError(
+            f"C({ground_size}, 2) pairs of elements exceed the bound {READ_SIZE_BOUND}"
+        )
+    if pairs > READ_SIZE_BOUND or comb(ground_size, subset_size) > READ_SIZE_BOUND:
+        raise ResourceLimitError(
+            f"C({ground_size}, {subset_size}) subsets exceed the bound {READ_SIZE_BOUND}"
+        )
 
 
 # Mask bits decoded per table lookup.  Each call builds its tables, so 64

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -158,10 +159,10 @@ def _cmd_baranyai(args, out: TextIO) -> int:
 
 def _cmd_regular(args, out: TextIO) -> int:
     hg = regular_hypergraph(args.N, args.k, args.d, strict_simple=args.strict_simple)
-    notes: tuple[str, ...] = ()
-    if hg.m > len(set(hg.edges)):
-        notes = ("note: repeated edges; degree exceeds C(N-1, k-1) so classes were reused",)
-    _emit(fileio.write_hypergraph(hg, notes=notes), args.out, out)
+    note = ""
+    if args.d > comb(args.N - 1, args.k - 1):  # more classes than the partition holds
+        note = "# note: repeated edges; degree exceeds C(N-1, k-1) so classes were reused\n"
+    _emit(note + fileio.write_hypergraph(hg), args.out, out)
     return 0
 
 

@@ -76,9 +76,8 @@ def _check_vertex_count(n: int, lineno: int) -> None:
         )
 
 
-def write_hypergraph(hg: Hypergraph, notes: tuple[str, ...] = ()) -> str:
-    lines = [f"# {note}" for note in notes]
-    lines.append(f"H {hg.n} {hg.m}")
+def write_hypergraph(hg: Hypergraph) -> str:
+    lines = [f"H {hg.n} {hg.m}"]
     for e in hg.edges:
         lines.append(" ".join(str(v) for v in e))
     return "\n".join(lines) + "\n"

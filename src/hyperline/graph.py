@@ -23,13 +23,11 @@ on those masks directly, each stopping as soon as its outcome is fixed:
   candidates already form a clique reports its one maximal clique whole;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
-  (`_met_at_least`), which the recognizer's F2 check uses, and its F1
-  check on graphs whose byte fields would pass its memory budget;
+  (`_met_at_least`);
 - a mask's binary digits come out as the bytes 0 and 1 (`_digits`), a
   selector for `itertools.compress`, or spread each bit to a byte of its
   own (`_fields`), so that one addition of such ints adds every byte at
-  once: the recognizer's F1 check counts common neighbours so while its
-  rows fit its budget.
+  once.
 
 Each exit drops only work that cannot change the result, so every
 output is that of the plain search.
@@ -37,6 +35,7 @@ output is that of the plain search.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 from ._value import Value, _set_field
@@ -62,12 +61,7 @@ def _mask(vertices: Iterable[int]) -> int:
 
 def _first_bits(mask: int, count: int) -> tuple[int, ...]:
     """The lowest `count` set bit positions of mask, in increasing order."""
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(islice(_bits(mask), count))
 
 
 # The binary digits of a mask as the bytes 0 and 1.
@@ -171,9 +165,7 @@ class Claw(Value):
 
 def _met_at_least(adj: tuple[int, ...], members: int, t: int, scope: int) -> int:
     """Mask of the vertices of scope adjacent to at least t (>= 1) vertices
-    of members; the recognizer's F2 check counts attachments to a clique
-    with it, and its F1 check common neighbours once byte fields would
-    pass its memory budget.
+    of members.
 
     Counts are kept bit-sliced: plane i holds bit i of every vertex's
     count, so adding a member's row, cut to scope, is one ripple-carry add

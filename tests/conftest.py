@@ -17,8 +17,8 @@ from hyperline import (
     Hypergraph,
     line_graph,
 )
-from hyperline.baranyai import PartitionState, _mask_to_set
-from hyperline.graph import maximal_cliques
+from hyperline.baranyai import PartitionState
+from hyperline.graph import _bits, maximal_cliques
 
 
 def module_env() -> dict[str, str]:
@@ -175,6 +175,11 @@ def growable_sets(ground_size: int, subset_size: int, level: int) -> tuple[int, 
     return tuple(sorted(masks))
 
 
+def _elements(mask: int) -> tuple[int, ...]:
+    """The 1-based elements of a mask over bits 0..N-1, in increasing order."""
+    return tuple(b + 1 for b in _bits(mask))
+
+
 def state_violations(state: PartitionState) -> list[str]:
     """All invariant violations of a Baranyai induction state; empty when
     healthy.
@@ -216,13 +221,13 @@ def state_violations(state: PartitionState) -> list[str]:
             last = j
             if count < 1:
                 problems.append(
-                    f"run {r}: nonpositive multiplicity {count} for {_mask_to_set(sets[j])}"
+                    f"run {r}: nonpositive multiplicity {count} for {_elements(sets[j])}"
                 )
             held.append((sets[j], count))
         for mask in done:
             if mask.bit_count() != k or mask & ~distributed:
                 problems.append(
-                    f"run {r}: finished set {_mask_to_set(mask)} is not {k} distributed elements"
+                    f"run {r}: finished set {_elements(mask)} is not {k} distributed elements"
                 )
         element_uses = [0] * ell
         for mask, count in held:
@@ -245,7 +250,7 @@ def state_violations(state: PartitionState) -> list[str]:
             expected = comb(big_n - ell, k - size)
             if totals.get(mask, 0) != expected:
                 problems.append(
-                    f"set {_mask_to_set(mask)} occurs {totals.get(mask, 0)} times "
+                    f"set {_elements(mask)} occurs {totals.get(mask, 0)} times "
                     f"globally, expected {expected}"
                 )
     return problems

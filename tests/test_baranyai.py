@@ -416,8 +416,10 @@ def test_max_flow_matches_cursor_walk_reference(monkeypatch):
         return result
 
     def recorded_later(*args):
-        added.append(later_phases(*args))
-        return added[-1]
+        room = args[-1]  # updated in place: the sink arcs' residual capacities
+        before = sum(room)
+        later_phases(*args)
+        added.append(before - sum(room))
 
     monkeypatch.setattr(baranyai, "_first_phase", recorded_first)
     monkeypatch.setattr(baranyai, "_later_phases", recorded_later)
@@ -847,12 +849,29 @@ def test_size_guard_matches_the_binomial():
     for big_n in range(2, 81):
         for k in range(2, big_n + 1):
             assert refused(big_n, k) == (comb(big_n, k) > 1 << 20), (big_n, k)
-    # C(N, N-1) = N on each side of the bound
-    assert not refused(1 << 20, (1 << 20) - 1)
-    assert refused((1 << 20) + 1, 1 << 20)
     # C(1448, 2) = 1 047 628 and C(1449, 2) = 1 049 076, from either end
     assert not refused(1448, 2) and not refused(1448, 1446)
     assert refused(1449, 2) and refused(1449, 1447)
+    # k >= N - 1 holds N or fewer subsets, but N - 1 levels of N-bit masks:
+    # N is bounded as C(N, 2) is
+    assert not refused(1448, 1447) and not refused(1448, 1448)
+    assert refused(1449, 1448) and refused(1449, 1449)
+    assert refused(1 << 20, (1 << 20) - 1)
+    assert refused((1 << 20) + 1, 1 << 20)
+
+
+def test_size_guard_refuses_a_ground_set_past_1448_at_once():
+    """Each level of `extend` computes sink capacities only for the set
+    sizes it holds, so the largest ground set the guard lets through
+    builds at once when it holds one set; one more element is refused."""
+    start = time.perf_counter()
+    assert baranyai_partition(1448, 1448) == [[tuple(range(1, 1449))]]
+    message = r"^C\(1449, 2\) pairs of elements exceed the bound 1048576$"
+    with pytest.raises(ResourceLimitError, match=message):
+        baranyai_partition(1449, 1449)
+    with pytest.raises(ResourceLimitError, match=r"^C\(100000000000000000000, 2\) pairs"):
+        regular_hypergraph(10**20, 10**20, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_regular_divisibility_error():

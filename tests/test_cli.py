@@ -392,6 +392,14 @@ def test_huge_header_exits_3(args, text, tmp_path, capsys):
             ["regular", "-N", "2000000", "-k", "1000000", "-d", "1"],
             "error: C(2000000, 1000000) subsets exceed the bound 1048576\n",
         ),
+        (
+            ["baranyai", "-N", "100000000000000000000", "-k", "100000000000000000000"],
+            "error: C(100000000000000000000, 2) pairs of elements exceed the bound 1048576\n",
+        ),
+        (
+            ["regular", "-N", "5000", "-k", "5000", "-d", "1"],
+            "error: C(5000, 2) pairs of elements exceed the bound 1048576\n",
+        ),
     ],
 )
 def test_oversized_construction_exits_3_at_once(args, message, capsys):

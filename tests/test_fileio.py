@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperline import Graph, Hypergraph, InputError, ResourceLimitError, baranyai_partition
+from hyperline import Graph, Hypergraph, InputError, ResourceLimitError, baranyai_partition, fileio
 from hyperline.fileio import (
     READ_SIZE_BOUND,
     _read_graph_bulk,
@@ -37,9 +37,45 @@ def test_hypergraph_comments_and_blanks_ignored():
 
 def test_hypergraph_note_comments_survive_round_trip():
     hg = Hypergraph(2, [(0, 1), (0, 1)])
-    text = write_hypergraph(hg, notes=("repeated edges ahead",))
+    text = "# repeated edges ahead\n" + write_hypergraph(hg)
     assert text.startswith("# repeated edges ahead\n")
     assert read_hypergraph(text) == hg
+
+
+def _written():
+    """(writer, text, value, reader) for every writer: edgeless
+    hypergraphs, hypergraphs with and without repeated edges, graphs of 0
+    to 200 vertices at several densities, and partitions."""
+    rng = random.Random(27)
+    hypergraphs = [
+        Hypergraph(0, []),
+        Hypergraph(5, []),
+        Hypergraph(3, [(0, 1), (0, 1), (1, 2), (0, 1)]),
+        Hypergraph(6, [(0, 2, 4), (1, 3, 5), (0, 2, 4)]),
+        Hypergraph(4, [(0, 1, 2, 3)]),
+    ]
+    out = [("write_hypergraph", write_hypergraph(hg), hg, read_hypergraph) for hg in hypergraphs]
+    for n in (0, 1, 2, 7, 50, 200):
+        for density in (0.0, 0.05, 0.5, 1.0):
+            g = random_graph(rng, n, density)
+            out.append(("write_graph", write_graph(g), g, read_graph))
+    for big_n, k in ((2, 2), (4, 2), (6, 3), (8, 3)):
+        classes = baranyai_partition(big_n, k)
+        text = write_partition(classes, big_n, k)
+        out.append(("write_partition", text, (big_n, k, classes), read_partition))
+    return out
+
+
+def test_writers_emit_no_comment_or_blank_line_and_read_back_equal():
+    written = _written()
+    assert {writer for writer, _, _, _ in written} == {
+        name for name in dir(fileio) if name.startswith("write_")
+    }
+    for writer, text, value, reader in written:
+        lines = text.split("\n")
+        assert lines.pop() == "", (writer, text)  # every line ends in "\n"
+        assert all(line.strip() and "#" not in line for line in lines), (writer, text)
+        assert reader(text) == value, writer
 
 
 def test_hypergraph_rejects_malformed():
