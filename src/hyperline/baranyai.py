@@ -436,7 +436,8 @@ def extend(state: PartitionState) -> PartitionState:
     capacity C(N-1-level, k-|T|-1).  Its one `max_flow` call must reach
     C(N-1, k-1).  Refuses a state whose N elements are all distributed,
     whose counts do not match its runs, or that holds a run of fewer
-    than one class or a negative multiplicity.
+    than one class, a row index outside its sets, a negative
+    multiplicity or a set of k or more elements.
 
     Each piece of a run gets its next row by a merge: the row's sets that
     keep copies, in their old order, then its grown sets (mask | new
@@ -456,6 +457,12 @@ def extend(state: PartitionState) -> PartitionState:
     if min(runs_counts, default=1) < 1:
         r = next(r for r, count in enumerate(runs_counts) if count < 1)
         raise InputError(f"run {r} stands for {runs_counts[r]} classes")
+    indices = list(map(itemgetter(0), chain.from_iterable(runs_rows)))
+    if indices and (min(indices) < 0 or max(indices) >= len(sets)):
+        r, j = next(
+            (r, j) for r, row in enumerate(runs_rows) for j, _ in row if not 0 <= j < len(sets)
+        )
+        raise InputError(f"run {r} holds set index {j}, outside [0, {len(sets)})")
     if min(map(itemgetter(1), chain.from_iterable(runs_rows)), default=0) < 0:
         for r, row in enumerate(runs_rows):
             for j, held in row:
@@ -465,6 +472,11 @@ def extend(state: PartitionState) -> PartitionState:
                         f"with negative multiplicity {held}"
                     )
     sizes = list(map(int.bit_count, sets))
+    if max(sizes, default=0) >= k:
+        j = next(j for j, size in enumerate(sizes) if size >= k)
+        raise InputError(
+            f"set {tuple(b + 1 for b in _bits(sets[j]))} has {sizes[j]} elements, not below k = {k}"
+        )
     room_of_size = {size: comb(big_n - 1 - ell, k - size - 1) for size in set(sizes)}
     rooms = tuple(map(room_of_size.__getitem__, sizes))
     flow = max_flow(lcm(big_n, k) // big_n, rooms, runs_rows, runs_counts)

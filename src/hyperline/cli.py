@@ -48,54 +48,54 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _cover_lines(cover: CliqueCover) -> list[str]:
-    lines = [f"K {i} {' '.join(str(v) for v in entry)}" for i, entry in enumerate(cover.cliques)]
-    return lines
+def _cover_text(cover: CliqueCover) -> str:
+    return "".join(
+        f"K {i} {' '.join(str(v) for v in entry)}\n" for i, entry in enumerate(cover.cliques)
+    )
 
 
-def _verdict_lines(verdict: Verdict, k: int, p: int) -> list[str]:
+def _verdict_text(verdict: Verdict, k: int, p: int) -> str:
     t = thresholds(k, p)
     if isinstance(verdict, Member):
-        lines = [f"MEMBER cliques={len(verdict.cover)}"]
-        lines += _cover_lines(verdict.cover)
-        lines.append(
-            f"# every edge lies in one of the listed cliques; vertex load <= {k}, "
-            f"pairwise overlap <= {p}"
+        return (
+            f"MEMBER cliques={len(verdict.cover)}\n"
+            + _cover_text(verdict.cover)
+            + f"# every edge lies in one of the listed cliques; vertex load <= {k}, "
+            f"pairwise overlap <= {p}\n"
         )
-        return lines
     if isinstance(verdict, NonMember):
         w = verdict.witness
         if isinstance(w, ClawWitness):
-            return [
-                f"NONMEMBER claw center={w.claw.center} leaves={_csv(w.claw.leaves)}",
+            return (
+                f"NONMEMBER claw center={w.claw.center} leaves={_csv(w.claw.leaves)}\n"
                 f"# vertex {w.claw.center} has {len(w.claw.leaves)} pairwise non-adjacent "
-                f"neighbors; a {k}-uniform hyperedge meets at most {k} disjoint others",
-            ]
+                f"neighbors; a {k}-uniform hyperedge meets at most {k} disjoint others\n"
+            )
         if isinstance(w, F1Witness):
-            return [
-                f"NONMEMBER f1 a={w.a} b={w.b} common={_csv(w.common)}",
+            return (
+                f"NONMEMBER f1 a={w.a} b={w.b} common={_csv(w.common)}\n"
                 f"# non-adjacent vertices {w.a} and {w.b} have {len(w.common)} common "
-                f"neighbors, above the bound p*k^2 = {p * k * k}",
-            ]
+                f"neighbors, above the bound p*k^2 = {p * k * k}\n"
+            )
         if isinstance(w, F2Witness):
-            return [
+            return (
                 f"NONMEMBER f2 clique={_csv(w.clique)} vertex={w.vertex} "
-                f"attachment={_csv(w.attachment)}",
+                f"attachment={_csv(w.attachment)}\n"
                 f"# vertex {w.vertex} is adjacent to {len(w.attachment)} vertices of a "
                 f"maximal clique of size >= {t.clique_size_bound}, above the bound "
-                f"p*k = {p * k}",
-            ]
+                f"p*k = {p * k}\n"
+            )
         assert isinstance(w, F3Witness)
-        return [
+        return (
             f"NONMEMBER f3 clique1={_csv(w.clique_a)} clique2={_csv(w.clique_b)} "
-            f"shared={_csv(w.shared)}",
+            f"shared={_csv(w.shared)}\n"
             f"# two maximal cliques of size >= {t.clique_size_bound} share "
-            f"{len(w.shared)} vertices, above the bound p = {p}",
-        ]
-    return [
-        f"INCONCLUSIVE min_edge_degree={verdict.min_edge_degree} required={verdict.required}",
-        f"# {verdict.reason}",
-    ]
+            f"{len(w.shared)} vertices, above the bound p = {p}\n"
+        )
+    return (
+        f"INCONCLUSIVE min_edge_degree={verdict.min_edge_degree} required={verdict.required}\n"
+        f"# {verdict.reason}\n"
+    )
 
 
 def _emit(text: str, path: str | None, out: TextIO) -> None:
@@ -114,8 +114,7 @@ def _cmd_linegraph(args, out: TextIO) -> int:
 def _cmd_recognize(args, out: TextIO) -> int:
     g = fileio.read_graph(Path(args.infile).read_text())
     verdict = recognize(g, args.k, args.p)
-    for line in _verdict_lines(verdict, args.k, args.p):
-        out.write(line + "\n")
+    out.write(_verdict_text(verdict, args.k, args.p))
     if isinstance(verdict, NonMember):
         return 1
     if isinstance(verdict, Inconclusive) and args.oracle_fallback:
@@ -127,9 +126,7 @@ def _cmd_recognize(args, out: TextIO) -> int:
             out.write("ORACLE NONMEMBER\n")
             out.write("# exhaustive search proved no valid clique cover exists\n")
             return 1
-        out.write(f"ORACLE MEMBER cliques={len(cover)}\n")
-        for line in _cover_lines(cover):
-            out.write(line + "\n")
+        out.write(f"ORACLE MEMBER cliques={len(cover)}\n" + _cover_text(cover))
         return 0
     return 0
 
@@ -137,16 +134,13 @@ def _cmd_recognize(args, out: TextIO) -> int:
 def _cmd_reconstruct(args, out: TextIO) -> int:
     g = fileio.read_graph(Path(args.infile).read_text())
     verdict = recognize(g, args.k, args.p)
-    for line in _verdict_lines(verdict, args.k, args.p):
-        out.write(line + "\n")
+    out.write(_verdict_text(verdict, args.k, args.p))
     if not isinstance(verdict, Member):
         return 1
     hg = cover_to_hypergraph(g, verdict.cover, args.k, args.p)
     Path(args.out).write_text(fileio.write_hypergraph(hg))
     if args.out_cover:
-        Path(args.out_cover).write_text(
-            "\n".join(_cover_lines(verdict.cover)) + "\n"
-        )
+        Path(args.out_cover).write_text(_cover_text(verdict.cover))
     out.write(f"# hypergraph with {hg.n} vertices and {hg.m} edges written to {args.out}\n")
     return 0
 
@@ -176,9 +170,7 @@ def _cmd_oracle_cover(args, out: TextIO) -> int:
             f"and pairwise overlap <= {args.p} exists\n"
         )
         return 1
-    out.write(f"COVER cliques={len(cover)}\n")
-    for line in _cover_lines(cover):
-        out.write(line + "\n")
+    out.write(f"COVER cliques={len(cover)}\n" + _cover_text(cover))
     return 0
 
 
@@ -194,8 +186,7 @@ def _cmd_oracle_iso(args, out: TextIO) -> int:
 
 def _cmd_oracle_scan(args, out: TextIO) -> int:
     report = scan_regular_realizability(args.n_max, args.k_max)
-    for line in report.discrepancies:
-        out.write(f"DISCREPANCY {line}\n")
+    out.write("".join(f"DISCREPANCY {line}\n" for line in report.discrepancies))
     out.write(f"SCAN cases={report.cases} discrepancies={len(report.discrepancies)}\n")
     return 0 if report.ok else 3
 

@@ -6,14 +6,15 @@ resource guards and broken internal guarantees are 3, and negative
 mathematical outcomes (an unrealizable degree sequence) are 1.
 
 The argument rules live here too.  A size or a vertex count is an
-`int` (`_require_ints`), and nothing the readers or the Baranyai
-construction build may hold more than `READ_SIZE_BOUND` vertices,
-subsets or edges.  An edge, entry or vertex list is iterable
-(`_iterate`).  A vertex of an n-vertex graph, hypergraph or
-clique cover is an `int` in [0, n) (`_require_vertex`): every vertex
-query calls it, and the constructors apply the same rule to their
-edges and entries under messages of their own.  Neither rule counts a
-`bool`, or any other subclass of `int`, as an `int`.
+`int` (`_require_ints`), and the recognizer and the oracle take a
+uniformity k >= 2 and a multiplicity p >= 1 (`_require_k_and_p`).
+Nothing the readers or the Baranyai construction build may hold more
+than `READ_SIZE_BOUND` vertices, subsets or edges.  An edge, entry or
+vertex list is iterable (`_iterate`).  A vertex of an n-vertex graph,
+hypergraph or clique cover is an `int` in [0, n) (`_require_vertex`):
+every vertex query calls it, and the constructors apply the same rule
+to their edges and entries under messages of their own.  No rule here
+counts a `bool`, or any other subclass of `int`, as an `int`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _require_ints(**named: object) -> None:
     for name, value in named.items():
         if type(value) is not int:
             raise InputError(f"{name} must be an int, got {value!r}")
+
+
+def _require_k_and_p(k: object, p: object) -> None:
+    """Raise InputError unless k and p are ints with k >= 2 and p >= 1."""
+    _require_ints(k=k, p=p)
+    if k < 2 or p < 1:
+        raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
 
 
 def _iterate(what: str, values: Iterable) -> Iterator:

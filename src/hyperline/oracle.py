@@ -24,7 +24,8 @@ from typing import Iterable
 
 from ._value import Value, _set_field
 from .baranyai import regular_hypergraph
-from .errors import DivisibilityError, InputError, ResourceLimitError, _require_ints
+from .errors import DivisibilityError, InputError, ResourceLimitError
+from .errors import _require_ints, _require_k_and_p
 from .graph import Graph, _bits, _mask
 from .reconstruction import CliqueCover
 
@@ -125,9 +126,8 @@ def cover_search(
     vertices, or a search past the node budget, raises rather than
     guessing.
     """
-    _require_ints(k=k, p=p, budget=budget)
-    if k < 2 or p < 1:
-        raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
+    _require_k_and_p(k, p)
+    _require_ints(budget=budget)
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
     n = g.n

@@ -29,7 +29,7 @@ from itertools import compress, count
 from typing import Union
 
 from ._value import Value, _set_field
-from .errors import InputError, InternalContradictionError, NotAMemberError, _require_ints
+from .errors import InputError, InternalContradictionError, NotAMemberError, _require_k_and_p
 from .graph import (
     Claw,
     Graph,
@@ -43,7 +43,7 @@ from .graph import (
     min_edge_degree,
 )
 from .hypergraph import Hypergraph
-from .reconstruction import CliqueCover, cover_to_hypergraph, validate_cover
+from .reconstruction import CliqueCover, _overlapping_pairs, cover_to_hypergraph, validate_cover
 
 
 class Thresholds(Value):
@@ -71,15 +71,13 @@ def thresholds(k: int, p: int) -> Thresholds:
     try:
         return _thresholds(k, p)
     except TypeError:
-        _require_ints(k=k, p=p)
+        _require_k_and_p(k, p)
         raise
 
 
 @lru_cache(maxsize=None, typed=True)
 def _thresholds(k: int, p: int) -> Thresholds:
-    _require_ints(k=k, p=p)
-    if k < 2 or p < 1:
-        raise InputError(f"need k >= 2 and p >= 1, got k={k}, p={p}")
+    _require_k_and_p(k, p)
     return Thresholds(
         k=k,
         p=p,
@@ -307,18 +305,16 @@ def check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
     """First pair of big maximal cliques sharing more than p vertices,
     `big` being those cliques in lexicographic order.
 
-    Every pair in order, by one AND of their masks; fewer than two
-    cliques make no pair, and then no mask is built.
+    This is cover condition (iii) on the big family, and the pair is the
+    one `validate_cover` would report for it: the same scan, one AND of
+    the masks per pair in order.  Fewer than two cliques make no pair, and
+    then no mask is built.
     """
     if len(big) < 2:
         return None
-    needed = t.p + 1
     masks = [_mask(clique) for clique in big]
-    for i in range(len(big)):
-        for j in range(i + 1, len(big)):
-            shared = masks[i] & masks[j]
-            if shared.bit_count() >= needed:
-                return F3Witness(big[i], big[j], _first_bits(shared, needed))
+    for i, j in _overlapping_pairs(masks, t.p):
+        return F3Witness(big[i], big[j], _first_bits(masks[i] & masks[j], t.p + 1))
     return None
 
 
@@ -334,7 +330,8 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     witness is deterministic when several structures are present.  The
     big maximal cliques are enumerated once, by `maximal_cliques` after
     F1 and the claw check pass, and that one list goes to F2, F3 and the
-    certifying cover.
+    certifying cover.  Every witness is truthy, so each `or` of two checks
+    stops at the first witness.
     """
     try:
         t = _thresholds(k, p)  # the cached lookup, without the wrapper's call
@@ -343,17 +340,11 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     if not any(g._adj):
         raise InputError("recognition needs a graph with at least one edge")
 
-    witness: Witness | None = check_f1(g, t)
-    if witness is None:
-        witness = check_claw(g, t)
-    if witness is not None:
-        return NonMember(witness)
-
-    big = maximal_cliques(g, t.clique_size_bound)
-    witness = check_f2(g, t, big)
-    if witness is None:
-        witness = check_f3(t, big)
-    if witness is not None:
+    witness = check_f1(g, t) or check_claw(g, t)
+    if not witness:
+        big = maximal_cliques(g, t.clique_size_bound)
+        witness = check_f2(g, t, big) or check_f3(t, big)
+    if witness:
         return NonMember(witness)
 
     degree = min_edge_degree(g)

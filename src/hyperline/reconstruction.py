@@ -7,14 +7,18 @@ lies in at least one entry, (ii) no vertex lies in more than k entries, and
 exactly the vertex-star structure of a k-uniform hypergraph with pair
 multiplicity at most p whose line graph is the given graph, and the two
 directions of that correspondence are `cover_to_hypergraph` and
-`hypergraph_to_cover`.  Finding a cover is the recognizer's job: the
-big-clique family, `krausz_cover` and `reconstruct` live in `recognition`,
-which builds on this module and is never imported by it.
+`hypergraph_to_cover`, both the vertex-star transpose (`_stars`).  Finding
+a cover is the recognizer's job: the big-clique family, `krausz_cover` and
+`reconstruct` live in `recognition`, which builds on this module and is
+never imported by it.  Its forbidden structure F3, two big maximal cliques
+sharing more than p vertices, is condition (iii) applied to the big-clique
+family, and `check_f3` finds its pair with the scan that checks (iii) here
+(`_overlapping_pairs`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._value import Value, _set_field
 from .errors import InputError, _require_ints
@@ -87,15 +91,30 @@ def validate_cover(g: Graph, cover: CliqueCover, k: int, p: int) -> CoverDiagnos
         if load[v] > k:
             return CoverDiagnostics(False, f"vertex {v} lies in {load[v]} cliques, limit {k}")
 
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            shared = (masks[i] & masks[j]).bit_count()
-            if shared > p:
-                return CoverDiagnostics(
-                    False, f"cliques {i} and {j} share {shared} vertices, limit {p}"
-                )
-
+    for i, j in _overlapping_pairs(masks, p):
+        shared = (masks[i] & masks[j]).bit_count()
+        return CoverDiagnostics(False, f"cliques {i} and {j} share {shared} vertices, limit {p}")
     return CoverDiagnostics(True)
+
+
+def _overlapping_pairs(masks: list[int], p: int) -> Iterator[tuple[int, int]]:
+    """The pairs i < j of vertex masks sharing more than p vertices, in
+    order, found by one AND each as they are asked for; the first one is
+    the first pair to break condition (iii)."""
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if (a & masks[j]).bit_count() > p:
+                yield i, j
+
+
+def _stars(n: int, entries: Iterable[Iterable[int]]) -> list[list[int]]:
+    """For each v in [0, n), the indices of the entries holding v, in
+    order: the transpose of a family of vertex sets."""
+    stars: list[list[int]] = [[] for _ in range(n)]
+    for idx, entry in enumerate(entries):
+        for v in entry:
+            stars[v].append(idx)
+    return stars
 
 
 def cover_to_hypergraph(g: Graph, cover: CliqueCover, k: int, p: int) -> Hypergraph:
@@ -111,10 +130,7 @@ def cover_to_hypergraph(g: Graph, cover: CliqueCover, k: int, p: int) -> Hypergr
     if not diag:
         raise InputError(f"cover is not valid: {diag.failure}")
 
-    stars: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, entry in enumerate(cover.cliques):
-        for u in entry:
-            stars[u].append(idx)
+    stars = _stars(g.n, cover.cliques)
     next_index = len(cover.cliques)
     for v in range(g.n):
         for _ in range(k - len(stars[v])):
@@ -129,8 +145,4 @@ def hypergraph_to_cover(hg: Hypergraph) -> CliqueCover:
     One entry per hypergraph vertex with at least one incident edge,
     holding the indices of the edges through it, in vertex order.
     """
-    stars: list[list[int]] = [[] for _ in range(hg.n)]
-    for idx, e in enumerate(hg.edges):
-        for v in e:
-            stars[v].append(idx)
-    return CliqueCover(hg.m, [tuple(s) for s in stars if s])
+    return CliqueCover(hg.m, [tuple(s) for s in _stars(hg.n, hg.edges) if s])

@@ -596,6 +596,28 @@ def test_extension_network_structure_n4_k2(monkeypatch):
     assert net == (1, (comb(2, 1), comb(2, 0)), (((0, 1), (1, 1)),), (3,))
 
 
+@pytest.mark.parametrize(
+    "sets, row, message",
+    [
+        ((0, 0b111), ((0, 2), (1, 3)), r"^set \(1, 2, 3\) has 3 elements, not below k = 3$"),
+        ((0, 1), ((0, 2), (2, 3)), r"^run 0 holds set index 2, outside \[0, 2\)$"),
+        ((0, 1), ((0, 2), (-1, 3)), r"^run 0 holds set index -1, outside \[0, 2\)$"),
+    ],
+    ids=["k-set", "index-past-sets", "negative-index"],
+)
+def test_extend_refuses_a_set_or_row_index_out_of_shape(monkeypatch, sets, row, message):
+    """The (5, 3) state after one level, with one set grown to k elements
+    or one row index outside `sets`, is refused as input, before any flow
+    is run; a negative index is not read from the end of `sets`."""
+    calls = _record_max_flow(monkeypatch)
+    state = initial_state(5, 3)
+    assert (state.sets, state.rows) == ((0, 1), (((0, 2), (1, 3)),))
+    broken = PartitionState(**{**state.__dict__, "sets": sets, "rows": (row,)})
+    with pytest.raises(InputError, match=message):
+        extend(broken)
+    assert not calls
+
+
 def test_extend_n3_k2_golden():
     state = extend(initial_state(3, 2))
     assert state.level == 2

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,9 @@ from pathlib import Path
 import pytest
 
 import hyperline
+from hyperline.graph import Graph
+from hyperline.recognition import check_f3, thresholds
+from hyperline.reconstruction import CliqueCover, validate_cover
 
 PACKAGE = Path(hyperline.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -241,3 +245,53 @@ def test_the_vertex_rule_has_one_home():
                 ]
     assert raising == ["errors"], raising
     assert not methods, methods
+
+
+def test_the_k_and_p_rule_has_one_home():
+    """Only `errors` raises the text `need k >= 2 and p >= 1`: the
+    recognizer's thresholds and the oracle's search share one rule."""
+    raising = [
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "need k >= 2 and p >= 1" in ast.unparse(node)
+    ]
+    assert raising == ["errors"], raising
+
+
+def _first_overlapping_pair(family, p):
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if len(set(family[i]) & set(family[j])) > p:
+                return i, j
+    return None
+
+
+def test_f3_and_the_cover_overlap_condition_name_the_brute_force_pair():
+    """On seeded random families of distinct cliques, `check_f3` names the
+    first pair i < j sharing more than p vertices that a plain double
+    loop finds, and so does `validate_cover` on the graph the family
+    covers, with k as large as the family so that overlap is the first
+    condition to fail."""
+    rng = random.Random(2026)
+    overlapping = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        p = rng.randint(1, 3)
+        family = sorted(
+            {tuple(sorted(rng.sample(range(n), rng.randint(2, n)))) for _ in range(rng.randint(0, 7))}
+        )
+        pair = _first_overlapping_pair(family, p)
+        witness = check_f3(thresholds(2, p), family)
+        edges = {(a, b) for clique in family for a in clique for b in clique if a < b}
+        diag = validate_cover(Graph(n, edges), CliqueCover(n, family), max(len(family), 1), p)
+        if pair is None:
+            assert witness is None and diag.ok, (family, p)
+            continue
+        overlapping += 1
+        i, j = pair
+        shared = sorted(set(family[i]) & set(family[j]))
+        assert (witness.clique_a, witness.clique_b) == (family[i], family[j]), (family, p)
+        assert witness.shared == tuple(shared[: p + 1])
+        assert diag.failure == f"cliques {i} and {j} share {len(shared)} vertices, limit {p}"
+    assert 50 < overlapping < 250, overlapping

@@ -3,6 +3,7 @@ printed, frozen, copied and pickled."""
 
 import copy
 import pickle
+from typing import get_args
 
 import pytest
 
@@ -19,6 +20,7 @@ from hyperline.recognition import (
     Member,
     NonMember,
     Thresholds,
+    Witness,
 )
 from hyperline.reconstruction import CliqueCover, CoverDiagnostics
 
@@ -207,3 +209,15 @@ def test_match_statements_read_fields_by_position():
             pytest.fail("matched another class")
         case Inconclusive(low, required=need):
             assert (low, need) == (3, 9)
+
+
+def test_every_witness_is_truthy():
+    """`recognize` chains its checks with `or`, so a witness that tested
+    false, through a `__bool__` or a `__len__`, would skip the next check;
+    every witness is truthy, whatever its fields hold."""
+    assert get_args(Witness) == (ClawWitness, F1Witness, F2Witness, F3Witness)
+    listed = [cls(*args) for cls, fields, args, text in CASES if cls in get_args(Witness)]
+    empty = [ClawWitness(Claw(0, ())), F1Witness(0, 0, ()), F2Witness((), 0, ()), F3Witness((), (), ())]
+    for witness in listed + empty:
+        assert bool(witness), witness
+    assert [type(w) for w in listed] == [type(w) for w in empty] == list(get_args(Witness))
