@@ -434,10 +434,11 @@ def extend(state: PartitionState) -> PartitionState:
     The step's network (see `max_flow`) is the state's runs: each class
     sends L/N units down its row, and set T drains into the sink with
     capacity C(N-1-level, k-|T|-1).  Its one `max_flow` call must reach
-    C(N-1, k-1).  Refuses a state whose N elements are all distributed,
-    whose counts do not match its runs, or that holds a run of fewer
-    than one class, a row index outside its sets, a negative
-    multiplicity or a set of k or more elements.
+    C(N-1, k-1).  Refuses, before any flow, a state whose N elements
+    are all distributed, then one whose counts do not match its runs;
+    then, run by run, a run of fewer than one class, then pair by pair a
+    row index outside its sets and a negative multiplicity; and last a
+    set of k or more elements.  The first fault in that order is named.
 
     Each piece of a run gets its next row by a merge: the row's sets that
     keep copies, in their old order, then its grown sets (mask | new
@@ -454,23 +455,18 @@ def extend(state: PartitionState) -> PartitionState:
     sets, runs_rows, runs_counts = state.sets, state.rows, state.counts
     if len(runs_counts) != len(runs_rows):
         raise InputError(f"{len(runs_rows)} runs but {len(runs_counts)} counts")
-    if min(runs_counts, default=1) < 1:
-        r = next(r for r, count in enumerate(runs_counts) if count < 1)
-        raise InputError(f"run {r} stands for {runs_counts[r]} classes")
-    indices = list(map(itemgetter(0), chain.from_iterable(runs_rows)))
-    if indices and (min(indices) < 0 or max(indices) >= len(sets)):
-        r, j = next(
-            (r, j) for r, row in enumerate(runs_rows) for j, _ in row if not 0 <= j < len(sets)
-        )
-        raise InputError(f"run {r} holds set index {j}, outside [0, {len(sets)})")
-    if min(map(itemgetter(1), chain.from_iterable(runs_rows)), default=0) < 0:
-        for r, row in enumerate(runs_rows):
-            for j, held in row:
-                if held < 0:
-                    raise InputError(
-                        f"run {r} holds set {tuple(b + 1 for b in _bits(sets[j]))} "
-                        f"with negative multiplicity {held}"
-                    )
+    set_count = len(sets)
+    for r, (row, count) in enumerate(zip(runs_rows, runs_counts)):
+        if count < 1:
+            raise InputError(f"run {r} stands for {count} classes")
+        for j, held in row:
+            if not 0 <= j < set_count:
+                raise InputError(f"run {r} holds set index {j}, outside [0, {set_count})")
+            if held < 0:
+                raise InputError(
+                    f"run {r} holds set {tuple(b + 1 for b in _bits(sets[j]))} "
+                    f"with negative multiplicity {held}"
+                )
     sizes = list(map(int.bit_count, sets))
     if max(sizes, default=0) >= k:
         j = next(j for j, size in enumerate(sizes) if size >= k)
@@ -646,14 +642,14 @@ def regular_hypergraph(
     edge_count = degree * ground_size // subset_size
     if edge_count > READ_SIZE_BOUND:
         raise ResourceLimitError(f"{edge_count} edges exceed the bound {READ_SIZE_BOUND}")
-    big = lcm(ground_size, subset_size)
-    wanted = degree * ground_size // big
-    classes = _baranyai_classes(ground_size, subset_size)
-    if strict_simple and wanted > len(classes):
+    # d*N/L classes are wanted of k*C(N,k)/L: more than there are iff d > C(N-1, k-1)
+    simple_top = comb(ground_size - 1, subset_size - 1)
+    if strict_simple and degree > simple_top:
         raise UnrealizableError(
-            f"degree {degree} exceeds C(N-1, k-1) = "
-            f"{comb(ground_size - 1, subset_size - 1)}; no simple realization"
+            f"degree {degree} exceeds C(N-1, k-1) = {simple_top}; no simple realization"
         )
+    wanted = degree * ground_size // lcm(ground_size, subset_size)
+    classes = _baranyai_classes(ground_size, subset_size)
     taken = _decoded(classes[:wanted], ground_size, 0)
     edges = []
     for i in range(wanted):

@@ -25,7 +25,6 @@ serialize to identical bytes.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, lt
 
 from .errors import READ_SIZE_BOUND, InputError, ResourceLimitError
 from .graph import Graph, _digits
@@ -154,8 +153,9 @@ def _read_graph_bulk(text: str) -> Graph | None:
     line ends at a "\n".  With each line end turned into a separator
     token, a well-formed text splits into the header and then `u v` and
     a separator per edge; a blank line, or a comment (whose "#" is no
-    integer), cannot fit that pattern.  The edges are checked as a whole:
-    0 <= u < v < n, and u*n + v strictly increasing.
+    integer), cannot fit that pattern.  The header is checked before the
+    masks are allocated; then each edge is checked as it is read and
+    filled in: 0 <= u < v < n, and u*n + v above the previous edge's.
     """
     if not text.isascii() or any(c in text for c in _NOT_CANONICAL):
         return None
@@ -167,25 +167,24 @@ def _read_graph_bulk(text: str) -> Graph | None:
     if tokens[1:2] != ["G"] or 3 * tokens.count(_SEP) != len(tokens) + 1:
         return None
     body = tokens[5:]
-    m = len(body) // 3
     try:
         n, declared = int(tokens[2]), int(tokens[3])
-        us = list(map(int, body[0::3]))
-        vs = list(map(int, body[1::3]))
     except ValueError:
         return None
-    if declared != m or not 0 <= n <= READ_SIZE_BOUND:
+    if declared != len(body) // 3 or not 0 <= n <= READ_SIZE_BOUND:
         return None
-    if m:
-        if min(us) < 0 or max(vs) >= n or not all(map(lt, us, vs)):
-            return None
-        keys = list(map(add, map(n.__mul__, us), vs))
-        if not all(map(lt, keys, keys[1:])):
-            return None
     adj = [0] * n
-    for u, v in zip(us, vs):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    last = -1
+    try:
+        for u, v in zip(map(int, body[0::3]), map(int, body[1::3])):
+            key = u * n + v
+            if key <= last or not 0 <= u < v < n:
+                return None
+            last = key
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except ValueError:
+        return None
     return Graph.from_adjacency_masks(tuple(adj))
 
 

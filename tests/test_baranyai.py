@@ -530,6 +530,25 @@ def test_extension_network_rejects_negative_multiplicity(monkeypatch):
     assert not calls  # refused before any flow is run
 
 
+def test_extend_names_the_first_fault_run_by_run(monkeypatch):
+    """With a negative multiplicity in run 0 and a run of no classes after
+    it, run 0's fault is named: the runs are checked one after another,
+    each its count, then its pairs."""
+    calls = _record_max_flow(monkeypatch)
+    state = PartitionState(
+        ground_size=3,
+        subset_size=2,
+        level=1,
+        sets=(0, 1),
+        rows=(((0, -1), (1, 3)), ((0, 1), (1, 2))),
+        finished=((), ()),
+        counts=(1, 0),
+    )
+    with pytest.raises(InputError, match=r"^run 0 holds set \(\) with negative multiplicity -1$"):
+        extend(state)
+    assert not calls
+
+
 def test_partition_calls_max_flow_once_per_level_from_extend(monkeypatch):
     """Every induction step is one max_flow call made by extend, with value
     C(N-1, k-1): the call path a per-level flow check can wrap."""
@@ -923,6 +942,23 @@ def test_regular_cycles_classes_when_degree_is_large():
     assert len(set(hg.edges)) < hg.m
     with pytest.raises(UnrealizableError):
         regular_hypergraph(3, 2, 4, strict_simple=True)
+
+
+@pytest.mark.parametrize("big_n, k, degree", [(3, 2, 4), (20, 10, 92379), (21, 7, 38761)])
+def test_regular_strict_simple_refuses_before_building(monkeypatch, big_n, k, degree):
+    """A degree above C(N-1, k-1) is refused from (N, k, d) alone, with no
+    partition built."""
+    from hyperline import baranyai
+
+    def unbuilt(*args):
+        raise AssertionError("the partition was built")
+
+    monkeypatch.setattr(baranyai, "_baranyai_classes", unbuilt)
+    top = comb(big_n - 1, k - 1)
+    assert degree > top
+    message = rf"^degree {degree} exceeds C\(N-1, k-1\) = {top}; no simple realization$"
+    with pytest.raises(UnrealizableError, match=message):
+        regular_hypergraph(big_n, k, degree, strict_simple=True)
 
 
 def test_regular_simple_when_degree_fits():

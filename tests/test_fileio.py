@@ -294,6 +294,16 @@ MALFORMED_GRAPHS = {
     "G 3 1\n2 1\n": "line 2: edges must satisfy u < v",
     "G 3 1\n0 3\n": "edge (0, 3) has a vertex outside [0, 3)",
     "G 3 1\n-1 2\n": "edge (-1, 2) has a vertex outside [0, 3)",
+    # A fault on the last of several edges, one for each way an edge can fail.
+    "G 4 3\n0 1\n1 2\n2 2\n": "line 4: edges must satisfy u < v",
+    "G 4 3\n0 1\n1 2\n3 2\n": "line 4: edges must satisfy u < v",
+    "G 4 3\n0 1\n1 2\n2 4\n": "edge (2, 4) has a vertex outside [0, 4)",
+    "G 4 3\n0 1\n1 2\n-1 11\n": "line 4: edge -1 11 comes before the previous edge; "
+    "edges must be distinct and in lexicographic order",
+    "G 4 3\n0 1\n1 2\n1 2\n": "line 4: edge 1 2 repeats the previous edge; "
+    "edges must be distinct and in lexicographic order",
+    "G 4 3\n0 2\n1 3\n1 2\n": "line 4: edge 1 2 comes before the previous edge; "
+    "edges must be distinct and in lexicographic order",
     "G -1 0\n": "vertex count must be nonnegative, got -1",
     f"G {READ_SIZE_BOUND + 1} 0\n": f"line 1: header declares {READ_SIZE_BOUND + 1} vertices, "
     f"reader bound is {READ_SIZE_BOUND}",
