@@ -297,3 +297,7 @@ def run_cli(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int
 
 def console_entry() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    console_entry()

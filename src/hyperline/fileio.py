@@ -15,9 +15,12 @@ Every integer is an ASCII decimal with an optional sign (``[+-]?[0-9]+``);
 other digits, ``_`` separators and the like are input errors.
 A header vertex count above READ_SIZE_BOUND raises ResourceLimitError
 before anything of that size is allocated.
-A graph text in the writer's layout is read in one pass over all its
-tokens; any other, a malformed one among them, is re-read line by line,
-and that reader names the first line at fault.
+A graph text in the writer's layout, canonical decimals with no sign
+and no leading zero, is read in one pass over all its tokens, each
+vertex token looked up in a table of the n canonical names (or parsed
+by `int` when n exceeds the token count, so the table never outgrows
+the text); any other text, a malformed one among them, is re-read line
+by line, and that reader names the first line at fault.
 Writers emit canonical, comment-free text so identical values always
 serialize to identical bytes.
 """
@@ -156,6 +159,15 @@ def _read_graph_bulk(text: str) -> Graph | None:
     integer), cannot fit that pattern.  The header is checked before the
     masks are allocated; then each edge is checked as it is read and
     filled in: 0 <= u < v < n, and u*n + v above the previous edge's.
+
+    A vertex token becomes its vertex by one lookup in a table of the
+    canonical names "0" .. str(n - 1), which costs less than `int`.  A
+    token with a sign or a leading zero misses it, and the text is left
+    to the line reader, which reads it as the same graph.  The table is
+    built only when n is at most the number of body tokens, so it never
+    outgrows the token list already held; a sparser text, such as a few
+    edges on 2^20 vertices, is parsed by `int`, which takes any
+    spelling `_ints` takes.
     """
     if not text.isascii() or any(c in text for c in _NOT_CANONICAL):
         return None
@@ -173,17 +185,18 @@ def _read_graph_bulk(text: str) -> Graph | None:
         return None
     if declared != len(body) // 3 or not 0 <= n <= READ_SIZE_BOUND:
         return None
+    parse = dict(zip(map(str, range(n)), range(n))).__getitem__ if n <= len(body) else int
     adj = [0] * n
     last = -1
     try:
-        for u, v in zip(map(int, body[0::3]), map(int, body[1::3])):
+        for u, v in zip(map(parse, body[0::3]), map(parse, body[1::3])):
             key = u * n + v
             if key <= last or not 0 <= u < v < n:
                 return None
             last = key
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    except ValueError:
+    except (KeyError, ValueError):
         return None
     return Graph.from_adjacency_masks(tuple(adj))
 

@@ -524,3 +524,27 @@ def test_module_invocation_matches_api(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[0] == "NONMEMBER claw center=0 leaves=1,2,3"
+
+
+def test_cli_module_runs_as_the_package_does(claw_graph):
+    """`python -m hyperline.cli` runs the command: same bytes and exit
+    code as `python -m hyperline`, not a silent exit 0."""
+
+    def module_run(module, *args):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, env=module_env()
+        )
+        return proc.returncode, proc.stdout
+
+    recognize = ["recognize", "--in", str(claw_graph), "-k", "2", "-p", "1"]
+    code, stdout = module_run("hyperline.cli", *recognize)
+    assert code == 1
+    assert (code, stdout) == module_run("hyperline", *recognize)
+    code, stdout = module_run("hyperline.cli", "--help")
+    assert code == 0
+    assert stdout.startswith(b"usage: ")
+    code, stdout = module_run(
+        "hyperline.cli", "regular", "-N", "20", "-k", "10", "-d", "92379", "--strict-simple"
+    )
+    assert code == 1
+    assert stdout == b"degree 92379 exceeds C(N-1, k-1) = 92378; no simple realization\n"

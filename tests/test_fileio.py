@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +250,9 @@ def test_read_graph_matches_line_reader_on_valid_texts():
     layout it takes."""
     rng = random.Random(4242)
     graphs = [Graph(0), Graph(3), Graph(2, [(0, 1)])]
+    # More vertices than tokens: the bulk pass parses these with `int`
+    # rather than through its table of vertex names.
+    graphs += [Graph(40, [(0, 39)]), Graph(1000, [(3, 997), (5, 6)])]
     graphs += [random_graph(rng, rng.randint(1, cap), density) for density, cap in DENSITY_CAPS]
     for g in graphs:
         canonical = write_graph(g)
@@ -258,10 +263,33 @@ def test_read_graph_matches_line_reader_on_valid_texts():
 
 
 def test_both_readers_agree_on_signed_and_padded_integers():
+    """A signed or zero-padded token misses the bulk pass's table of
+    vertex names, so that text is left to the line reader; with n above
+    the token count the bulk pass parses with `int` and takes it."""
     text = "G 4 2\n+0 1\n0 003\n"
     g = Graph(4, [(0, 1), (0, 3)])
+    assert _read_graph_bulk(text) is None
+    assert read_graph(text) == _read_graph_lines(text) == g
+    text = "G 9 1\n+0 008\n"
+    g = Graph(9, [(0, 8)])
     assert _read_graph_bulk(text) == g
     assert read_graph(text) == _read_graph_lines(text) == g
+
+
+def test_read_graph_peak_stays_within_the_masks_on_a_sparse_large_graph():
+    """On 2^20 vertices and at most one edge, `read_graph` allocates the
+    adjacency list and its tuple and no table of 2^20 vertex names."""
+    n = 1 << 20
+    bound = 2 * sys.getsizeof([0] * n) + (1 << 20)
+    for text, g in [(f"G {n} 0\n", Graph(n)), (f"G {n} 1\n0 {n - 1}\n", Graph(n, [(0, n - 1)]))]:
+        tracemalloc.start()
+        try:
+            read = read_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == _read_graph_bulk(text) == g
+        assert peak <= bound, (text, peak, bound)
 
 
 def _failure(reader, text):
