@@ -1,6 +1,4 @@
-import sys
-
-from .cli import run_cli
+from .cli import console_entry
 
 if __name__ == "__main__":
-    sys.exit(run_cli())
+    console_entry()

@@ -228,19 +228,6 @@ def _first_phase(
     return runs, pieces, units, spare, room
 
 
-def _repeated(column: list, bounds, pieces: list[int], multi: list[int]) -> list:
-    """`column` with each piece p of `multi`, the stretch from bounds[p]
-    to bounds[p+1], repeated once per class of the piece."""
-    out = []
-    kept = 0  # the pieces before this one are in `out`
-    for p in multi:
-        out += column[bounds[kept] : bounds[p]]
-        out += column[bounds[p] : bounds[p + 1]] * pieces[p]
-        kept = p + 1
-    out += column[bounds[kept] :]
-    return out
-
-
 def _later_phases(
     run_rows: tuple[tuple[tuple[int, int], ...], ...],
     runs: list[int],
@@ -251,14 +238,18 @@ def _later_phases(
 ) -> None:
     """Dinic's phases after the first, run per class on the runs' rows
     `run_rows` from the flow `runs`, `pieces`, `units`, `spare` and
-    `room` describe (as `_first_phase` returns them), which they update
-    in place.  First every piece splits into
-    its classes, so that class i is piece i and its arcs are its stretch
-    of `units`.
+    `room` describe (as `_first_phase` returns them).  First every piece
+    splits into its classes, each taking the piece's run, spare and
+    stretch of `units`.  The phases update `room` in place and leave in
+    `runs`, `pieces` and `units` the flow with one piece per class.
 
     Classes are labelled at odd depths and sets at even ones.  The walk's
     path is the class its source arc enters, then class arcs by flat
     index, forward (class to set) and reverse (set to class) in turn.
+    After each augmentation the walk starts again from the source.  No
+    cursor moves while its node is on the path, so the new walk follows
+    the old path's unsaturated prefix and leaves it first at the tail of
+    the first saturated arc, as a retreat to that tail would.
 
     A set's reverse arcs are residual only where they carry flow, so
     `into[j]` lists, in class order, just the arcs into set j that have
@@ -270,22 +261,21 @@ def _later_phases(
     depth d+1, so its reverse arc climbs down and is not admissible in
     the phase that created it; listing it at the phase's end changes no
     scan, and keeps the set cursors of the phase valid.  An arc whose
-    flow falls back to 0 stays listed and is skipped as without flow.
-    A layer's forward scan stops once every set is labelled: the rest of
-    its classes could label none."""
-    rows = list(map(run_rows.__getitem__, runs))  # each piece's row
-    multi = [p for p, q in enumerate(pieces) if q > 1]
-    if multi:
-        ends = [0, *accumulate(map(len, rows))]
-        units[:] = _repeated(units, ends, pieces, multi)
-        each = range(len(pieces) + 1)
-        runs[:] = _repeated(runs, each, pieces, multi)
-        spare[:] = _repeated(spare, each, pieces, multi)
-        rows = _repeated(rows, each, pieces, multi)
+    flow falls back to 0 stays listed and is skipped as without flow."""
+    classes: list[int] = []  # each class's run
+    flows: list[int] = []  # each class arc's flow, class by class
+    src: list[int] = []  # residual capacity of each source arc
+    start = 0
+    for r, q, left in zip(runs, pieces, spare):
+        end = start + len(run_rows[r])
+        stretch = units[start:end]
+        for _ in range(q):
+            classes.append(r)
+            flows += stretch
+            src.append(left)
+        start = end
+    rows = list(map(run_rows.__getitem__, classes))  # each class's row
     m = len(rows)
-    pieces[:] = [1] * m
-    flows = units  # each class arc's flow, class by class
-    src = spare  # residual capacity of each source arc
     head = [j for row in rows for j, _ in row]
     fwd = list(map(sub, map(itemgetter(1), chain.from_iterable(rows)), flows))
     tail = [i for i, row in enumerate(rows) for _ in row]
@@ -301,8 +291,7 @@ def _later_phases(
             clevel[i] = 1
         depth = 1
         sink_depth = 0
-        unlabelled = len(room)  # sets without a label
-        while frontier and unlabelled and not sink_depth:
+        while frontier and not sink_depth:
             layer = []
             for i in frontier:
                 for arc in range(begin[i], begin[i + 1]):
@@ -311,9 +300,6 @@ def _later_phases(
                         if slevel[j] < 0:
                             slevel[j] = depth + 1
                             layer.append(j)
-                if len(layer) == unlabelled:
-                    break  # every set is labelled
-            unlabelled -= len(layer)
             depth += 2
             frontier = []
             for j in layer:
@@ -383,7 +369,6 @@ def _later_phases(
                         push = r
                 room[j] -= push
                 src[first] -= push
-                cut = 0 if not src[first] else n  # first saturated arc; n: the sink arc
                 for p in range(1, n):
                     arc = path[p]
                     if p & 1:
@@ -391,19 +376,18 @@ def _later_phases(
                         if not flows[arc]:
                             gained.append(arc)
                         flows[arc] += push
-                        r = fwd[arc]
                     else:
                         flows[arc] -= push
                         fwd[arc] += push
-                        r = flows[arc]
-                    if not r and cut == n:
-                        cut = p
-                del path[cut:]  # retreat to the tail of the first saturated arc
+                path.clear()
         for arc in gained:
             arcs = into[head[arc]]
             c = bisect_left(arcs, arc)
             if c == len(arcs) or arcs[c] != arc:  # not listed since an earlier phase
                 arcs.insert(c, arc)
+    runs[:] = classes
+    pieces[:] = [1] * m
+    units[:] = flows
 
 
 def initial_state(ground_size: int, subset_size: int) -> PartitionState:

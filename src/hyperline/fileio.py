@@ -95,6 +95,8 @@ def read_hypergraph(text: str) -> Hypergraph:
         vs = _ints(tokens, lineno)
         if vs != sorted(set(vs)):
             raise InputError(f"line {lineno}: edge must be strictly increasing")
+        if (vs[0] < 0 or vs[-1] >= n) and n >= 0:  # a negative n is Hypergraph's to refuse
+            raise InputError(f"line {lineno}: edge {len(edges)} has a vertex outside [0, {n})")
         edges.append(tuple(vs))
     return Hypergraph(n, edges)
 
@@ -223,6 +225,8 @@ def _read_graph_lines(text: str) -> Graph:
                 f"line {lineno}: edge {u} {v} {problem} the previous edge; "
                 "edges must be distinct and in lexicographic order"
             )
+        if (u < 0 or v >= n) and n >= 0:  # a negative n is Graph's to refuse
+            raise InputError(f"line {lineno}: edge ({u}, {v}) has a vertex outside [0, {n})")
         edges.append(edge)
         prev = edge
     return Graph(n, edges)

@@ -333,10 +333,7 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     certifying cover.  Every witness is truthy, so each `or` of two checks
     stops at the first witness.
     """
-    try:
-        t = _thresholds(k, p)  # the cached lookup, without the wrapper's call
-    except TypeError:
-        t = thresholds(k, p)
+    t = thresholds(k, p)
     if not any(g._adj):
         raise InputError("recognition needs a graph with at least one edge")
 

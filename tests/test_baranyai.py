@@ -773,11 +773,12 @@ def test_partition_bytes_pinned():
 
 def test_large_partition_bytes_pinned():
     """The partitions of (14, 7), (16, 8), (30, 3) and (100, 2), whose
-    levels the greedy first phase settles all of, or almost none of."""
+    levels the greedy first phase settles all of, or almost none of, and
+    of (18, 6), whose later phases run over up to 6 188 classes."""
     digest = hashlib.sha256()
-    for big_n, k in [(14, 7), (16, 8), (30, 3), (100, 2)]:
+    for big_n, k in [(14, 7), (16, 8), (30, 3), (100, 2), (18, 6)]:
         digest.update(write_partition(baranyai_partition(big_n, k), big_n, k).encode())
-    assert digest.hexdigest() == "bb6e17010eb70e17102657a3ed4647df2cb1be5c9b22e14f366c720ad6b2a77e"
+    assert digest.hexdigest() == "4c80192525833baac01c80719adaee8a0d263e91fb3b9ac6997c11426772460e"
 
 
 def test_cached_classes_are_masks_decoded_on_read(monkeypatch):

@@ -93,6 +93,23 @@ def test_hypergraph_rejects_malformed():
         read_hypergraph("H 3 1\n0 x\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("H 3 1\n0 1 7\n", "line 2: edge 0 has a vertex outside [0, 3)"),
+        ("H 3 2\n0 1\n-1 2\n", "line 3: edge 1 has a vertex outside [0, 3)"),
+        # A range fault names its own line, not a later line's order fault.
+        ("H 3 2\n0 1 7\n2 0\n", "line 2: edge 0 has a vertex outside [0, 3)"),
+        ("H 3 1\n1 7 1\n", "line 2: edge must be strictly increasing"),
+        ("H -1 1\n0\n", "vertex count must be nonnegative, got -1"),
+    ],
+)
+def test_hypergraph_reader_names_the_line_at_fault(text, message):
+    with pytest.raises(InputError) as info:
+        read_hypergraph(text)
+    assert str(info.value) == message
+
+
 def test_graph_round_trip():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert read_graph(write_graph(g)) == g
@@ -320,12 +337,14 @@ MALFORMED_GRAPHS = {
     "edges must be distinct and in lexicographic order",
     "G 3 1\n1 1\n": "line 2: edges must satisfy u < v",
     "G 3 1\n2 1\n": "line 2: edges must satisfy u < v",
-    "G 3 1\n0 3\n": "edge (0, 3) has a vertex outside [0, 3)",
-    "G 3 1\n-1 2\n": "edge (-1, 2) has a vertex outside [0, 3)",
+    "G 3 1\n0 3\n": "line 2: edge (0, 3) has a vertex outside [0, 3)",
+    "G 3 1\n-1 2\n": "line 2: edge (-1, 2) has a vertex outside [0, 3)",
     # A fault on the last of several edges, one for each way an edge can fail.
     "G 4 3\n0 1\n1 2\n2 2\n": "line 4: edges must satisfy u < v",
     "G 4 3\n0 1\n1 2\n3 2\n": "line 4: edges must satisfy u < v",
-    "G 4 3\n0 1\n1 2\n2 4\n": "edge (2, 4) has a vertex outside [0, 4)",
+    "G 4 3\n0 1\n1 2\n2 4\n": "line 4: edge (2, 4) has a vertex outside [0, 4)",
+    # A range fault names its own line, not a later line's order fault.
+    "G 3 2\n0 5\n2 1\n": "line 2: edge (0, 5) has a vertex outside [0, 3)",
     "G 4 3\n0 1\n1 2\n-1 11\n": "line 4: edge -1 11 comes before the previous edge; "
     "edges must be distinct and in lexicographic order",
     "G 4 3\n0 1\n1 2\n1 2\n": "line 4: edge 1 2 repeats the previous edge; "
@@ -333,6 +352,7 @@ MALFORMED_GRAPHS = {
     "G 4 3\n0 2\n1 3\n1 2\n": "line 4: edge 1 2 comes before the previous edge; "
     "edges must be distinct and in lexicographic order",
     "G -1 0\n": "vertex count must be nonnegative, got -1",
+    "G -1 1\n0 1\n": "vertex count must be nonnegative, got -1",
     f"G {READ_SIZE_BOUND + 1} 0\n": f"line 1: header declares {READ_SIZE_BOUND + 1} vertices, "
     f"reader bound is {READ_SIZE_BOUND}",
     "G 3 2\n0 1\n": "header promises 2 edges, file has 1",
