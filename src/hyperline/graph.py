@@ -21,6 +21,13 @@ on those masks directly, each stopping as soon as its outcome is fixed:
   excluded vertices sees all its candidates, since it then holds no
   maximal clique, before its candidates are scanned, and a frame whose
   candidates already form a clique reports its one maximal clique whole;
+  the same frame loop also runs from a given clique and its common
+  neighbours, listing only the maximal cliques that hold that clique
+  (`_cliques_from`);
+- a clique is grown greedily from a given one, each step adding the
+  candidate with the most neighbours among the candidates, or all of
+  them once they form a clique (`_grow_clique`); a candidate set is
+  peeled to its t-core, pass by pass (`_core`);
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
   (`_met_at_least`);
@@ -314,10 +321,22 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
             heavy += 1
     if heavy < min_size:
         return []
+    found = _cliques_from(adj, 0, 0, (1 << n) - 1, min_size) if n else []
+    return sorted(tuple(_bits(m)) for m in found)
+
+
+def _cliques_from(adj: tuple[int, ...], r: int, size: int, p: int, min_size: int) -> list[int]:
+    """Masks of the cliques of at least `min_size` vertices that are
+    maximal inside r | p and hold the clique r of `size` vertices, p being
+    vertices adjacent to all of r: `maximal_cliques`' frame loop, run from
+    the frame (r, p) with no excluded vertex.  From r = 0 and p every
+    vertex it lists the maximal cliques of the graph; from a clique r and
+    its common neighbours p it lists those that hold r."""
     found: list[int] = []
     # Each frame is (r, size, p, count, x): the clique so far and its
     # size, the candidates and their count, and the excluded vertices.
-    stack = [(0, 0, (1 << n) - 1, n, 0)] if n else []
+    count = p.bit_count()
+    stack = [(r, size, p, count, 0)] if size + count >= min_size else []
     while stack:
         r, size, p, count, x = stack.pop()
         best = -1
@@ -366,7 +385,59 @@ def maximal_cliques(g: Graph, min_size: int = 1) -> list[tuple[int, ...]]:
                 count -= 1
                 if size + count <= min_size:  # a later child reaches size + count - 1 at most
                     break
-    return sorted(tuple(_bits(m)) for m in found)
+    return found
+
+
+def _grow_clique(adj: tuple[int, ...], clique: int, cand: int) -> int:
+    """The clique `clique` (a mask) grown greedily inside cand, whose
+    vertices all see the whole clique: each step adds the candidate with
+    the most neighbours among the candidates, the lowest on a tie, and
+    keeps only the candidates that see it.  Candidates that already form
+    a clique, each seeing all the others, are added whole.  The result is
+    a maximal clique of the subgraph that clique | cand induces."""
+    while cand:
+        others = cand.bit_count() - 1
+        best = -1
+        whole = True
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen = (adj[low.bit_length() - 1] & cand).bit_count()
+            if seen < others:
+                whole = False
+            if seen > best:
+                best, pick = seen, low
+        if whole:
+            return clique | cand
+        clique |= pick
+        cand &= adj[pick.bit_length() - 1]
+    return clique
+
+
+def _seeing(adj: tuple[int, ...], cand: int, t: int) -> int:
+    """The vertices of cand with at least t neighbours in cand: one AND
+    and one count each, which on the few dozen vertices of a common
+    neighbourhood is quicker than `_met_at_least`'s counters."""
+    kept = 0
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (adj[low.bit_length() - 1] & cand).bit_count() >= t:
+            kept |= low
+    return kept
+
+
+def _core(adj: tuple[int, ...], cand: int, t: int) -> int:
+    """The t-core of the subgraph that cand induces: cand peeled, pass by
+    pass, of the vertices with fewer than t neighbours left in it.  Every
+    vertex of a clique of t + 1 vertices inside cand stays."""
+    while True:
+        kept = _seeing(adj, cand, t)
+        if kept == cand:
+            return cand
+        cand = kept
 
 
 def find_claw(g: Graph, r: int) -> Claw | None:

@@ -13,10 +13,16 @@ verdict is Inconclusive.
 
 Each check is one function, and `recognize` calls it: `check_f1(g, t)`
 and `check_claw(g, t)` first, then `check_f2(g, t, big)`, `check_f3(t,
-big)` and, for a Member, `krausz_cover(g, t, big)`, where `big` is the
-one list `graph.maximal_cliques(g, t.clique_size_bound)` returned.  That
-enumeration returns at once, having allocated nothing, when the bound
-exceeds n or fewer vertices than the bound reach degree bound - 1.
+big)` and, for a Member, `krausz_cover(g, t, big)`, where `big` is one
+list, always exactly the one `graph.maximal_cliques(g,
+t.clique_size_bound)` returns.  Below _EDGE_SCAN_MIN_N vertices it is
+that call's list, which comes back at once, having allocated nothing,
+when the bound exceeds n or fewer vertices than the bound reach degree
+bound - 1.  From there on `_big_cliques` builds it from the edges: one
+clique grown per edge that no clique found so far holds, a search
+through the edge where the grown clique is small, and, where F2 fires on
+that family, a search through each vertex that could lie in a big clique
+the scan missed; its docstring proves the list exact.
 `reconstruct` turns a Member verdict into a witness hypergraph.  The
 cover value, its validation and the cover-to-hypergraph step are in
 `reconstruction`, which imports nothing from this module.
@@ -33,11 +39,16 @@ from .errors import InputError, InternalContradictionError, NotAMemberError, _re
 from .graph import (
     Claw,
     Graph,
+    _bits,
+    _cliques_from,
+    _core,
     _digits,
     _fields,
     _first_bits,
+    _grow_clique,
     _mask,
     _met_at_least,
+    _seeing,
     find_claw,
     maximal_cliques,
     min_edge_degree,
@@ -318,6 +329,129 @@ def check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
     return None
 
 
+# Below this many vertices `_big_cliques` takes its list from
+# `maximal_cliques`; from it on, from the edge scan.  Measured in process
+# on graphs that pass F1 and the claw check (200 per size, a third each at
+# (2, 1), (2, 2) and (3, 1), best of 5, two runs on a 2-vCPU VM), the scan
+# took this share of the enumeration's time: on line graphs of random
+# bounded hypergraphs 1.21 at 16 vertices, 1.32-1.33 at 32, 0.88-1.07 at
+# 40, 0.89-0.92 at 48 and 0.68-0.74 at 64; on line graphs of regular ones
+# 0.92 at 16, 1.00-1.04 at 32, 1.07-1.25 at 40, 0.88-0.90 at 48 and
+# 0.73-0.74 at 64.
+_EDGE_SCAN_MIN_N = 48
+
+
+def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witness | None]:
+    """The big maximal cliques, exactly as `maximal_cliques(g,
+    t.clique_size_bound)` lists them, and `check_f2` on that list.
+
+    On graphs of fewer than _EDGE_SCAN_MIN_N vertices they come from that
+    call.  On larger ones they are built from the edges.  Let s =
+    t.clique_size_bound and T the list `maximal_cliques` returns.  Every
+    vertex of a clique of s vertices has s - 1 neighbours in it, so T
+    lies in the (s-1)-core of g (`_core`), and the scan stays in it.
+    Each edge uw, u < w, taken in order, that no clique found so far
+    holds is visited:
+
+    - with fewer than s - 2 common neighbours it holds no big clique;
+    - the common neighbours that see fewer than s - 3 others of them are
+      dropped (`_seeing`), and fewer than s - 2 left again means no big
+      clique holds uw;
+    - a clique is grown greedily from {u, w} among those left
+      (`_grow_clique`); if it has s vertices or more, it joins the
+      family F;
+    - otherwise those left are peeled to their (s-3)-core, and every
+      clique of s or more vertices through uw that is maximal inside it
+      joins F, listed by `maximal_cliques`' frame loop run from the frame
+      R = {u, w}, P = that core (`_cliques_from`).
+
+    Each vertex's load, the number of members of F holding it, is
+    counted; if one exceeds k, T comes from `maximal_cliques` after all.
+    Otherwise T is F or F completed, by these steps:
+
+    1. Every member of F is in T.  For a clique C of s or more vertices
+       through uw, every vertex of C - {u, w} sees the s - 3 or more
+       other vertices of C - {u, w}, so each filter, the peeling too,
+       keeps all of C - {u, w}.
+       A vertex x that extended such a clique would make C | {x} one, so
+       it would have stayed among the grower's candidates, or in the
+       frame loop's P, and been added.  Nor is a member found twice:
+       each one found from uw holds uw, which no earlier member held.
+    2. Every edge of every C in T lies in some member of F.  When an
+       edge uw of C is visited, the filters keep C - {u, w}, so the grown
+       clique or one from the frame loop holds uw; an edge that is not
+       visited is held by a member already.
+    3. Let every load be at most k, and C in T not in F.  A vertex x of
+       C has s - 1 edges in C, each, by 2, in a member of F holding x,
+       and at most k members hold x.  So one of them, D, meets C in at
+       least 1 + ceil((s - 1)/k) = pk + p vertices.  C and D are distinct
+       maximal cliques, so some y of C is not in D, and y sees all of
+       C & D: an outside vertex with pk + p > pk neighbours in D, which
+       is an F2 hit on D.
+    4. Hence if `check_f2` on F, sorted, finds nothing, then T = F, by 1
+       and 3, and that F2 result is the one on T.
+    5. If it finds something, let Y be the vertices of the core outside
+       some member D of F with pk + p or more neighbours in D
+       (`_met_at_least`).  By 3 every C in T not in F holds a y of Y.
+       For each y of Y, every clique of s or more vertices through y that
+       is maximal inside the (s-2)-core of N(y), taken within the core
+       of g, is listed from the frame R = {y}, P = that core; as in 1
+       each is in T.  So T is F with those cliques, and `check_f2` runs
+       again when they add to F.
+    """
+    s = t.clique_size_bound
+    n = g.n
+    if n < _EDGE_SCAN_MIN_N:
+        big = maximal_cliques(g, s)
+        return big, check_f2(g, t, big)
+    adj = g._adj
+    heavy = _core(adj, (1 << n) - 1, s - 1)
+    found: list[int] = []
+    covered = [0] * n  # covered[v]: union of the members of F holding v
+    load = [0] * n
+    for u in _bits(heavy):
+        nu = adj[u] & heavy
+        pair = 1 << u
+        todo = nu >> (u + 1) << (u + 1) & ~covered[u]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            common = nu & adj[low.bit_length() - 1]
+            if common.bit_count() < s - 2:
+                continue
+            kept = _seeing(adj, common, s - 3)
+            if kept.bit_count() < s - 2:
+                continue
+            grown = _grow_clique(adj, pair | low, kept)
+            if grown.bit_count() >= s:
+                new = [grown]
+            else:
+                new = _cliques_from(adj, pair | low, 2, _core(adj, kept, s - 3), s)
+            for m in new:
+                found.append(m)
+                for v in _bits(m):
+                    covered[v] |= m
+                    load[v] += 1
+                    if load[v] > t.k:
+                        big = maximal_cliques(g, s)
+                        return big, check_f2(g, t, big)
+            todo &= ~covered[u]
+    big = sorted(tuple(_bits(m)) for m in found)
+    witness = check_f2(g, t, big)
+    if witness is None:
+        return big, None
+    ys = 0
+    for m in found:
+        ys |= _met_at_least(adj, m, t.p * t.k + t.p, heavy & ~m)
+    family = set(found)
+    for y in _bits(ys):
+        family.update(_cliques_from(adj, 1 << y, 1, _core(adj, adj[y] & heavy, s - 2), s))
+    if len(family) == len(found):
+        return big, witness
+    big = sorted(tuple(_bits(m)) for m in family)
+    return big, check_f2(g, t, big)
+
+
 def recognize(g: Graph, k: int, p: int) -> Verdict:
     """Decide membership, producing a certificate either way.
 
@@ -328,10 +462,12 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
 
     Checks run in the fixed order F1, claw, F2, F3, so the returned
     witness is deterministic when several structures are present.  The
-    big maximal cliques are enumerated once, by `maximal_cliques` after
-    F1 and the claw check pass, and that one list goes to F2, F3 and the
-    certifying cover.  Every witness is truthy, so each `or` of two checks
-    stops at the first witness.
+    big maximal cliques are listed once, after F1 and the claw check
+    pass, by `_big_cliques`: on small graphs by `maximal_cliques`, on
+    larger ones from the edges, the list being exactly the one
+    `maximal_cliques(g, t.clique_size_bound)` returns either way.  That
+    one list goes to F2, F3 and the certifying cover.  Every witness is
+    truthy, so each `or` of two checks stops at the first witness.
     """
     t = thresholds(k, p)
     if not any(g._adj):
@@ -339,8 +475,8 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
 
     witness = check_f1(g, t) or check_claw(g, t)
     if not witness:
-        big = maximal_cliques(g, t.clique_size_bound)
-        witness = check_f2(g, t, big) or check_f3(t, big)
+        big, witness = _big_cliques(g, t)
+        witness = witness or check_f3(t, big)
     if witness:
         return NonMember(witness)
 

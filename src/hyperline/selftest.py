@@ -14,10 +14,18 @@ from typing import Callable, TextIO
 
 from . import fileio
 from .baranyai import baranyai_partition
-from .graph import Graph, line_graph
+from .graph import Graph, line_graph, maximal_cliques
 from .hypergraph import Hypergraph
 from .oracle import scan_regular_realizability
-from .recognition import ClawWitness, Member, NonMember, recognize, reconstruct
+from .recognition import (
+    ClawWitness,
+    Member,
+    NonMember,
+    _big_cliques,
+    recognize,
+    reconstruct,
+    thresholds,
+)
 from .reconstruction import validate_cover
 
 
@@ -68,11 +76,27 @@ def _check_fileio() -> None:
     _expect(fileio.read_partition(text) == (4, 2, classes), ".bp")
 
 
+def _check_big_cliques() -> None:
+    # The line graph of K10, past the size where recognize builds its big
+    # cliques from the edges, beside four 4-cliques on eight more vertices:
+    # the edge scan finds the first three, which hold every edge of the
+    # fourth, and the completion after the F2 hit adds that fourth.
+    base = line_graph(Hypergraph(10, list(combinations(range(10), 2))))
+    n = base.n
+    cliques = [(0, 4, 5, 6), (1, 4, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
+    extra = {(n + a, n + b) for c in cliques for a, b in combinations(c, 2)}
+    g = Graph(n + 8, list(base.edges()) + sorted(extra))
+    t = thresholds(2, 1)
+    big, _ = _big_cliques(g, t)
+    _expect(big == maximal_cliques(g, t.clique_size_bound), "the edge scan's clique list differs")
+
+
 CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("member-round-trip", _check_member_round_trip),
     ("nonmember-witness", _check_nonmember_witness),
     ("partition-invariants", _check_partition),
     ("file-round-trips", _check_fileio),
+    ("big-cliques", _check_big_cliques),
 )
 
 

@@ -300,14 +300,15 @@ def test_selftest_reports_a_failing_check_and_exits_3(monkeypatch):
         "ok nonmember-witness\n"
         "FAIL partition-invariants: expected 2 cliques\n"
         "ok file-round-trips\n"
-        "SELFTEST FAIL checks=4 failures=1\n"
+        "ok big-cliques\n"
+        "SELFTEST FAIL checks=5 failures=1\n"
     )
 
 
 def test_selftest_passes():
     code, text = run(["selftest"])
     assert code == 0
-    assert text.splitlines()[-1] == "SELFTEST PASS checks=4"
+    assert text.splitlines()[-1] == "SELFTEST PASS checks=5"
 
 
 def test_selftest_fails_under_optimize_flag():

@@ -17,7 +17,10 @@ from hyperline.fileio import write_graph
 from hyperline import graph
 from hyperline.graph import (
     _bits,
+    _cliques_from,
+    _core,
     _fewer_parts,
+    _grow_clique,
     _met_at_least,
     common_neighborhood,
     edge_degree,
@@ -626,6 +629,46 @@ def test_maximal_cliques_matches_one_frame_per_vertex_reference():
         assert 100 <= g.n <= 240 + 2 * bound and largest >= bound
         for s in sorted({1, bound, largest}):
             assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g.n, s)
+
+
+def _core_reference(g: Graph, t: int) -> int:
+    """Remove one vertex with fewer than t neighbours left at a time."""
+    left = set(range(g.n))
+    while True:
+        low = [v for v in left if len(left & set(g.neighbors(v))) < t]
+        if not low:
+            return sum(1 << v for v in left)
+        left.remove(low[0])
+
+
+def test_frame_loop_grower_and_core_from_a_start():
+    """Run from the frame R = {y}, P = N(y) or R = {u, w}, P = N(u) & N(w),
+    the frame loop lists the maximal cliques that hold R, at size floors 1
+    and 4; the clique grown from {u, w} is one of them; `_core` keeps what
+    peeling one vertex at a time keeps."""
+    rng = random.Random(3102)
+    graphs = [
+        random_graph(rng, rng.randint(1, cap), density)
+        for density, cap in DENSITY_CAPS
+        for _ in range(4)
+    ]
+    graphs += [g for _k, _p, g in line_graph_family()[::7]]
+    for g in graphs:
+        adj = g._adj
+        cliques = maximal_cliques(g)
+        for s in (1, 4):
+            for y in range(g.n):
+                listed = _cliques_from(adj, 1 << y, 1, adj[y], s)
+                assert sorted(tuple(_bits(m)) for m in listed) == [
+                    c for c in cliques if y in c and len(c) >= s
+                ], (g, y, s)
+        for u, w in g.edges():
+            pair, common = 1 << u | 1 << w, adj[u] & adj[w]
+            through = [c for c in cliques if u in c and w in c]
+            assert sorted(tuple(_bits(m)) for m in _cliques_from(adj, pair, 2, common, 1)) == through
+            assert tuple(_bits(_grow_clique(adj, pair, common))) in through
+        for t in (1, 2, 3, 5):
+            assert _core(adj, (1 << g.n) - 1, t) == _core_reference(g, t), (g, t)
 
 
 def _met_at_least_reference(g: Graph, members: int, t: int, scope: int) -> int:

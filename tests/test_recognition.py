@@ -196,11 +196,15 @@ def test_recognize_deep_claw_is_nonmember():
     verify_witness(star, verdict.witness, 1199, 1)
 
 
-def _record_checks(monkeypatch) -> list:
-    """Wrap the checks `recognize` calls, and `maximal_cliques`, so each
-    call is recorded in order as (name, args, result)."""
+def _record_checks(
+    monkeypatch,
+    names=("check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3", "krausz_cover"),
+) -> list:
+    """Wrap the checks `recognize` calls, and `maximal_cliques`, or the
+    given names of `recognition`, so each call is recorded in order as
+    (name, args, result)."""
     calls = []
-    for name in ("check_f1", "check_claw", "maximal_cliques", "check_f2", "check_f3", "krausz_cover"):
+    for name in names:
         def wrapper(*args, _name=name, _fn=getattr(recognition, name)):
             result = _fn(*args)
             calls.append((_name, args, result))
@@ -259,6 +263,162 @@ def test_recognize_runs_the_documented_checks(g, kind, order, monkeypatch):
             assert args[:-1] == {"check_f2": (g, t), "check_f3": (t,), "krausz_cover": (g, t)}[name]
     if isinstance(verdict, Member):
         assert verdict.cover is calls[-1][2]
+
+
+# The line graph of K11: 55 vertices, past the size from which `recognize`
+# builds its big cliques from the edges, and a Member at (2, 1).
+LINE_K11 = line_graph(Hypergraph(11, list(combinations(range(11), 2))))
+
+
+def _beside(g: Graph, n: int, edges) -> Graph:
+    """g with n more vertices after its own, joined by edges (given on 0..n-1)."""
+    return Graph(g.n + n, list(g.edges()) + [(g.n + a, g.n + b) for a, b in edges])
+
+
+def _padded(n: int, edges) -> Graph:
+    """The graph on edges, with isolated vertices up to the edge-scan gate."""
+    return Graph(max(n, recognition._EDGE_SCAN_MIN_N), edges)
+
+
+@pytest.mark.parametrize(
+    "g, kind, order",
+    [
+        (LINE_K11, Member, ["check_f1", "check_claw", "check_f2", "check_f3", "krausz_cover"]),
+        (_beside(LINE_K11, 5, K4_ATTACHED.edges()), F2Witness, ["check_f1", "check_claw", "check_f2"]),
+        (
+            _beside(LINE_K11, 6, TWO_K4_SHARING_TWO.edges()),
+            F3Witness,
+            ["check_f1", "check_claw", "check_f2", "check_f3"],
+        ),
+    ],
+)
+def test_recognize_past_the_gate_builds_big_from_the_edges(g, kind, order, monkeypatch):
+    """From `_EDGE_SCAN_MIN_N` vertices on, `recognize` does not call
+    `maximal_cliques`: the edge scan hands F2, F3 and the cover one list,
+    which equals `maximal_cliques`' own, and the verdict is the one
+    `recognize` returns with the gate raised past n."""
+    assert g.n >= recognition._EDGE_SCAN_MIN_N
+    calls = _record_checks(monkeypatch)
+    verdict = recognize(g, 2, 1)
+    assert isinstance(getattr(verdict, "witness", verdict), kind)
+    assert [name for name, _, _ in calls] == order
+    t = thresholds(2, 1)
+    big = calls[2][1][-1]
+    assert big == maximal_cliques(g, t.clique_size_bound)
+    for name, args, _ in calls[2:]:
+        assert args[-1] is big, name
+        assert args[:-1] == {"check_f2": (g, t), "check_f3": (t,), "krausz_cover": (g, t)}[name]
+    monkeypatch.setattr(recognition, "_EDGE_SCAN_MIN_N", g.n + 1)
+    assert recognize(g, 2, 1) == verdict
+
+
+def _assert_big_cliques_exact(g: Graph, k: int, p: int) -> None:
+    t = thresholds(k, p)
+    big = maximal_cliques(g, t.clique_size_bound)
+    assert recognition._big_cliques(g, t) == (big, check_f2(g, t, big)), (g, k, p)
+
+
+def _clique_union(rng: random.Random, n: int, s: int) -> Graph:
+    """A few random cliques of s - 2 to s + 3 vertices over n vertices,
+    with up to 3n random edges strewn over them."""
+    edges = set()
+    for _ in range(rng.randint(1, 6)):
+        members = rng.sample(range(n), rng.randint(s - 2, s + 3))
+        edges.update(combinations(sorted(members), 2))
+    for _ in range(rng.randint(0, 3 * n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+def test_big_cliques_match_maximal_cliques_on_the_line_graph_family(monkeypatch):
+    monkeypatch.setattr(recognition, "_EDGE_SCAN_MIN_N", 0)
+    for k, p, g in line_graph_family():
+        _assert_big_cliques_exact(g, k, p)
+
+
+@pytest.mark.parametrize("k, p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_big_cliques_match_maximal_cliques_past_the_gate(k, p):
+    rng = random.Random(3100 + 10 * k + p)
+    s = thresholds(k, p).clique_size_bound
+    gate = recognition._EDGE_SCAN_MIN_N
+    for _ in range(25):
+        _assert_big_cliques_exact(_clique_union(rng, rng.randint(gate, gate + 16), s), k, p)
+
+
+def test_big_cliques_match_maximal_cliques_on_planted_gadgets(monkeypatch):
+    """Line graphs of bounded hypergraphs, each beside a big clique with one
+    vertex attached to p*k + 1 of it (an F2 gadget) or beside two big
+    cliques sharing p + 1 vertices (an F3 gadget), at every size."""
+    monkeypatch.setattr(recognition, "_EDGE_SCAN_MIN_N", 0)
+    rng = random.Random(3101)
+    for k, p in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        s = thresholds(k, p).clique_size_bound
+        for _ in range(10):
+            g = line_graph(random_bounded_hypergraph(rng, k, p, max_edges=40))
+            size = s + rng.randrange(3)
+            attach = list(combinations(range(size), 2))
+            attach += [(v, size) for v in rng.sample(range(size), p * k + 1)]
+            _assert_big_cliques_exact(_beside(g, size + 1, attach), k, p)
+            other = s + rng.randrange(3)
+            shift = size - p - 1
+            overlap = set(combinations(range(size), 2))
+            overlap.update(combinations(range(shift, shift + other), 2))
+            _assert_big_cliques_exact(_beside(g, shift + other, sorted(overlap)), k, p)
+
+
+def test_big_cliques_fall_back_when_a_load_passes_k(monkeypatch):
+    """K6 minus two disjoint edges has four maximal cliques, each holding
+    0 and 1: at (2, 1) vertex 0's load passes k = 2 with the third one, and
+    the list comes from `maximal_cliques`.  F1 and the claw check pass."""
+    g = _padded(6, [e for e in combinations(range(6), 2) if e not in ((2, 3), (4, 5))])
+    calls = _record_checks(monkeypatch, ("maximal_cliques",))
+    t = thresholds(2, 1)
+    big, witness = recognition._big_cliques(g, t)
+    assert [args for _, args, _ in calls] == [(g, 4)]
+    assert big == [(0, 1, 2, 4), (0, 1, 2, 5), (0, 1, 3, 4), (0, 1, 3, 5)]
+    assert witness == F2Witness((0, 1, 2, 4), 3, (0, 1, 4))
+    assert recognize(g, 2, 1) == NonMember(witness)
+
+
+def test_big_cliques_search_an_edge_whose_greedy_clique_is_small(monkeypatch):
+    """At (3, 1), s = 8: the edge 01 lies in the big cliques {0, 1} | A and
+    {0, 1} | B, A = 3..8 and B = 9..14, but vertex 2, which sees 3..6 and
+    9..12, has the most neighbours among the common ones.  Grown from it,
+    the clique stops at {0, 1, 2, 3, 4, 5, 6}, so the frame loop lists the
+    cliques through 01."""
+    edges = set(combinations((0, 1, 2), 2))
+    for block in (range(3, 9), range(9, 15)):
+        edges.update(combinations((0, 1, *block), 2))
+    edges.update((2, v) for v in (3, 4, 5, 6, 9, 10, 11, 12))
+    g = _padded(15, sorted(edges))
+    calls = _record_checks(monkeypatch, ("_grow_clique", "_cliques_from"))
+    t = thresholds(3, 1)
+    _assert_big_cliques_exact(g, 3, 1)
+    (_, _, grown), (_, frame, listed) = calls[:2]
+    assert grown == 0b1111111
+    assert frame[1:3] == (0b11, 2)
+    assert sorted(listed) == [0b111111011, 0b111111000000011]
+    big, witness = recognition._big_cliques(g, t)
+    assert big == [(0, 1, 3, 4, 5, 6, 7, 8), (0, 1, 9, 10, 11, 12, 13, 14)]
+    assert recognize(g, 3, 1) == NonMember(witness)
+
+
+def test_big_cliques_complete_a_clique_the_edge_scan_missed(monkeypatch):
+    """At (2, 1) the scan finds {0, 4, 5, 6}, {1, 4, 5, 7} and {2, 3, 6, 7}
+    first; together they hold every edge of the clique {4, 5, 6, 7}, which
+    is never grown.  F2 fires on the family, and of the searches from 6
+    and 7, which see pk + p = 3 vertices of {1, 4, 5, 7} and {0, 4, 5, 6},
+    each adds it."""
+    cliques = [(0, 4, 5, 6), (1, 4, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
+    g = _padded(8, sorted({e for c in cliques for e in combinations(c, 2)}))
+    calls = _record_checks(monkeypatch, ("_cliques_from", "check_f2"))
+    _assert_big_cliques_exact(g, 2, 1)
+    rooted = [args[1] for name, args, _ in calls if name == "_cliques_from" and args[2] == 1]
+    assert rooted == [1 << 6, 1 << 7]
+    f2_lists = [args[-1] for name, args, _ in calls if name == "check_f2"]
+    assert f2_lists[:2] == [cliques[:3], sorted(cliques)]
+    reference = maximal_cliques(g, 4)
+    assert recognize(g, 2, 1) == NonMember(check_f2(g, thresholds(2, 1), reference))
 
 
 def test_recognize_k25_reports_f1_before_claw():
