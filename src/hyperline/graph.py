@@ -24,10 +24,10 @@ on those masks directly, each stopping as soon as its outcome is fixed:
   the same frame loop also runs from a given clique and its common
   neighbours, listing only the maximal cliques that hold that clique
   (`_cliques_from`);
-- a clique is grown greedily from a given one, each step adding the
-  candidate with the most neighbours among the candidates, or all of
-  them once they form a clique (`_grow_clique`); a candidate set is
-  peeled to its t-core, pass by pass (`_core`);
+- the vertices of a set with at least t neighbours inside it come out
+  of one AND and one count each (`_seeing`); `recognition._big_cliques`
+  builds the recognizer's big-clique list with it and `_cliques_from`,
+  and its docstring tells how;
 - "which vertices have at least t neighbours among these" is one
   threshold count over the members' rows, kept in bit-sliced counters
   (`_met_at_least`);
@@ -388,33 +388,6 @@ def _cliques_from(adj: tuple[int, ...], r: int, size: int, p: int, min_size: int
     return found
 
 
-def _grow_clique(adj: tuple[int, ...], clique: int, cand: int) -> int:
-    """The clique `clique` (a mask) grown greedily inside cand, whose
-    vertices all see the whole clique: each step adds the candidate with
-    the most neighbours among the candidates, the lowest on a tie, and
-    keeps only the candidates that see it.  Candidates that already form
-    a clique, each seeing all the others, are added whole.  The result is
-    a maximal clique of the subgraph that clique | cand induces."""
-    while cand:
-        others = cand.bit_count() - 1
-        best = -1
-        whole = True
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            seen = (adj[low.bit_length() - 1] & cand).bit_count()
-            if seen < others:
-                whole = False
-            if seen > best:
-                best, pick = seen, low
-        if whole:
-            return clique | cand
-        clique |= pick
-        cand &= adj[pick.bit_length() - 1]
-    return clique
-
-
 def _seeing(adj: tuple[int, ...], cand: int, t: int) -> int:
     """The vertices of cand with at least t neighbours in cand: one AND
     and one count each, which on the few dozen vertices of a common
@@ -427,17 +400,6 @@ def _seeing(adj: tuple[int, ...], cand: int, t: int) -> int:
         if (adj[low.bit_length() - 1] & cand).bit_count() >= t:
             kept |= low
     return kept
-
-
-def _core(adj: tuple[int, ...], cand: int, t: int) -> int:
-    """The t-core of the subgraph that cand induces: cand peeled, pass by
-    pass, of the vertices with fewer than t neighbours left in it.  Every
-    vertex of a clique of t + 1 vertices inside cand stays."""
-    while True:
-        kept = _seeing(adj, cand, t)
-        if kept == cand:
-            return cand
-        cand = kept
 
 
 def find_claw(g: Graph, r: int) -> Claw | None:

@@ -15,14 +15,7 @@ Each check is one function, and `recognize` calls it: `check_f1(g, t)`
 and `check_claw(g, t)` first, then `check_f2(g, t, big)`, `check_f3(t,
 big)` and, for a Member, `krausz_cover(g, t, big)`, where `big` is one
 list, always exactly the one `graph.maximal_cliques(g,
-t.clique_size_bound)` returns.  Below _EDGE_SCAN_MIN_N vertices it is
-that call's list, which comes back at once, having allocated nothing,
-when the bound exceeds n or fewer vertices than the bound reach degree
-bound - 1.  From there on `_big_cliques` builds it from the edges: one
-clique grown per edge that no clique found so far holds, a search
-through the edge where the grown clique is small, and, where F2 fires on
-that family, a search through each vertex that could lie in a big clique
-the scan missed; its docstring proves the list exact.
+t.clique_size_bound)` returns; `_big_cliques` tells how it is built.
 `reconstruct` turns a Member verdict into a witness hypergraph.  The
 cover value, its validation and the cover-to-hypergraph step are in
 `reconstruction`, which imports nothing from this module.
@@ -41,11 +34,9 @@ from .graph import (
     Graph,
     _bits,
     _cliques_from,
-    _core,
     _digits,
     _fields,
     _first_bits,
-    _grow_clique,
     _mask,
     _met_at_least,
     _seeing,
@@ -330,14 +321,17 @@ def check_f3(t: Thresholds, big: list[tuple[int, ...]]) -> F3Witness | None:
 
 
 # Below this many vertices `_big_cliques` takes its list from
-# `maximal_cliques`; from it on, from the edge scan.  Measured in process
-# on graphs that pass F1 and the claw check (200 per size, a third each at
-# (2, 1), (2, 2) and (3, 1), best of 5, two runs on a 2-vCPU VM), the scan
-# took this share of the enumeration's time: on line graphs of random
-# bounded hypergraphs 1.21 at 16 vertices, 1.32-1.33 at 32, 0.88-1.07 at
-# 40, 0.89-0.92 at 48 and 0.68-0.74 at 64; on line graphs of regular ones
-# 0.92 at 16, 1.00-1.04 at 32, 1.07-1.25 at 40, 0.88-0.90 at 48 and
-# 0.73-0.74 at 64.
+# `maximal_cliques`; from it on, from the edge scan.  Where the scan
+# overtakes depends on the family.  Measured in process on line graphs
+# that pass F1 and the claw check (150 per size, a third each at (2, 1),
+# (2, 2) and (3, 1), best of 5, on a 2-vCPU VM), the scan took this share
+# of the enumeration's time at 32, 40, 48, 64 and 100 vertices: for m
+# random edges on 3*sqrt(m) + 4 vertices 1.65, 1.64, 1.54, 1.16, 0.64;
+# on 2*sqrt(km) + 2 vertices 1.45, 1.40, 1.38, 1.21, 0.74; for regular
+# hypergraphs of degree up to 0.6 of the pair bound 1.35, 1.10, 1.35,
+# 0.86, 0.64, and up to 0.8 of it 1.44, 0.74, 1.19, 0.55, 0.38.  The
+# gate stays where an earlier measurement on other random and regular
+# families put the crossover (0.88-0.92 at 48, 0.68-0.74 at 64).
 _EDGE_SCAN_MIN_N = 48
 
 
@@ -348,39 +342,36 @@ def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witn
     On graphs of fewer than _EDGE_SCAN_MIN_N vertices they come from that
     call.  On larger ones they are built from the edges.  Let s =
     t.clique_size_bound and T the list `maximal_cliques` returns.  Every
-    vertex of a clique of s vertices has s - 1 neighbours in it, so T
-    lies in the (s-1)-core of g (`_core`), and the scan stays in it.
+    vertex of a clique of s vertices has degree s - 1 or more, so T lies
+    among those vertices, the heavy ones, and the scan stays among them.
     Each edge uw, u < w, taken in order, that no clique found so far
     holds is visited:
 
-    - with fewer than s - 2 common neighbours it holds no big clique;
-    - the common neighbours that see fewer than s - 3 others of them are
-      dropped (`_seeing`), and fewer than s - 2 left again means no big
-      clique holds uw;
-    - a clique is grown greedily from {u, w} among those left
-      (`_grow_clique`); if it has s vertices or more, it joins the
-      family F;
-    - otherwise those left are peeled to their (s-3)-core, and every
-      clique of s or more vertices through uw that is maximal inside it
-      joins F, listed by `maximal_cliques`' frame loop run from the frame
-      R = {u, w}, P = that core (`_cliques_from`).
+    - with fewer than s - 2 common heavy neighbours it holds no big
+      clique;
+    - otherwise those that see s - 3 or more others of them are kept
+      (`_seeing`), and every clique of s or more vertices through uw
+      that is maximal inside {u, w} and the kept ones joins the family
+      F, listed by `maximal_cliques`' frame loop run from the frame
+      R = {u, w}, P = the kept ones (`_cliques_from`).
 
     Each vertex's load, the number of members of F holding it, is
     counted; if one exceeds k, T comes from `maximal_cliques` after all.
     Otherwise T is F or F completed, by these steps:
 
-    1. Every member of F is in T.  For a clique C of s or more vertices
-       through uw, every vertex of C - {u, w} sees the s - 3 or more
-       other vertices of C - {u, w}, so each filter, the peeling too,
-       keeps all of C - {u, w}.
-       A vertex x that extended such a clique would make C | {x} one, so
-       it would have stayed among the grower's candidates, or in the
-       frame loop's P, and been added.  Nor is a member found twice:
-       each one found from uw holds uw, which no earlier member held.
+    1. Every member of F is in T.  Let K be one, listed from uw, and x a
+       vertex outside K that sees all of K.  Then K | {x} is a clique of
+       s + 1 or more vertices, so x is adjacent to u and w, has degree s
+       or more, and sees the s - 2 or more vertices of K - {u, w}, all of
+       them common heavy neighbours of u and w.  So x passes the filter
+       and lies in P, and K would not be maximal inside R | P: a member
+       maximal there is maximal in g.  Nor is a member found twice: each
+       one found from uw holds uw, which no earlier member held.
     2. Every edge of every C in T lies in some member of F.  When an
-       edge uw of C is visited, the filters keep C - {u, w}, so the grown
-       clique or one from the frame loop holds uw; an edge that is not
-       visited is held by a member already.
+       edge uw of C is visited, every vertex of C - {u, w} is a common
+       heavy neighbour of u and w and sees the s - 3 or more others, so
+       all of C - {u, w} is kept and the frame loop lists C itself; an
+       edge that is not visited is held by a member already.
     3. Let every load be at most k, and C in T not in F.  A vertex x of
        C has s - 1 edges in C, each, by 2, in a member of F holding x,
        and at most k members hold x.  So one of them, D, meets C in at
@@ -390,13 +381,18 @@ def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witn
        is an F2 hit on D.
     4. Hence if `check_f2` on F, sorted, finds nothing, then T = F, by 1
        and 3, and that F2 result is the one on T.
-    5. If it finds something, let Y be the vertices of the core outside
-       some member D of F with pk + p or more neighbours in D
+    5. If it finds something, let Y be the heavy vertices outside some
+       member D of F with pk + p or more neighbours in D
        (`_met_at_least`).  By 3 every C in T not in F holds a y of Y.
        For each y of Y, every clique of s or more vertices through y that
-       is maximal inside the (s-2)-core of N(y), taken within the core
-       of g, is listed from the frame R = {y}, P = that core; as in 1
-       each is in T.  So T is F with those cliques, and `check_f2` runs
+       is maximal inside {y} and P, P the heavy neighbours of y that see
+       s - 2 or more others of them, is listed from the frame R = {y}.
+       Such a C lies there whole, since each vertex of C - {y} is a
+       heavy neighbour of y seeing the s - 2 or more others, so it is
+       listed.  Each one listed, K, is in T by the argument of 1 with
+       R = {y}: a vertex x outside K that sees all of it is a heavy
+       neighbour of y seeing the s - 1 or more vertices of K - {y}, so
+       it lies in P.  So T is F with those cliques, and `check_f2` runs
        again when they add to F.
     """
     s = t.clique_size_bound
@@ -405,7 +401,7 @@ def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witn
         big = maximal_cliques(g, s)
         return big, check_f2(g, t, big)
     adj = g._adj
-    heavy = _core(adj, (1 << n) - 1, s - 1)
+    heavy = _seeing(adj, (1 << n) - 1, s - 1)
     found: list[int] = []
     covered = [0] * n  # covered[v]: union of the members of F holding v
     load = [0] * n
@@ -419,15 +415,7 @@ def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witn
             common = nu & adj[low.bit_length() - 1]
             if common.bit_count() < s - 2:
                 continue
-            kept = _seeing(adj, common, s - 3)
-            if kept.bit_count() < s - 2:
-                continue
-            grown = _grow_clique(adj, pair | low, kept)
-            if grown.bit_count() >= s:
-                new = [grown]
-            else:
-                new = _cliques_from(adj, pair | low, 2, _core(adj, kept, s - 3), s)
-            for m in new:
+            for m in _cliques_from(adj, pair | low, 2, _seeing(adj, common, s - 3), s):
                 found.append(m)
                 for v in _bits(m):
                     covered[v] |= m
@@ -445,7 +433,7 @@ def _big_cliques(g: Graph, t: Thresholds) -> tuple[list[tuple[int, ...]], F2Witn
         ys |= _met_at_least(adj, m, t.p * t.k + t.p, heavy & ~m)
     family = set(found)
     for y in _bits(ys):
-        family.update(_cliques_from(adj, 1 << y, 1, _core(adj, adj[y] & heavy, s - 2), s))
+        family.update(_cliques_from(adj, 1 << y, 1, _seeing(adj, adj[y] & heavy, s - 2), s))
     if len(family) == len(found):
         return big, witness
     big = sorted(tuple(_bits(m)) for m in family)
@@ -463,10 +451,8 @@ def recognize(g: Graph, k: int, p: int) -> Verdict:
     Checks run in the fixed order F1, claw, F2, F3, so the returned
     witness is deterministic when several structures are present.  The
     big maximal cliques are listed once, after F1 and the claw check
-    pass, by `_big_cliques`: on small graphs by `maximal_cliques`, on
-    larger ones from the edges, the list being exactly the one
-    `maximal_cliques(g, t.clique_size_bound)` returns either way.  That
-    one list goes to F2, F3 and the certifying cover.  Every witness is
+    pass, by `_big_cliques`, and that one list goes to F2, F3 and the
+    certifying cover.  Every witness is
     truthy, so each `or` of two checks stops at the first witness.
     """
     t = thresholds(k, p)

@@ -18,10 +18,9 @@ from hyperline import graph
 from hyperline.graph import (
     _bits,
     _cliques_from,
-    _core,
     _fewer_parts,
-    _grow_clique,
     _met_at_least,
+    _seeing,
     common_neighborhood,
     edge_degree,
     find_claw,
@@ -631,21 +630,11 @@ def test_maximal_cliques_matches_one_frame_per_vertex_reference():
             assert maximal_cliques(g, s) == [c for c in cliques if len(c) >= s], (g.n, s)
 
 
-def _core_reference(g: Graph, t: int) -> int:
-    """Remove one vertex with fewer than t neighbours left at a time."""
-    left = set(range(g.n))
-    while True:
-        low = [v for v in left if len(left & set(g.neighbors(v))) < t]
-        if not low:
-            return sum(1 << v for v in left)
-        left.remove(low[0])
-
-
-def test_frame_loop_grower_and_core_from_a_start():
+def test_frame_loop_from_a_start_and_seeing():
     """Run from the frame R = {y}, P = N(y) or R = {u, w}, P = N(u) & N(w),
     the frame loop lists the maximal cliques that hold R, at size floors 1
-    and 4; the clique grown from {u, w} is one of them; `_core` keeps what
-    peeling one vertex at a time keeps."""
+    and 4; `_seeing` keeps the vertices of a random set with t or more
+    neighbours in it, as a popcount per vertex does."""
     rng = random.Random(3102)
     graphs = [
         random_graph(rng, rng.randint(1, cap), density)
@@ -666,9 +655,10 @@ def test_frame_loop_grower_and_core_from_a_start():
             pair, common = 1 << u | 1 << w, adj[u] & adj[w]
             through = [c for c in cliques if u in c and w in c]
             assert sorted(tuple(_bits(m)) for m in _cliques_from(adj, pair, 2, common, 1)) == through
-            assert tuple(_bits(_grow_clique(adj, pair, common))) in through
-        for t in (1, 2, 3, 5):
-            assert _core(adj, (1 << g.n) - 1, t) == _core_reference(g, t), (g, t)
+        for cand in ((1 << g.n) - 1, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+            for t in (1, 2, 3, 5):
+                expected = _met_at_least_reference(g, cand, t, cand)
+                assert _seeing(adj, cand, t) == expected, (g, cand, t)
 
 
 def _met_at_least_reference(g: Graph, members: int, t: int, scope: int) -> int:

@@ -46,6 +46,7 @@ from conftest import (
     random_graph,
     verify_witness,
 )
+from test_graph import _certify_sized_graphs
 
 
 def test_thresholds_goldens():
@@ -380,22 +381,20 @@ def test_big_cliques_fall_back_when_a_load_passes_k(monkeypatch):
     assert recognize(g, 2, 1) == NonMember(witness)
 
 
-def test_big_cliques_search_an_edge_whose_greedy_clique_is_small(monkeypatch):
+def test_big_cliques_list_every_big_clique_through_an_edge_in_one_search(monkeypatch):
     """At (3, 1), s = 8: the edge 01 lies in the big cliques {0, 1} | A and
-    {0, 1} | B, A = 3..8 and B = 9..14, but vertex 2, which sees 3..6 and
-    9..12, has the most neighbours among the common ones.  Grown from it,
-    the clique stops at {0, 1, 2, 3, 4, 5, 6}, so the frame loop lists the
-    cliques through 01."""
+    {0, 1} | B, A = 3..8 and B = 9..14, and in the smaller clique
+    {0, ..., 6} through vertex 2, which sees 3..6 and 9..12.  The one
+    search from R = {0, 1} lists both big cliques, and only them."""
     edges = set(combinations((0, 1, 2), 2))
     for block in (range(3, 9), range(9, 15)):
         edges.update(combinations((0, 1, *block), 2))
     edges.update((2, v) for v in (3, 4, 5, 6, 9, 10, 11, 12))
     g = _padded(15, sorted(edges))
-    calls = _record_checks(monkeypatch, ("_grow_clique", "_cliques_from"))
+    calls = _record_checks(monkeypatch, ("_cliques_from",))
     t = thresholds(3, 1)
     _assert_big_cliques_exact(g, 3, 1)
-    (_, _, grown), (_, frame, listed) = calls[:2]
-    assert grown == 0b1111111
+    _, frame, listed = calls[0]
     assert frame[1:3] == (0b11, 2)
     assert sorted(listed) == [0b111111011, 0b111111000000011]
     big, witness = recognition._big_cliques(g, t)
@@ -403,12 +402,27 @@ def test_big_cliques_search_an_edge_whose_greedy_clique_is_small(monkeypatch):
     assert recognize(g, 3, 1) == NonMember(witness)
 
 
+def test_big_cliques_match_maximal_cliques_on_certify_sized_graphs(monkeypatch):
+    """Line graphs of bounded hypergraphs on 100-240 vertices, alone and
+    with an F2 attachment or an F3 overlap planted, under all four (k,
+    p): the scan's list and F2 result are `maximal_cliques`' own, and
+    between them the graphs reach both the fallback on a load over k and
+    the completion from single vertices."""
+    calls = _record_checks(monkeypatch, ("maximal_cliques", "_cliques_from"))
+    for _bound, g in _certify_sized_graphs():
+        assert g.n >= recognition._EDGE_SCAN_MIN_N
+        for k, p in ((2, 1), (2, 2), (3, 1), (3, 2)):
+            _assert_big_cliques_exact(g, k, p)
+    assert any(name == "maximal_cliques" for name, _, _ in calls)
+    assert any(name == "_cliques_from" and args[2] == 1 for name, args, _ in calls)
+
+
 def test_big_cliques_complete_a_clique_the_edge_scan_missed(monkeypatch):
     """At (2, 1) the scan finds {0, 4, 5, 6}, {1, 4, 5, 7} and {2, 3, 6, 7}
-    first; together they hold every edge of the clique {4, 5, 6, 7}, which
-    is never grown.  F2 fires on the family, and of the searches from 6
-    and 7, which see pk + p = 3 vertices of {1, 4, 5, 7} and {0, 4, 5, 6},
-    each adds it."""
+    first; together they hold every edge of the clique {4, 5, 6, 7}, so
+    no edge search lists it.  F2 fires on the family, and of the searches
+    from 6 and 7, which see pk + p = 3 vertices of {1, 4, 5, 7} and
+    {0, 4, 5, 6}, each adds it."""
     cliques = [(0, 4, 5, 6), (1, 4, 5, 7), (2, 3, 6, 7), (4, 5, 6, 7)]
     g = _padded(8, sorted({e for c in cliques for e in combinations(c, 2)}))
     calls = _record_checks(monkeypatch, ("_cliques_from", "check_f2"))
